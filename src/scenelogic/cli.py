@@ -125,7 +125,8 @@ def _prepare(args):
     if getattr(args, "window", None):
         window = args.window
     rules = _ruleset(args)
-    return cfg, tracker, window, rules
+    # A window of 0 or none selects the default length.
+    return cfg, tracker, window or None, rules
 
 
 def _cmd_ingest(args) -> int:
@@ -137,9 +138,8 @@ def _cmd_ingest(args) -> int:
         seq = load_annotation(args.file)
     except Exception as e:
         return _fail("ingest", str(e))
-    n = window or min(len(seq.frames), 10)
     try:
-        wins = windows(seq, n)
+        wins = windows(seq, window)
     except Exception as e:
         return _fail("ingest", str(e))
     for w in wins:
@@ -182,8 +182,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _answer_one(seq, rules, cfg, tracker, window, args):
-    n = window or min(len(seq.frames), 10)
-    wins = windows(seq, n)
+    wins = windows(seq, window)
     by_id = {w.window_id: w for w in wins}
     if args.window_id not in by_id:
         raise StageError("question", f"window {args.window_id} not available")
@@ -225,8 +224,7 @@ def _cmd_repl(args) -> int:
     try:
         cfg, tracker, window, rules = _prepare(args)
         seq = load_annotation(args.file)
-        n = window or min(len(seq.frames), 10)
-        wins = windows(seq, n)
+        wins = windows(seq, window)
     except Exception as e:
         return _fail("ingest", str(e))
 

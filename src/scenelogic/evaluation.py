@@ -117,9 +117,9 @@ def process_sequence(seq: Sequence, rules: RuleSet,
                      n: int | None = None):
     """Ingest a sequence into per-window compiled facts and saturated sets.
 
-    Returns {window_id: (WindowFacts, FactSet)}.
+    ``n`` defaults as in ``scene.windows``.  Returns {window_id:
+    (WindowFacts, FactSet)}.
     """
-    n = n if n is not None else min(len(seq.frames), 10)
     try:
         wins = windows(seq, n)
     except Exception as e:

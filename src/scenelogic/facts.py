@@ -58,12 +58,39 @@ class WindowFacts:
     tracks: list[Trajectory] | None = None
 
 
-def _window_positions(t: Trajectory, w: SceneWindow) -> dict[int, tuple[float, float]]:
-    """Per-frame BEV positions expressed in the window's common origin."""
-    return {
-        pos: w.to_window_frame(pos, bev_of(obs, w.intrinsics))
-        for pos, obs in t.observations.items()
-    }
+def _distance_trends(bev: list[dict], n: int):
+    """The distance series of every track pair over the frames where both
+    are observed, each distance in that frame's own coordinates (rigid
+    camera motion cannot change it).
+
+    ``bev[t]`` maps track t's window positions to BEV points.  Returns, for
+    the pairs ``ia < ib`` with two or more common frames: the number of
+    steps between consecutive common frames, how many of them decrease and
+    increase the distance, and the first and last distances.
+    """
+    rows = [t for t, keyed in enumerate(bev) for _ in keyed]
+    cols = [pos for keyed in bev for pos in keyed]
+    pts = np.zeros((len(bev), n, 2))
+    seen = np.zeros((len(bev), n), dtype=bool)
+    pts[rows, cols] = np.array([p for keyed in bev for p in keyed.values()]).reshape(-1, 2)
+    seen[rows, cols] = True
+    ia, ib = np.triu_indices(len(bev), 1)
+    both = seen[ia] & seen[ib]
+    common = both.sum(axis=1)
+    keep = common >= 2
+    ia, ib, both, steps = ia[keep], ib[keep], both[keep], common[keep] - 1
+    diff = pts[ia] - pts[ib]
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    # For each frame, the latest common frame up to it (-1 before the first).
+    latest = np.maximum.accumulate(np.where(both, np.arange(n), -1), axis=1)
+    prev = np.take_along_axis(d, np.maximum(latest[:, :-1], 0), axis=1)
+    step = both[:, 1:] & (latest[:, :-1] >= 0)
+    dec = (step & (d[:, 1:] < prev)).sum(axis=1)
+    inc = (step & (d[:, 1:] > prev)).sum(axis=1)
+    pair = np.arange(len(d))
+    first = d[pair, both.argmax(axis=1)]
+    last = d[pair, latest[:, -1]]
+    return ia.tolist(), ib.tolist(), steps, dec, inc, first, last
 
 
 def _dense_positions(keyed: dict[int, tuple[float, float]]) -> list[tuple[float, float]]:
@@ -121,7 +148,9 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
     k = w.intrinsics
     width = cfg.image_width if cfg.image_width is not None else 2.0 * k.cx
 
-    positions = {t.instance_id: _window_positions(t, w) for t in tracks}
+    bev = [{pos: bev_of(obs, k) for pos, obs in t.observations.items()} for t in tracks]
+    positions = {t.instance_id: {pos: w.to_window_frame(pos, p) for pos, p in pts.items()}
+                 for t, pts in zip(tracks, bev)}
 
     for t in tracks:
         name = t.instance_id
@@ -165,34 +194,23 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
                  if rules else str(t.attributes["type"]))
 
     # Pairwise relations over frames where both instances are observed.
-    bev_by_frame = {
-        t.instance_id: {pos: bev_of(obs, k) for pos, obs in t.observations.items()}
-        for t in tracks
-    }
-    for i, a in enumerate(tracks):
-        for b in tracks[i + 1:]:
-            common = sorted(set(a.observations) & set(b.observations))
-            if len(common) >= 2:
-                # Per-frame distance in that frame's own coordinates; rigid
-                # motion of the camera cannot change it.
-                d = [float(np.hypot(
-                    bev_by_frame[a.instance_id][p][0] - bev_by_frame[b.instance_id][p][0],
-                    bev_by_frame[a.instance_id][p][1] - bev_by_frame[b.instance_id][p][1]))
-                    for p in common]
-                steps = len(d) - 1
-                dec = sum(1 for u, v in zip(d, d[1:]) if v < u)
-                inc = sum(1 for u, v in zip(d, d[1:]) if v > u)
-                if dec / steps >= cfg.trend_frac and d[0] - d[-1] > cfg.eps_move:
-                    for x, y in ((a, b), (b, a)):
-                        emit("DistanceDecreases", x.instance_id, y.instance_id,
-                             initial_m=d[0], final_m=d[-1])
-                        if d[-1] < cfg.eps_contact:
-                            emit("DistanceDecreasesToZero", x.instance_id,
-                                 y.instance_id, final_m=d[-1])
-                if inc / steps >= cfg.trend_frac and d[-1] - d[0] > cfg.eps_move:
-                    for x, y in ((a, b), (b, a)):
-                        emit("DistanceIncreases", x.instance_id, y.instance_id,
-                             initial_m=d[0], final_m=d[-1])
+    ia, ib, steps, dec, inc, first, last = _distance_trends(bev, w.n)
+    decreases = (dec / steps >= cfg.trend_frac) & (first - last > cfg.eps_move)
+    increases = (inc / steps >= cfg.trend_frac) & (last - first > cfg.eps_move)
+    first, last = first.tolist(), last.tolist()
+    for p in np.flatnonzero(decreases | increases).tolist():
+        a, b = tracks[ia[p]], tracks[ib[p]]
+        if decreases[p]:
+            for x, y in ((a, b), (b, a)):
+                emit("DistanceDecreases", x.instance_id, y.instance_id,
+                     initial_m=first[p], final_m=last[p])
+                if last[p] < cfg.eps_contact:
+                    emit("DistanceDecreasesToZero", x.instance_id,
+                         y.instance_id, final_m=last[p])
+        if increases[p]:
+            for x, y in ((a, b), (b, a)):
+                emit("DistanceIncreases", x.instance_id, y.instance_id,
+                     initial_m=first[p], final_m=last[p])
 
     # Support relations: only tracked dynamic objects rest on surfaces.
     for a in tracks:

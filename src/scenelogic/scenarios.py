@@ -249,6 +249,14 @@ def _assemble(spec: ScenarioSpec, objs: list[_WorldObject], ego_speed: float) ->
             if i + 1 in obj.centroids:
                 nxt, cur = obj.centroids[i + 1], obj.centroids[i]
                 flow = (nxt[0] - cur[0], nxt[1] - cur[1])
+            x0, y0, x1, y1 = obj.bboxes[i]
+            cx, cy = obj.centroids[i]
+            if not (x0 <= cx <= x1 and y0 <= cy <= y1):
+                # Only a fixed bbox can lose its centroid, as ego motion
+                # carries the object through the image.
+                raise InvalidSpec(
+                    f"{obj.name}: ego motion carries the centroid out of its "
+                    f"fixed bbox at frame {i}; use fewer frames")
             observations.append(ObjectObservation(
                 category=obj.category,
                 centroid_px=obj.centroids[i],

@@ -17,6 +17,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import (
     CameraIntrinsics,
     InsufficientAnchors,
@@ -49,6 +51,9 @@ class ObjectObservation:
     attributes: dict | None = None
 
     def __post_init__(self):
+        numbers = (self.depth_m, *self.centroid_px, *self.bbox, *(self.flow_px or ()))
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"depth, centroid, bbox and flow must be finite, got {numbers}")
         if self.depth_m <= 0:
             raise ValueError(f"depth must be positive, got {self.depth_m}")
         x0, y0, x1, y1 = self.bbox
@@ -61,6 +66,44 @@ class ObjectObservation:
 class FrameObservation:
     frame_index: int
     objects: tuple[ObjectObservation, ...]
+
+    def boxes(self) -> "BoxArrays":
+        """The objects' boxes as arrays, built once and shared by every
+        window that holds this frame."""
+        cache = self.__dict__.get("_boxes")
+        if cache is None:
+            cache = box_arrays(self.objects)
+            self.__dict__["_boxes"] = cache
+        return cache
+
+
+@dataclass(frozen=True, eq=False)
+class BoxArrays:
+    """Boxes of a list of observations, column i for observation i."""
+
+    # (5, 2, n): x0, y0, x1, y1 and area of each bbox (row 0) and of the
+    # bbox carried along its flow (row 1)
+    boxes: np.ndarray
+    categories: np.ndarray  # (n,) category names
+
+    def take(self, columns) -> "BoxArrays":
+        return BoxArrays(self.boxes[..., columns], self.categories[columns])
+
+
+def with_areas(boxes: np.ndarray) -> np.ndarray:
+    """(4, ...) box coordinates x0, y0, x1, y1 as (5, ...), adding the areas."""
+    x0, y0, x1, y1 = boxes
+    return np.concatenate([boxes, ((x1 - x0) * (y1 - y0))[None]])
+
+
+def box_arrays(objects) -> BoxArrays:
+    """The boxes of ``objects``.  An object without ``flow_px`` is carried by
+    zero flow, so its carried box is its bbox."""
+    bbox = np.array([o.bbox for o in objects], dtype=float).reshape(-1, 4).T
+    dx, dy = np.array([o.flow_px or (0.0, 0.0) for o in objects], dtype=float).reshape(-1, 2).T
+    carried = bbox + np.array([dx, dy, dx, dy])
+    return BoxArrays(with_areas(np.stack([bbox, carried], axis=1)),
+                     np.array([o.category for o in objects], dtype=str))
 
 
 @dataclass(frozen=True)
@@ -154,11 +197,10 @@ def _static_correspondences(prev: FrameObservation, curr: FrameObservation,
     return pairs
 
 
-def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0,
-                 translation_only: bool = False, nn_gate_m: float = 1.0) -> SceneWindow:
-    """Assemble a SceneWindow, estimating the frame-pair origin transforms
-    from static-object correspondences."""
-    frames = tuple(frames)
+def _origin_chain(frames, intrinsics: CameraIntrinsics, translation_only: bool,
+                  nn_gate_m: float) -> list[Transform2]:
+    """One transform per consecutive frame pair, estimated from static-object
+    correspondences; the first pair without two of them raises."""
     chain = []
     for prev, curr in zip(frames, frames[1:]):
         pairs = _static_correspondences(prev, curr, intrinsics, nn_gate_m)
@@ -170,15 +212,34 @@ def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0,
         prev_pts = [p for p, _ in pairs]
         curr_pts = [c for _, c in pairs]
         chain.append(estimate_origin(prev_pts, curr_pts, translation_only))
+    return chain
+
+
+def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0,
+                 translation_only: bool = False, nn_gate_m: float = 1.0) -> SceneWindow:
+    """Assemble a SceneWindow, estimating the frame-pair origin transforms
+    from static-object correspondences."""
+    frames = tuple(frames)
+    chain = _origin_chain(frames, intrinsics, translation_only, nn_gate_m)
     return SceneWindow(frames, intrinsics, window_id, tuple(chain))
 
 
-def windows(seq: Sequence, n: int = DEFAULT_WINDOW, **kwargs) -> list[SceneWindow]:
-    """All sliding windows of length n, advancing one frame at a time."""
+def windows(seq: Sequence, n: int | None = None, translation_only: bool = False,
+            nn_gate_m: float = 1.0) -> list[SceneWindow]:
+    """All sliding windows of length n, advancing one frame at a time.
+
+    ``n`` defaults to DEFAULT_WINDOW frames, or the whole sequence when it is
+    shorter.  Each frame pair's transform is estimated once and shared by
+    every window that holds the pair.
+    """
+    if n is None:
+        n = min(len(seq.frames), DEFAULT_WINDOW)
     if len(seq.frames) < n:
         raise ValueError(f"sequence has {len(seq.frames)} frames, window needs {n}")
+    chain = _origin_chain(seq.frames, seq.intrinsics, translation_only,
+                          nn_gate_m) if n > 1 else []
     return [
-        build_window(seq.frames[i:i + n], seq.intrinsics, window_id=i, **kwargs)
+        SceneWindow(seq.frames[i:i + n], seq.intrinsics, i, tuple(chain[i:i + n - 1]))
         for i in range(len(seq.frames) - n + 1)
     ]
 

@@ -11,9 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .scene import ObjectObservation, SceneWindow
+from .scene import BoxArrays, ObjectObservation, SceneWindow, box_arrays, with_areas
 
 
 class CategoryMismatch(ValueError):
@@ -31,20 +30,31 @@ class TrackerConfig:
     max_gap: int = 2  # occlusion frames bridged by hypothetical vertices
 
 
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Intersection over union of every box in ``a`` (5, ..., n) with every
+    box in ``b`` (5, m), as a (..., n, m) array.  Axis 0 of both holds x0,
+    y0, x1, y1 and the box area."""
+    ax0, ay0, ax1, ay1, a_area = a[..., None]
+    bx0, by0, bx1, by1, b_area = b
+    iw = np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)
+    ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0)
+    inter = iw * ih
+    return np.divide(inter, a_area + b_area - inter, out=np.zeros_like(inter),
+                     where=inter > 0)
+
+
 def iou(a, b) -> float:
     """Intersection over union of two (x0, y0, x1, y1) boxes."""
-    ix0 = max(a[0], b[0])
-    iy0 = max(a[1], b[1])
-    ix1 = min(a[2], b[2])
-    iy1 = min(a[3], b[3])
-    iw = max(0.0, ix1 - ix0)
-    ih = max(0.0, iy1 - iy0)
-    inter = iw * ih
-    if inter <= 0:
-        return 0.0
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    return inter / (area_a + area_b - inter)
+    boxes = with_areas(np.array([a, b], dtype=float).T)
+    return float(_iou(boxes[:, :1], boxes[:, 1:])[0, 0])
+
+
+def _weights(left: BoxArrays, right: BoxArrays, alpha: float) -> np.ndarray:
+    """Blend of flow-carried and raw IoU for every left-right pair, zero
+    across categories."""
+    raw, flow = _iou(left.boxes, right.boxes[:, 0])
+    w = alpha * flow + (1.0 - alpha) * raw
+    return np.where(left.categories[:, None] == right.categories, w, 0.0)
 
 
 def _shift(bbox, d):
@@ -56,31 +66,30 @@ def edge_weight(l: ObjectObservation, r: ObjectObservation,
     """Association weight in [0, 1] between observations of adjacent frames."""
     if l.category != r.category:
         raise CategoryMismatch(f"{l.category} vs {r.category}")
-    raw = iou(l.bbox, r.bbox)
-    if l.flow_px is None:
-        flow = raw
-    else:
-        flow = iou(_shift(l.bbox, l.flow_px), r.bbox)
-    return alpha * flow + (1.0 - alpha) * raw
+    return float(build_graph([l], [r], alpha).weights[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationGraph:
     left: tuple[ObjectObservation, ...]
     right: tuple[ObjectObservation, ...]
-    edges: tuple[tuple[int, int, float], ...]
+    weights: np.ndarray  # (len(left), len(right)), zero across categories
     skip_cost: float = TrackerConfig.w_min
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(i, j, weight) for every same-category pair."""
+        return tuple((i, j, float(self.weights[i, j]))
+                     for i, l in enumerate(self.left)
+                     for j, r in enumerate(self.right) if l.category == r.category)
 
 
 def build_graph(left, right, alpha: float = TrackerConfig.alpha,
                 w_min: float = TrackerConfig.w_min) -> AssociationGraph:
-    """Dense edges between same-category observations of two frames."""
-    edges = []
-    for i, l in enumerate(left):
-        for j, r in enumerate(right):
-            if l.category == r.category:
-                edges.append((i, j, edge_weight(l, r, alpha)))
-    return AssociationGraph(tuple(left), tuple(right), tuple(edges), w_min)
+    """Dense weights between the observations of two frames."""
+    left, right = tuple(left), tuple(right)
+    return AssociationGraph(left, right,
+                            _weights(box_arrays(left), box_arrays(right), alpha), w_min)
 
 
 @dataclass(frozen=True)
@@ -93,22 +102,22 @@ class MatchResult:
 def match_frames(g: AssociationGraph) -> MatchResult:
     """Maximum-weight assignment over the graph; pairs below the weight floor
     stay unmatched."""
+    # Imported here: scipy.optimize takes longer to import than the rest of
+    # the package, and only inferred tracking needs it.
+    from scipy.optimize import linear_sum_assignment
+
     nl, nr = len(g.left), len(g.right)
     if nl == 0 or nr == 0:
         return MatchResult((), tuple(range(nl)), tuple(range(nr)))
-    w = np.zeros((nl, nr))
-    for i, j, weight in g.edges:
-        w[i, j] = weight
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    assignments = []
-    matched_l, matched_r = set(), set()
-    for i, j in zip(rows, cols):
-        if w[i, j] >= g.skip_cost:
-            assignments.append((int(i), int(j), float(w[i, j])))
-            matched_l.add(int(i))
-            matched_r.add(int(j))
+    rows, cols = linear_sum_assignment(g.weights, maximize=True)
+    assignments = tuple(
+        (i, j, w) for i, j, w in zip(rows.tolist(), cols.tolist(),
+                                     g.weights[rows, cols].tolist())
+        if w >= g.skip_cost)
+    matched_l = {i for i, _, _ in assignments}
+    matched_r = {j for _, j, _ in assignments}
     return MatchResult(
-        tuple(assignments),
+        assignments,
         tuple(i for i in range(nl) if i not in matched_l),
         tuple(j for j in range(nr) if j not in matched_r),
     )
@@ -251,14 +260,15 @@ class _LiveTrack:
 
 
 def _link_inferred(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
-    live: list[_LiveTrack] = []
+    live = [_LiveTrack(0, obs) for obs in w.frames[0].objects]
+    live_boxes = w.frames[0].boxes()
     done: list[_LiveTrack] = []
-    for obs in w.frames[0].objects:
-        live.append(_LiveTrack(0, obs))
 
     for pos in range(1, w.n):
-        objects = w.frames[pos].objects
-        g = build_graph([t.repr_obs for t in live], objects, cfg.alpha, cfg.w_min)
+        frame = w.frames[pos]
+        objects = frame.objects
+        g = AssociationGraph(tuple(t.repr_obs for t in live), objects,
+                             _weights(live_boxes, frame.boxes(), cfg.alpha), cfg.w_min)
         result = match_frames(g)
         for i, j, _ in result.assignments:
             live[i].record(pos, objects[j])
@@ -273,6 +283,15 @@ def _link_inferred(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
         live = [live[i] for i, _, _ in result.assignments] + survivors
         for j in result.unmatched_right:
             live.append(_LiveTrack(pos, objects[j]))
+        # The live tracks' boxes, in live order: matched and new tracks'
+        # from this frame's cached boxes, ghosts' built after those.
+        pool = frame.boxes()
+        if survivors:
+            pool = box_arrays(objects + tuple(t.repr_obs for t in survivors))
+        live_boxes = pool.take(
+            [j for _, j, _ in result.assignments]
+            + list(range(len(objects), len(objects) + len(survivors)))
+            + list(result.unmatched_right))
     done.extend(live)
 
     tracks = [

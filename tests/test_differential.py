@@ -1,0 +1,303 @@
+"""The array kernels against the scalar formulas they replaced.
+
+Association weights, pairwise distance trends and per-sequence origin
+chains are computed over whole arrays or once per sequence; each test here
+keeps the per-pair (or per-window) computation as a reference and requires
+exactly equal results.
+"""
+
+import numpy as np
+import pytest
+
+from scenelogic import tracking
+from scenelogic.facts import CompilerConfig, compile_window
+from scenelogic.fol import Const, Literal
+from scenelogic.geometry import InsufficientAnchors, Transform2
+from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
+from scenelogic.scene import (
+    STATIC_CATEGORIES,
+    FrameObservation,
+    ObjectObservation,
+    SceneWindow,
+    Sequence,
+    bev_of,
+    build_window,
+    windows,
+)
+from scenelogic.tracking import Trajectory, build_graph, edge_weight, iou, link_window
+
+from conftest import INTR, linear_track, make_sequence
+
+
+# ---------------------------------------------------------------------------
+# Scalar references
+# ---------------------------------------------------------------------------
+
+def ref_iou(a, b) -> float:
+    ix0 = max(a[0], b[0])
+    iy0 = max(a[1], b[1])
+    ix1 = min(a[2], b[2])
+    iy1 = min(a[3], b[3])
+    iw = max(0.0, ix1 - ix0)
+    ih = max(0.0, iy1 - iy0)
+    inter = iw * ih
+    if inter <= 0:
+        return 0.0
+    area_a = (a[2] - a[0]) * (a[3] - a[1])
+    area_b = (b[2] - b[0]) * (b[3] - b[1])
+    return inter / (area_a + area_b - inter)
+
+
+def ref_edge_weight(l, r, alpha) -> float:
+    raw = ref_iou(l.bbox, r.bbox)
+    if l.flow_px is None:
+        flow = raw
+    else:
+        d = l.flow_px
+        shifted = (l.bbox[0] + d[0], l.bbox[1] + d[1], l.bbox[2] + d[0], l.bbox[3] + d[1])
+        flow = ref_iou(shifted, r.bbox)
+    return alpha * flow + (1.0 - alpha) * raw
+
+
+def ref_weights(left, right, alpha) -> np.ndarray:
+    w = np.zeros((len(left), len(right)))
+    for i, l in enumerate(left):
+        for j, r in enumerate(right):
+            if l.category == r.category:
+                w[i, j] = ref_edge_weight(l, r, alpha)
+    return w
+
+
+DISTANCE_PREDICATES = ("DistanceDecreases", "DistanceDecreasesToZero", "DistanceIncreases")
+
+
+def ref_distance_facts(w, tracks, cfg):
+    """The per-pair loop compile_window ran before it used arrays."""
+    facts, provenance = set(), {}
+
+    def emit(pred, *args, **evidence):
+        lit = Literal(pred, tuple(Const(a) for a in args))
+        facts.add(lit)
+        provenance[lit] = evidence
+
+    bev = {t.instance_id: {pos: bev_of(o, w.intrinsics) for pos, o in t.observations.items()}
+           for t in tracks}
+    for i, a in enumerate(tracks):
+        for b in tracks[i + 1:]:
+            common = sorted(set(a.observations) & set(b.observations))
+            if len(common) < 2:
+                continue
+            pa, pb = bev[a.instance_id], bev[b.instance_id]
+            d = [float(np.hypot(pa[p][0] - pb[p][0], pa[p][1] - pb[p][1])) for p in common]
+            steps = len(d) - 1
+            dec = sum(1 for u, v in zip(d, d[1:]) if v < u)
+            inc = sum(1 for u, v in zip(d, d[1:]) if v > u)
+            if dec / steps >= cfg.trend_frac and d[0] - d[-1] > cfg.eps_move:
+                for x, y in ((a, b), (b, a)):
+                    emit("DistanceDecreases", x.instance_id, y.instance_id,
+                         initial_m=d[0], final_m=d[-1])
+                    if d[-1] < cfg.eps_contact:
+                        emit("DistanceDecreasesToZero", x.instance_id, y.instance_id,
+                             final_m=d[-1])
+            if inc / steps >= cfg.trend_frac and d[-1] - d[0] > cfg.eps_move:
+                for x, y in ((a, b), (b, a)):
+                    emit("DistanceIncreases", x.instance_id, y.instance_id,
+                         initial_m=d[0], final_m=d[-1])
+    return facts, provenance
+
+
+def distance_part(wf):
+    facts = {f for f in wf.facts if f.pred in DISTANCE_PREDICATES}
+    return facts, {f: ev for f, ev in wf.provenance.items() if f.pred in DISTANCE_PREDICATES}
+
+
+# ---------------------------------------------------------------------------
+# (a) Association weights
+# ---------------------------------------------------------------------------
+
+def random_observations(rng, n, grid):
+    """Boxes on a coarse pixel grid (so edges touch and boxes coincide) or
+    anywhere; some without flow; three categories."""
+    out = []
+    for _ in range(n):
+        if grid:
+            x0, y0 = (float(v) for v in rng.integers(0, 8, 2) * 10)
+            x1, y1 = x0 + float(rng.integers(0, 4) * 10), y0 + float(rng.integers(1, 4) * 10)
+        else:
+            x0, y0 = rng.uniform(0, 200, 2)
+            x1, y1 = x0 + rng.uniform(0, 60), y0 + rng.uniform(1e-3, 60)
+        flow = None
+        if rng.random() < 0.7:
+            flow = tuple(float(v) for v in (rng.integers(-2, 3, 2) * 10 if grid
+                                            else rng.normal(0, 15, 2)))
+        out.append(ObjectObservation(
+            category=str(rng.choice(["Vehicle", "Pedestrian", "Pole"])),
+            centroid_px=((x0 + x1) / 2, (y0 + y1) / 2),
+            bbox=(float(x0), float(y0), float(x1), float(y1)),
+            depth_m=10.0, flow_px=flow))
+    return out
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_build_graph_weights_equal_scalar_reference(grid):
+    rng = np.random.default_rng(7)
+    for case in range(150):
+        left = random_observations(rng, int(rng.integers(0, 9)), grid)
+        right = random_observations(rng, int(rng.integers(0, 9)), grid)
+        alpha = (0.5, 0.0, 1.0, 0.3)[case % 4]
+        g = build_graph(left, right, alpha)
+        assert g.weights.shape == (len(left), len(right))
+        assert (g.weights == ref_weights(left, right, alpha)).all()
+        for i, j, weight in g.edges:
+            assert weight == ref_edge_weight(left[i], right[j], alpha)
+            assert edge_weight(left[i], right[j], alpha) == weight
+            assert iou(left[i].bbox, right[j].bbox) == ref_iou(left[i].bbox, right[j].bbox)
+
+
+def test_empty_sides_give_empty_weights():
+    some = random_observations(np.random.default_rng(1), 3, grid=False)
+    assert build_graph([], some).weights.shape == (0, 3)
+    assert build_graph(some, []).weights.shape == (3, 0)
+    assert build_graph([], []).weights.shape == (0, 0)
+
+
+def occlusion_and_arrival(n=14):
+    """A pedestrian hidden for two frames while a vehicle arrives in the
+    first of them: one frame pair has both a ghost and a new track."""
+    return make_sequence({
+        "p": {"category": "Pedestrian", "width": 0.6, "height": 1.7,
+              "track": linear_track((-4.5, 12.0), (1.0, 0.0), n=n, hidden=(5, 6))},
+        "v": {"category": "Vehicle",
+              "track": linear_track((0.8, 12.0), (0.0, 1.0), n=n, hidden=range(5))},
+    }, n=n)
+
+
+@pytest.mark.parametrize("scene", ["crossing", "appear", "disappear", "collide",
+                                   "occlusion_and_arrival"])
+def test_tracker_graphs_equal_scalar_reference(scene, monkeypatch):
+    """The tracker carries its live tracks' boxes from frame to frame,
+    ghosts included; every graph it matches must still weigh the tracks'
+    current observations exactly as the scalar formula does."""
+    graphs = []
+    match = tracking.match_frames
+
+    def recording(g):
+        graphs.append(g)
+        return match(g)
+
+    monkeypatch.setattr(tracking, "match_frames", recording)
+    if scene == "occlusion_and_arrival":
+        seq = occlusion_and_arrival()
+    else:
+        seq = generate_scenario(ScenarioSpec(scene, seed=4, n_frames=14, object_count=4)).sequence
+    for w in windows(seq, 10):
+        link_window(w, "inferred")
+    assert graphs
+    observed = {id(o) for f in seq.frames for o in f.objects}
+    ghosts = 0
+    for g in graphs:
+        assert (g.weights == ref_weights(g.left, g.right, tracking.TrackerConfig.alpha)).all()
+        ghosts += sum(1 for o in g.left if id(o) not in observed)
+    if scene in ("crossing", "occlusion_and_arrival"):
+        assert ghosts > 0  # the occlusion gap is bridged by a ghost
+
+
+# ---------------------------------------------------------------------------
+# (b) Pairwise distance trends
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_distance_facts_equal_scalar_reference_on_generated_scenes(kind, rules):
+    cfg = CompilerConfig()
+    # Kinds with ego motion keep their anchors in view for 17 frames at most.
+    sc = generate_scenario(ScenarioSpec(kind, seed=21, n_frames=16, object_count=5))
+    for w in windows(sc.sequence, 10):
+        tracks = link_window(w, "inferred")
+        wf = compile_window(w, tracks, cfg, rules)
+        facts, provenance = distance_part(wf)
+        assert (facts, provenance) == ref_distance_facts(w, tracks, cfg)
+
+
+def test_distance_facts_equal_scalar_reference_on_random_tracks():
+    """Random visibility leaves pairs with gaps, one or no common frames;
+    positions on a coarse grid give equal consecutive distances."""
+    rng = np.random.default_rng(3)
+    n = 8
+    cfg = CompilerConfig(trend_frac=0.5, eps_move=0.05)
+    window = SceneWindow(tuple(FrameObservation(i, ()) for i in range(n)), INTR, 0,
+                         (Transform2.identity(),) * (n - 1))
+    emitted = 0
+    for _ in range(60):
+        tracks = []
+        for t in range(int(rng.integers(0, 7))):
+            seen = np.flatnonzero(rng.random(n) < 0.75).tolist() or [0]
+            observations = {}
+            for pos in seen:
+                cx, cy = (float(v) for v in rng.integers(100, 540, 2) // 40 * 40)
+                observations[pos] = ObjectObservation(
+                    "Vehicle", (cx, cy), (cx - 5, cy - 5, cx + 5, cy + 5),
+                    float(rng.integers(2, 6)))
+            tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
+        facts, provenance = distance_part(compile_window(window, tracks, cfg))
+        assert (facts, provenance) == ref_distance_facts(window, tracks, cfg)
+        emitted += len(facts)
+    assert emitted > 0
+
+
+# ---------------------------------------------------------------------------
+# (c) Origin chains computed once per sequence
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind,n_frames", [("crossing", 16), ("constant_speed", 17),
+                                           ("stop", 20)])
+@pytest.mark.parametrize("translation_only", [False, True])
+def test_window_chains_equal_per_window_build(kind, n_frames, translation_only):
+    seq = generate_scenario(ScenarioSpec(kind, seed=2, n_frames=n_frames)).sequence
+    wins = windows(seq, 10, translation_only=translation_only)
+    assert [w.window_id for w in wins] == list(range(n_frames - 9))
+    for w in wins:
+        i = w.window_id
+        alone = build_window(seq.frames[i:i + 10], seq.intrinsics, window_id=i,
+                             translation_only=translation_only)
+        assert w.frames == alone.frames
+        assert w.origin_chain == alone.origin_chain
+        assert w.cumulative() == alone.cumulative()
+    if kind != "crossing":
+        assert any(t.rotation_rad != 0.0 or t.translation_m != (0.0, 0.0)
+                   for t in wins[0].origin_chain)
+
+
+def _strip_anchors(seq: Sequence, positions) -> Sequence:
+    """Keep one static object in each frame at ``positions``."""
+    frames = []
+    for i, f in enumerate(seq.frames):
+        if i in positions:
+            static = [o for o in f.objects if o.category in STATIC_CATEGORIES]
+            f = FrameObservation(f.frame_index, tuple(
+                o for o in f.objects if o.category not in STATIC_CATEGORIES) + (static[0],))
+        frames.append(f)
+    return Sequence(seq.intrinsics, tuple(frames))
+
+
+def test_first_bad_pair_raises_the_per_window_message():
+    seq = make_sequence({"v": {"category": "Vehicle",
+                               "track": linear_track((0.8, 12.0), (0.0, 3.0), n=16)}},
+                        n=16)
+    bad = _strip_anchors(seq, {13, 6})
+    with pytest.raises(InsufficientAnchors) as got:
+        windows(bad, 10)
+    with pytest.raises(InsufficientAnchors) as first_window:
+        build_window(bad.frames[0:10], bad.intrinsics)
+    assert str(got.value) == str(first_window.value)
+    assert str(got.value).startswith("frames 5-6:")
+
+    late = _strip_anchors(seq, {13})
+    with pytest.raises(InsufficientAnchors) as got:
+        windows(late, 10)
+    with pytest.raises(InsufficientAnchors) as window_4:
+        build_window(late.frames[4:14], late.intrinsics, window_id=4)
+    assert str(got.value) == str(window_4.value)
+    assert str(got.value).startswith("frames 12-13:")
+
+    # One-frame windows hold no frame pair, so no transform is estimated.
+    assert len(windows(bad, 1)) == 16

@@ -1,0 +1,76 @@
+"""Input validation at ingest, the generator's spec limits, default window
+length, and what importing the package loads."""
+
+import json
+import math
+import os
+import subprocess
+import sys
+
+import pytest
+
+import scenelogic
+from scenelogic.cli import main as cli_main
+from scenelogic.scenarios import InvalidSpec, ScenarioSpec, generate_scenario
+from scenelogic.scene import ObjectObservation, save_annotation, windows
+
+from conftest import linear_track, make_sequence
+
+GOOD = dict(category="Vehicle", centroid_px=(5.0, 5.0), bbox=(0.0, 0.0, 10.0, 10.0),
+            depth_m=10.0, flow_px=(1.0, 0.0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("depth_m", math.nan), ("depth_m", math.inf),
+    ("centroid_px", (5.0, math.nan)), ("centroid_px", (math.inf, 5.0)),
+    ("bbox", (0.0, 0.0, math.inf, 10.0)), ("bbox", (-math.inf, 0.0, 10.0, 10.0)),
+    ("flow_px", (math.nan, 0.0)), ("flow_px", (0.0, -math.inf)),
+])
+def test_non_finite_numbers_rejected(field, value):
+    ObjectObservation(**GOOD)
+    with pytest.raises(ValueError, match="finite"):
+        ObjectObservation(**{**GOOD, field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("depth_m", math.nan), ("bbox", [0.0, 0.0, math.inf, 10.0]),
+    ("centroid_px", [math.inf, 5.0]), ("flow_px", [math.nan, 0.0]),
+])
+def test_cli_exits_at_ingest_on_non_finite_numbers(tmp_path, capsys, field, value):
+    path = tmp_path / "annotation.json"
+    save_annotation(generate_scenario(ScenarioSpec("static", seed=3)).sequence, path)
+    doc = json.loads(path.read_text())
+    doc["frames"][4]["objects"][0][field] = value
+    path.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    assert cli_main(["ingest", str(path)]) == 3
+    assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == 3
+    assert "ingest: " in capsys.readouterr().err
+
+
+def test_fixed_bbox_leaving_its_centroid_is_an_invalid_spec():
+    generate_scenario(ScenarioSpec("constant_speed", 1, n_frames=17))
+    with pytest.raises(InvalidSpec, match=r"sidewalk01: .* frame 17"):
+        generate_scenario(ScenarioSpec("constant_speed", 1, n_frames=18))
+    generate_scenario(ScenarioSpec("stop", 1, n_frames=23))
+    with pytest.raises(InvalidSpec, match="sidewalk01"):
+        generate_scenario(ScenarioSpec("stop", 1, n_frames=24))
+
+
+def test_default_window_is_ten_frames_or_the_whole_sequence():
+    track = {"v": {"category": "Vehicle", "track": linear_track((0.8, 12.0), (0.0, 2.0), n=12)}}
+    assert [w.n for w in windows(make_sequence(track, n=12))] == [10, 10, 10]
+    assert [w.n for w in windows(make_sequence(track, n=6))] == [6]
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenelogic.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, scenelogic; print(scenelogic.__file__); "
+         "print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    module, loaded = out.stdout.split()
+    assert module == scenelogic.__file__
+    assert loaded == "False"
