@@ -8,7 +8,7 @@ language models.
 
 from .fol import And, Clause, Const, Func, Implies, Literal, Not, Or, Statement, Var, apply, to_cnf, unify, unify_terms
 from .logicpad import RuleSet, default_ruleset, load_rule_file, parse_fol_expr, parse_rule_file
-from .inference import Answer, FactSet, ProofTrace, Query, answer_query, brute_force_models, check_trace, resolve, saturate
+from .inference import Answer, FactSet, ProofTrace, Query, answer_query, check_trace, resolve, saturate
 from .geometry import CameraIntrinsics, Kinematics, Transform2, back_project, estimate_origin, kinematics, to_bev
 from .scene import FrameObservation, ObjectObservation, SceneWindow, Sequence, build_window, load_annotation, windows
 from .tracking import PresenceFlags, Trajectory, TrackerConfig, edge_weight, link_window, match_frames, presence

@@ -280,7 +280,7 @@ def _cmd_eval(args) -> int:
     try:
         result: PipelineResult = run_scenario_dir(
             args.dir, rules, args.track_mode, cfg, tracker,
-            export_context=args.export_context,
+            export_context=args.export_context, n=window,
         )
     except StageError as e:
         return _fail(e.stage, str(e))

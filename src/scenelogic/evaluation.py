@@ -211,9 +211,10 @@ def run_scenario_dir(root, rules: RuleSet | None = None,
                      track_mode: str = "oracle",
                      cfg: CompilerConfig = CompilerConfig(),
                      tracker_cfg: TrackerConfig = TrackerConfig(),
-                     export_context: str | None = None) -> PipelineResult:
+                     export_context: str | None = None,
+                     n: int | None = None) -> PipelineResult:
     """Evaluate every scenario directory (annotation.json + qa.json) under
-    ``root``."""
+    ``root`` with windows of ``n`` frames (default as in ``scene.windows``)."""
     sequences = []
     questions = []
     names = sorted(
@@ -232,4 +233,4 @@ def run_scenario_dir(root, rules: RuleSet | None = None,
         for item in load_qa(os.path.join(sdir, "qa.json")):
             questions.append((name, item))
     return run_pipeline(sequences, rules, questions, track_mode, cfg,
-                        tracker_cfg, export_context=export_context)
+                        tracker_cfg, n, export_context=export_context)

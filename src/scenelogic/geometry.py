@@ -34,6 +34,9 @@ class CameraIntrinsics:
     fps: float
 
     def __post_init__(self):
+        for name in ("fx", "fy", "cx", "cy", "fps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"intrinsics {name} must be finite, got {getattr(self, name)}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if self.fps <= 0:

@@ -2,9 +2,18 @@
 
 Forward chaining computes the least fixpoint stratum by stratum under the
 closed-world reading of negation: a negated body atom holds when the positive
-atom is absent from the fully saturated lower strata.  A resolution-refutation
-mode over the clausal form answers ground queries through an independent
-mechanism; ``brute_force_models`` is the naive test oracle.
+atom is absent from the fully saturated lower strata.  A variable that no
+positive body atom binds ranges over the active domain, the constants of the
+base and of the rules.
+
+Each rule is compiled once per rule set into a plan over numbered variable
+slots, and a query's positive conjuncts compile the same way; both run
+through one join over the fact set's predicate/first-argument index.
+Saturation is semi-naive: the first round of a stratum matches every rule
+against all facts, and each later round fires only the rules with a positive
+body atom whose predicate gained facts in the round before, matching that
+atom against those new facts alone.  Rounds, trace steps and their order are
+those of naive evaluation, which re-matches every rule on every round.
 """
 
 from __future__ import annotations
@@ -12,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
+from typing import Callable
 
-from .fol import Const, Literal, Substitution, Var, apply, to_cnf, unify
+from .fol import Const, Func, Literal, Substitution, Var, apply, term_vars, unify
 from .logicpad import RuleDecl, RuleSet, UnknownPredicate
 
 DEFAULT_DEPTH_BOUND = 64
@@ -21,14 +32,6 @@ DEFAULT_DEPTH_BOUND = 64
 
 class DepthExceeded(RuntimeError):
     pass
-
-
-class OracleTooLarge(RuntimeError):
-    pass
-
-
-class NonGroundQuery(ValueError):
-    """Resolution mode accepts ground queries only."""
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +77,13 @@ class FactSet:
     def of(literals, window_id: int = 0) -> "FactSet":
         return FactSet(frozenset(literals), window_id)
 
+    @classmethod
+    def _trusted(cls, facts: frozenset, window_id: int, trace: ProofTrace) -> "FactSet":
+        """A fact set of literals already known to be ground and positive."""
+        fs = object.__new__(cls)
+        fs.__dict__.update(facts=facts, window_id=window_id, trace=trace)
+        return fs
+
     def __contains__(self, lit: Literal) -> bool:
         return lit in self.facts
 
@@ -88,21 +98,9 @@ class FactSet:
 
     @cached_property
     def index(self) -> dict:
-        """pred -> first-arg name -> sorted facts; '' collects all of a pred."""
-        idx: dict = {}
-        for f in self.sorted():
-            by_first = idx.setdefault(f.pred, {})
-            by_first.setdefault("", []).append(f)
-            if f.args:
-                by_first.setdefault(str(f.args[0]), []).append(f)
-        return idx
-
-    def lookup(self, pred: str, first=None) -> list[Literal]:
-        by_first = self.index.get(pred)
-        if not by_first:
-            return []
-        key = str(first) if first is not None else ""
-        return by_first.get(key, [])
+        """pred -> first argument -> facts in sorted order; the key None
+        collects all of a predicate's facts."""
+        return _build_index(self.facts)
 
     @cached_property
     def constants(self) -> tuple[Const, ...]:
@@ -111,7 +109,28 @@ class FactSet:
 
 
 def _fact_key(lit: Literal):
-    return (lit.pred, tuple(str(a) for a in lit.args))
+    return (lit.pred, tuple(map(str, lit.args)))
+
+
+def _build_index(facts) -> dict:
+    idx: dict = {}
+    for f in sorted(facts, key=_fact_key):
+        by_first = idx.setdefault(f.pred, {})
+        by_first.setdefault(None, []).append(f)
+        if f.args:
+            by_first.setdefault(f.args[0], []).append(f)
+    return idx
+
+
+def _merge_into(index: dict, facts: list[Literal]) -> None:
+    """Add ``facts`` to ``index`` in index order.  Lists are replaced, never
+    extended, so an index copied shallowly from a fact set leaves it intact."""
+    for pred, by_first in _build_index(facts).items():
+        merged = dict(index.get(pred, {}))
+        for key, new in by_first.items():
+            old = merged.get(key)
+            merged[key] = new if old is None else sorted(old + new, key=_fact_key)
+        index[pred] = merged
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +167,202 @@ class Answer:
 
 
 # ---------------------------------------------------------------------------
+# Compiled conjunctions
+# ---------------------------------------------------------------------------
+
+class _SlotTable:
+    """Numbers the variables and constant terms of one conjunction.  A slot
+    starts out holding its term: a constant keeps its value, and a variable
+    that nothing binds reads as itself, as ``apply`` leaves it."""
+
+    def __init__(self):
+        self.numbers: dict = {}
+        self.init: list = []
+
+    def slot(self, term) -> int:
+        s = self.numbers.get(term)
+        if s is None:
+            s = self.numbers[term] = len(self.init)
+            self.init.append(term)
+        return s
+
+
+def _is_pattern(t) -> bool:
+    return isinstance(t, Func) and bool(term_vars(t))
+
+
+def _fit(args, table: _SlotTable, bound: set, skip: int = -1) -> tuple:
+    """How a ground argument tuple matches ``args``, as (arity, tests,
+    repeats, binds, funcs); see ``_fits``.  ``bound`` holds the variable
+    slots bound before and gains those bound here; position ``skip`` is
+    already fixed by the index lookup."""
+    tests, repeats, binds, first_at = [], [], [], {}
+    for pos, t in enumerate(args):
+        if _is_pattern(t):
+            continue
+        s = table.slot(t)
+        if not isinstance(t, Var) or s in bound:
+            if pos != skip:
+                tests.append((pos, s))
+        elif s in first_at:
+            repeats.append((pos, first_at[s]))
+        else:
+            first_at[s] = pos
+            binds.append((pos, s))
+    bound.update(first_at)
+    funcs = tuple((pos, t.functor, _fit(t.args, table, bound))
+                  for pos, t in enumerate(args) if _is_pattern(t))
+    return len(args), tuple(tests), tuple(repeats), tuple(binds), funcs
+
+
+def _fits(args, fit: tuple, slots: list) -> bool:
+    """Match ground ``args`` against a compiled ``fit``, binding new
+    variable slots in place."""
+    arity, tests, repeats, binds, funcs = fit
+    if len(args) != arity:
+        return False
+    for pos, s in tests:
+        if args[pos] != slots[s]:
+            return False
+    for pos, first in repeats:
+        if args[pos] != args[first]:
+            return False
+    for pos, s in binds:
+        slots[s] = args[pos]
+    for pos, functor, sub in funcs:
+        t = args[pos]
+        if not (isinstance(t, Func) and t.functor == functor and _fits(t.args, sub, slots)):
+            return False
+    return True
+
+
+def _compile_atoms(atoms, table: _SlotTable) -> tuple[tuple, set]:
+    """Positive atoms, in order, as (pred, key slot, fit) join steps; the key
+    slot's value selects the first-argument bucket (None scans the
+    predicate).  Also returns the variable slots the join binds."""
+    bound: set = set()
+    steps = []
+    for atom in atoms:
+        key = None
+        if atom.args and not _is_pattern(atom.args[0]):
+            first = atom.args[0]
+            if not isinstance(first, Var) or table.slot(first) in bound:
+                key = table.slot(first)
+        steps.append((atom.pred, key, _fit(atom.args, table, bound, 0 if key is not None else -1)))
+    return tuple(steps), bound
+
+
+def _term_spec(t, table: _SlotTable):
+    """A slot, or (functor, argument specs) for a function term with variables."""
+    if _is_pattern(t):
+        return (t.functor, tuple(_term_spec(a, table) for a in t.args))
+    return table.slot(t)
+
+
+def _build(spec, slots: list):
+    if isinstance(spec, int):
+        return slots[spec]
+    functor, args = spec
+    return Func(functor, tuple(_build(a, slots) for a in args))
+
+
+def _grounder(args, table: _SlotTable) -> Callable[[list], tuple]:
+    """slots -> the argument tuple ``args`` denotes under them."""
+    specs = [_term_spec(a, table) for a in args]
+    if not all(isinstance(s, int) for s in specs):
+        return lambda slots: tuple(_build(s, slots) for s in specs)
+    if len(specs) == 1:
+        only = specs[0]
+        return lambda slots: (slots[only],)
+    if not specs:
+        return lambda slots: ()
+    return itemgetter(*specs)
+
+
+def _join(steps: tuple, i: int, slots: list, index: dict,
+          premises: tuple = (), delta=None, seen: bool = False):
+    """Yield the premises of every match of ``steps[i:]``, in index order,
+    binding ``slots`` in place.  With ``delta = (index, last, ids)``, step
+    ``last`` reads only the facts in ``delta``'s index unless an earlier step
+    already matched one of them (their ids are ``ids``)."""
+    if i == len(steps):
+        yield premises
+        return
+    pred, key, fit = steps[i]
+    source, track = index, False
+    if delta is not None and not seen:
+        if i == delta[1]:
+            source = delta[0]
+        track = i < delta[1]
+    by_first = source.get(pred)
+    if not by_first:
+        return
+    for fact in by_first.get(None if key is None else slots[key], ()):
+        if _fits(fact.args, fit, slots):
+            yield from _join(steps, i + 1, slots, index, premises + (fact,), delta,
+                             seen or (track and id(fact) in delta[2]))
+
+
+# ---------------------------------------------------------------------------
 # Forward chaining
 # ---------------------------------------------------------------------------
 
-def _rule_vars(rule: RuleDecl) -> list[Var]:
-    out: list[Var] = []
+@dataclass(frozen=True)
+class _RulePlan:
+    name: str
+    steps: tuple          # positive body atoms as join steps, in body order
+    preds: frozenset      # their predicates
+    init: tuple           # initial slot values
+    free: tuple           # slots no positive atom binds, by first occurrence
+    checks: tuple         # negated atoms and equalities decided by the join
+    late: tuple           # those that also read a free slot
+    head_pred: str
+    head: Callable
+
+
+def _compile_rule(rule: RuleDecl) -> _RulePlan:
+    table = _SlotTable()
+    positive = [l for l in rule.body if not l.negated and l.pred != "="]
+    steps, bound = _compile_atoms(positive, table)
+    free: list[int] = []
     for lit in (*rule.body, rule.head):
         for a in lit.args:
-            if isinstance(a, Var) and a not in out:
-                out.append(a)
-    return out
+            for v in sorted(term_vars(a), key=lambda v: v.name):
+                if table.slot(v) not in bound and table.slot(v) not in free:
+                    free.append(table.slot(v))
+    checks, late = [], []
+    for lit in rule.body:
+        if lit.negated or lit.pred == "=":
+            # (pred, arguments, whether the atom or equality must hold)
+            check = (lit.pred, _grounder(lit.args, table), not lit.negated)
+            reads = {table.slot(v) for a in lit.args for v in term_vars(a)}
+            (late if reads - bound else checks).append(check)
+    head = _grounder(rule.head.args, table)
+    return _RulePlan(rule.name, steps, frozenset(p for p, _, _ in steps),
+                     tuple(table.init), tuple(free), tuple(checks), tuple(late),
+                     rule.head.pred, head)
+
+
+def _passes(checks: tuple, slots: list, known: set) -> bool:
+    for pred, ground, holds in checks:
+        args = ground(slots)
+        if pred == "=":
+            if (args[0] == args[1]) != holds:
+                return False
+        elif ((pred, args) in known) != holds:
+            return False
+    return True
+
+
+def _plans(rules: RuleSet) -> tuple[tuple[_RulePlan, ...], ...]:
+    """The rule set's compiled rules, grouped by stratum; built once per
+    rule set."""
+    plans = rules.__dict__.get("_inference_plans")
+    if plans is None:
+        plans = tuple(tuple(_compile_rule(r) for r in group)
+                      for group in rules.rules_by_stratum())
+        rules.__dict__["_inference_plans"] = plans
+    return plans
 
 
 def _active_domain(base: FactSet, rules: RuleSet) -> tuple[Const, ...]:
@@ -170,71 +375,66 @@ def _active_domain(base: FactSet, rules: RuleSet) -> tuple[Const, ...]:
     return tuple(sorted(consts, key=lambda c: c.name))
 
 
-def _match_body(rule: RuleDecl, facts: FactSet, domain: tuple[Const, ...]):
-    """Yield (substitution, positive premises) for every grounding of the rule
-    body satisfied by ``facts``.  Variables not bound by a positive atom are
-    enumerated over the constant domain."""
-    positive = [l for l in rule.body if not l.negated and l.pred != "="]
-    negative = [l for l in rule.body if l.negated and l.pred != "="]
-    equalities = [l for l in rule.body if l.pred == "="]
-
-    def finish(sub: Substitution, premises: tuple[Literal, ...]):
-        bound = set(sub)
-        free = [v for v in _rule_vars(rule) if v not in bound]
-        for combo in product(domain, repeat=len(free)):
-            full = dict(sub)
-            full.update(zip(free, combo))
-            ok = True
-            for eq in equalities:
-                a, b = (apply(full, t) for t in eq.args)
-                if (a == b) == eq.negated:
-                    ok = False
-                    break
-            if ok and all(apply(full, n).atom not in facts for n in negative):
-                yield full, premises
-
-    def walk(i: int, sub: Substitution, premises: tuple[Literal, ...]):
-        if i == len(positive):
-            yield from finish(sub, premises)
-            return
-        atom = apply(sub, positive[i])
-        first = atom.args[0] if atom.args and isinstance(atom.args[0], Const) else None
-        for fact in facts.lookup(atom.pred, first):
-            s2 = unify(atom, fact, dict(sub))
-            if s2 is not None:
-                yield from walk(i + 1, s2, premises + (fact,))
-
-    yield from walk(0, {}, ())
-
-
 def saturate(base: FactSet, rules: RuleSet,
              depth_bound: int = DEFAULT_DEPTH_BOUND) -> FactSet:
     """Least fixpoint of the stratified rules over ``base``, with one trace
     step per derived fact."""
-    known = set(base.facts)
+    known = {(f.pred, f.args) for f in base.facts}
+    index = dict(base.index)
+    pending: list[Literal] = []  # derived facts not yet in the index
     steps: list[TraceStep] = []
-    current = FactSet(frozenset(known), base.window_id)
-    domain = _active_domain(base, rules)
+    plans = _plans(rules)
+    domain = ()
+    if any(plan.free for stratum in plans for plan in stratum):
+        domain = _active_domain(base, rules)
 
-    for stratum_rules in rules.rules_by_stratum():
+    for stratum in plans:
         rounds = 0
+        delta_facts = None  # the previous round's facts; None in round one
         while True:
+            if delta_facts is None:
+                firing = [(plan, -1) for plan in stratum]
+            else:
+                delta_preds = {f.pred for f in delta_facts}
+                firing = [(plan, max(i for i, (p, _, _) in enumerate(plan.steps)
+                                     if p in delta_preds))
+                          for plan in stratum if plan.preds & delta_preds]
+            if not firing:
+                break
+            if pending:
+                _merge_into(index, pending)
+                pending = []
+            if delta_facts is not None:
+                delta_index = _build_index(delta_facts)
+                delta_ids = {id(f) for f in delta_facts}
             fresh: list[TraceStep] = []
-            for rule in stratum_rules:
-                for sub, premises in _match_body(rule, current, domain):
-                    head = apply(sub, rule.head)
-                    if head not in known:
-                        known.add(head)
-                        fresh.append(TraceStep(head, rule.name, premises))
+            for plan, last in firing:
+                delta = (delta_index, last, delta_ids) if last >= 0 else None
+                slots = list(plan.init)
+                for premises in _join(plan.steps, 0, slots, index, (), delta):
+                    if plan.checks and not _passes(plan.checks, slots, known):
+                        continue
+                    for combo in product(domain, repeat=len(plan.free)):
+                        for s, c in zip(plan.free, combo):
+                            slots[s] = c
+                        if plan.late and not _passes(plan.late, slots, known):
+                            continue
+                        args = plan.head(slots)
+                        if (plan.head_pred, args) not in known:
+                            known.add((plan.head_pred, args))
+                            fresh.append(TraceStep(Literal(plan.head_pred, args),
+                                                   plan.name, premises))
             if not fresh:
                 break
             rounds += 1
             if rounds > depth_bound:
                 raise DepthExceeded(f"no fixpoint within {depth_bound} rounds")
             steps.extend(fresh)
-            current = FactSet(frozenset(known), base.window_id)
+            delta_facts = [s.derived for s in fresh]
+            pending.extend(delta_facts)
 
-    return FactSet(frozenset(known), base.window_id, trace=ProofTrace(tuple(steps)))
+    facts = base.facts.union(s.derived for s in steps)
+    return FactSet._trusted(facts, base.window_id, ProofTrace(tuple(steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,47 +455,47 @@ def _check_query(q: Query, rules: RuleSet) -> None:
 
 
 def _enumerate_bindings(q: Query, sat: FactSet) -> list[Substitution]:
-    domain = sat.constants
+    table = _SlotTable()
     positive = [c for c in q.conjuncts if not c.negated and c.pred != "="]
-    negative = [c for c in q.conjuncts if c.negated and c.pred != "="]
-    equalities = [c for c in q.conjuncts if c.pred == "="]
+    steps, bound = _compile_atoms(positive, table)
     qvars = q.variables()
+    out = [(v, table.slot(v)) for v in qvars if table.slot(v) in bound]
 
-    results: list[Substitution] = []
-
-    def check_negative(sub: Substitution) -> bool:
-        # Closed-world test; variables a negated conjunct leaves free are
-        # read as "for no grounding".
-        for neg in negative:
-            atom = apply(sub, neg.atom)
-            free = sorted({a for a in atom.args if isinstance(a, Var)},
+    # Closed-world tests; variables a negated conjunct leaves free are read
+    # as "for no grounding".
+    negative = []
+    for c in q.conjuncts:
+        if c.negated and c.pred != "=":
+            free = sorted({a for a in c.args if isinstance(a, Var) and table.slot(a) not in bound},
                           key=lambda v: v.name)
+            negative.append((c.pred, _grounder(c.args, table), [table.slot(v) for v in free]))
+    equalities = [(_grounder(c.args, table), c.negated)
+                  for c in q.conjuncts if c.pred == "="]
+
+    def admissible(slots: list) -> bool:
+        for ground, negated in equalities:
+            a, b = ground(slots)
+            if (a == b) == negated:
+                return False
+        for pred, ground, free in negative:
             found = False
-            for combo in product(domain, repeat=len(free)):
-                if apply(dict(zip(free, combo)), atom) in sat:
+            for combo in product(sat.constants, repeat=len(free)):
+                for s, c in zip(free, combo):
+                    slots[s] = c
+                if Literal(pred, ground(slots)) in sat.facts:
                     found = True
                     break
+            for s in free:
+                slots[s] = table.init[s]
             if found:
-                return False
-        for eq in equalities:
-            a, b = (apply(sub, t) for t in eq.args)
-            if (a == b) == eq.negated:
                 return False
         return True
 
-    def walk(i: int, sub: Substitution):
-        if i == len(positive):
-            if check_negative(sub):
-                results.append({v: sub[v] for v in qvars if v in sub})
-            return
-        atom = apply(sub, positive[i])
-        first = atom.args[0] if atom.args and isinstance(atom.args[0], Const) else None
-        for fact in sat.lookup(atom.pred, first):
-            s2 = unify(atom, fact, dict(sub))
-            if s2 is not None:
-                walk(i + 1, s2)
-
-    walk(0, {})
+    slots = list(table.init)
+    results: list[Substitution] = []
+    for _ in _join(steps, 0, slots, sat.index):
+        if admissible(slots):
+            results.append({v: slots[s] for v, s in out})
 
     unique: list[Substitution] = []
     seen = set()
@@ -339,16 +539,9 @@ def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:
 
 
 def resolve(base: FactSet, rules: RuleSet, q: Query,
-            method: str = "chaining",
             depth_bound: int = DEFAULT_DEPTH_BOUND) -> Answer:
-    """Enumerate all satisfying ground bindings of the query.
-
-    ``method="resolution"`` answers ground queries by refutation over the
-    clausal form instead of consulting the forward-chained fixpoint.
-    """
+    """Enumerate all satisfying ground bindings of the query."""
     _check_query(q, rules)
-    if method == "resolution":
-        return _resolve_by_refutation(base, rules, q)
     return answer_query(saturate(base, rules, depth_bound), rules, q)
 
 
@@ -386,179 +579,3 @@ def check_trace(t: ProofTrace, base: FactSet, rules: RuleSet) -> bool:
                 return False
         available.add(step.derived)
     return True
-
-
-# ---------------------------------------------------------------------------
-# Naive oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_models(base: FactSet, rules: RuleSet,
-                       max_atoms: int = 10_000) -> FactSet:
-    """Stratified semantics by exhaustive grounding.  Test oracle only."""
-    domain = _active_domain(base, rules)
-    n = len(domain)
-    total = sum(n ** (d.arity) for d in rules.declarations)
-    if total > max_atoms:
-        raise OracleTooLarge(f"{total} ground atoms exceed the {max_atoms} bound")
-
-    facts = set(base.facts)
-    for stratum_rules in rules.rules_by_stratum():
-        while True:
-            added = False
-            for rule in stratum_rules:
-                rvars = _rule_vars(rule)
-                for combo in product(domain, repeat=len(rvars)):
-                    sub = dict(zip(rvars, combo))
-                    ok = True
-                    for lit in rule.body:
-                        if lit.pred == "=":
-                            a, b = (apply(sub, t) for t in lit.args)
-                            if (a == b) == lit.negated:
-                                ok = False
-                                break
-                        elif lit.negated:
-                            if apply(sub, lit.atom) in facts:
-                                ok = False
-                                break
-                        elif apply(sub, lit) not in facts:
-                            ok = False
-                            break
-                    if ok:
-                        head = apply(sub, rule.head)
-                        if head not in facts:
-                            facts.add(head)
-                            added = True
-            if not added:
-                break
-    return FactSet(frozenset(facts), base.window_id)
-
-
-# ---------------------------------------------------------------------------
-# Resolution-refutation mode
-# ---------------------------------------------------------------------------
-
-def _propositional_refute(clauses: list[frozenset], goal: Literal,
-                          max_clauses: int = 50_000) -> bool:
-    """Ground resolution with the negated goal as set of support."""
-    neg_goal = frozenset([goal.negate()])
-    usable = [c for c in clauses]
-    sos = [neg_goal]
-    seen = set(map(frozenset, usable)) | {neg_goal}
-    while sos:
-        given = sos.pop(0)
-        if not given:
-            return True
-        for other in usable + [given]:
-            for lit in given:
-                if lit.negate() in other:
-                    resolvent = (given - {lit}) | (other - {lit.negate()})
-                    if any(l.negate() in resolvent for l in resolvent):
-                        continue
-                    fr = frozenset(resolvent)
-                    if fr in seen:
-                        continue
-                    if not fr:
-                        return True
-                    seen.add(fr)
-                    sos.append(fr)
-                    if len(seen) > max_clauses:
-                        raise DepthExceeded("resolution clause budget exhausted")
-        usable.append(given)
-    return False
-
-
-def _ground_rule_clauses(rules: RuleSet, stratum_rules: list[RuleDecl],
-                         domain: tuple[Const, ...]) -> list[frozenset]:
-    grounded: list[frozenset] = []
-    for rule in stratum_rules:
-        for clause in to_cnf(rule.statement):
-            cvars = sorted({v for l in clause.literals for a in l.args
-                            for v in ([a] if isinstance(a, Var) else [])},
-                           key=lambda v: v.name)
-            for combo in product(domain, repeat=len(cvars)):
-                sub = dict(zip(cvars, combo))
-                lits = set()
-                tautology = False
-                for lit in clause.literals:
-                    g = apply(sub, lit)
-                    if g.negate() in lits:
-                        tautology = True
-                        break
-                    lits.add(g)
-                if not tautology:
-                    grounded.append(frozenset(lits))
-    return grounded
-
-
-def _resolve_by_refutation(base: FactSet, rules: RuleSet, q: Query) -> Answer:
-    if not q.is_ground():
-        raise NonGroundQuery("resolution mode requires a ground query")
-
-    domain = _active_domain(base, rules)
-
-    # Only predicates the query can reach through rule bodies matter.
-    needed = {c.pred for c in q.conjuncts if c.pred != "="}
-    changed = True
-    while changed:
-        changed = False
-        for r in rules.rules:
-            if r.head.pred in needed:
-                for b in r.body:
-                    if b.pred != "=" and b.pred not in needed:
-                        needed.add(b.pred)
-                        changed = True
-
-    # Evaluate strata bottom-up.  Literals already decided below (or fixed by
-    # the base) simplify out of each stratum's ground clauses, leaving a Horn
-    # set; every remaining atom is then settled by refutation.
-    strata_preds: dict[int, list] = {}
-    for d in rules.declarations:
-        if d.name in needed:
-            strata_preds.setdefault(rules.strata.get(d.name, 0), []).append(d)
-
-    proven: set[Literal] = set(base.facts)
-    rule_groups: dict[int, list[RuleDecl]] = {}
-    for r in rules.rules:
-        if r.head.pred in needed:
-            rule_groups.setdefault(rules.strata.get(r.head.pred, 0), []).append(r)
-
-    for level in range(rules.max_stratum() + 1):
-        clauses: list[frozenset] = []
-        for raw in _ground_rule_clauses(rules, rule_groups.get(level, []), domain):
-            satisfied = False
-            open_lits = set()
-            for l in raw:
-                atom = l.atom
-                decided = rules.strata.get(l.pred, 0) < level or atom in base.facts
-                if decided:
-                    if (atom in proven) != l.negated:
-                        satisfied = True
-                        break
-                else:
-                    open_lits.add(l)
-            if satisfied:
-                continue
-            if not open_lits:
-                raise RuntimeError("ground rules contradict the base facts")
-            clauses.append(frozenset(open_lits))
-        for fact in base.sorted():
-            if rules.strata.get(fact.pred, 0) == level:
-                clauses.append(frozenset([fact]))
-
-        for d in sorted(strata_preds.get(level, []), key=lambda d: d.name):
-            for combo in product(domain, repeat=d.arity):
-                atom = Literal(d.name, combo)
-                if atom not in proven and _propositional_refute(clauses, atom):
-                    proven.add(atom)
-
-    truth = True
-    for c in q.conjuncts:
-        if c.pred == "=":
-            a, b = c.args
-            holds = (a == b)
-        else:
-            holds = c.atom in proven
-        if holds == c.negated:
-            truth = False
-            break
-    return Answer(truth, ({},) if truth else ())

@@ -126,12 +126,6 @@ def _exists(d1: ObjectDescriptor, d2=None) -> list[Literal]:
     return d1.conjuncts(X)
 
 
-def _position(pred: str) -> Callable:
-    def build(d1: ObjectDescriptor, d2=None) -> list[Literal]:
-        return d1.conjuncts(X) + [Literal(pred, (X,))]
-    return build
-
-
 @dataclass(frozen=True)
 class QuestionPattern:
     category: str  # U1..U4, B1, B2
@@ -181,10 +175,10 @@ PATTERNS: tuple[QuestionPattern, ...] = (
     _p("B2", f"is the distance between {_D1} and {_D2} decreasing", _binary("DistanceDecreases")),
     _p("B2", f"is the distance between {_D1} and {_D2} increasing", _binary("DistanceIncreases")),
     _p("B1", f"is {_D1} close to the camera", _unary("CloseToCamera")),
-    _p("B1", f"is {_D1} on the left(?: side)?", _position("AtLeft")),
-    _p("B1", f"is {_D1} on the right(?: side)?", _position("AtRight")),
-    _p("B1", f"is {_D1} at the (?:center|middle)", _position("AtCenter")),
-    _p("B1", f"is {_D1} in the (?:center|middle)", _position("AtCenter")),
+    _p("B1", f"is {_D1} on the left(?: side)?", _unary("AtLeft")),
+    _p("B1", f"is {_D1} on the right(?: side)?", _unary("AtRight")),
+    _p("B1", f"is {_D1} at the (?:center|middle)", _unary("AtCenter")),
+    _p("B1", f"is {_D1} in the (?:center|middle)", _unary("AtCenter")),
     # Greedy first slot: descriptors may themselves contain " on the left".
     _p("B1", f"is (?P<d1>.+) on {_D2}", _binary("On")),
     _p("U1", f"is there {_D1}", _exists),

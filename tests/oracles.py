@@ -1,0 +1,315 @@
+"""Test oracles for the inference engine: independent, slow mechanisms that
+the compiled engine in ``scenelogic.inference`` is checked against.
+
+- ``naive_saturate``: stratified forward chaining that re-matches every rule
+  on every round through ``unify``/``apply``; same facts and same trace steps
+  as ``saturate``, by a different route.
+- ``brute_force_models``: the stratified model by exhaustive grounding.
+- ``resolve_by_refutation``: ground queries answered by resolution
+  refutation over the clausal form.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+from scenelogic.fol import Const, Literal, Substitution, Var, apply, to_cnf, unify
+from scenelogic.inference import (
+    DEFAULT_DEPTH_BOUND,
+    Answer,
+    DepthExceeded,
+    FactSet,
+    ProofTrace,
+    Query,
+    TraceStep,
+)
+from scenelogic.logicpad import RuleDecl, RuleSet
+
+
+class OracleTooLarge(RuntimeError):
+    pass
+
+
+class NonGroundQuery(ValueError):
+    """Resolution mode accepts ground queries only."""
+
+
+def _rule_vars(rule: RuleDecl) -> list[Var]:
+    out: list[Var] = []
+    for lit in (*rule.body, rule.head):
+        for a in lit.args:
+            if isinstance(a, Var) and a not in out:
+                out.append(a)
+    return out
+
+
+def _active_domain(base: FactSet, rules: RuleSet) -> tuple[Const, ...]:
+    consts = set(base.constants)
+    for r in rules.rules:
+        for lit in (r.head, *r.body):
+            consts.update(a for a in lit.args if isinstance(a, Const))
+    return tuple(sorted(consts, key=lambda c: c.name))
+
+
+def _index(facts) -> dict:
+    """pred -> first argument (None: every fact of pred) -> facts, sorted by
+    predicate and then by the printed arguments."""
+    idx: dict = {}
+    for f in sorted(facts, key=lambda f: (f.pred, tuple(str(a) for a in f.args))):
+        by_first = idx.setdefault(f.pred, {})
+        by_first.setdefault(None, []).append(f)
+        if f.args:
+            by_first.setdefault(f.args[0], []).append(f)
+    return idx
+
+
+# ---------------------------------------------------------------------------
+# Naive forward chaining
+# ---------------------------------------------------------------------------
+
+def _match_body(rule: RuleDecl, facts: set, index: dict,
+                domain: tuple[Const, ...]):
+    """Yield (substitution, positive premises) for every grounding of the rule
+    body satisfied by ``facts`` (``index`` is their ``_index``).  Variables
+    not bound by a positive atom are enumerated over the constant domain."""
+    positive = [l for l in rule.body if not l.negated and l.pred != "="]
+    negative = [l for l in rule.body if l.negated and l.pred != "="]
+    equalities = [l for l in rule.body if l.pred == "="]
+
+    def finish(sub: Substitution, premises: tuple[Literal, ...]):
+        bound = set(sub)
+        free = [v for v in _rule_vars(rule) if v not in bound]
+        for combo in product(domain, repeat=len(free)):
+            full = dict(sub)
+            full.update(zip(free, combo))
+            ok = True
+            for eq in equalities:
+                a, b = (apply(full, t) for t in eq.args)
+                if (a == b) == eq.negated:
+                    ok = False
+                    break
+            if ok and all(apply(full, n).atom not in facts for n in negative):
+                yield full, premises
+
+    def walk(i: int, sub: Substitution, premises: tuple[Literal, ...]):
+        if i == len(positive):
+            yield from finish(sub, premises)
+            return
+        atom = apply(sub, positive[i])
+        first = atom.args[0] if atom.args and isinstance(atom.args[0], Const) else None
+        for fact in index.get(atom.pred, {}).get(first, ()):
+            s2 = unify(atom, fact, dict(sub))
+            if s2 is not None:
+                yield from walk(i + 1, s2, premises + (fact,))
+
+    yield from walk(0, {}, ())
+
+
+def naive_saturate(base: FactSet, rules: RuleSet,
+                   depth_bound: int = DEFAULT_DEPTH_BOUND) -> FactSet:
+    """Least fixpoint by naive evaluation: every round re-matches every rule
+    of the stratum against all facts known at the round's start."""
+    known = set(base.facts)
+    steps: list[TraceStep] = []
+    current = frozenset(known)
+    current_index = _index(current)
+    domain = _active_domain(base, rules)
+
+    for stratum_rules in rules.rules_by_stratum():
+        rounds = 0
+        while True:
+            fresh: list[TraceStep] = []
+            for rule in stratum_rules:
+                for sub, premises in _match_body(rule, current, current_index, domain):
+                    head = apply(sub, rule.head)
+                    if head not in known:
+                        known.add(head)
+                        fresh.append(TraceStep(head, rule.name, premises))
+            if not fresh:
+                break
+            rounds += 1
+            if rounds > depth_bound:
+                raise DepthExceeded(f"no fixpoint within {depth_bound} rounds")
+            steps.extend(fresh)
+            current = frozenset(known)
+            current_index = _index(current)
+
+    return FactSet(frozenset(known), base.window_id, trace=ProofTrace(tuple(steps)))
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive grounding
+# ---------------------------------------------------------------------------
+
+def brute_force_models(base: FactSet, rules: RuleSet,
+                       max_atoms: int = 10_000) -> FactSet:
+    """Stratified semantics by exhaustive grounding."""
+    domain = _active_domain(base, rules)
+    n = len(domain)
+    total = sum(n ** (d.arity) for d in rules.declarations)
+    if total > max_atoms:
+        raise OracleTooLarge(f"{total} ground atoms exceed the {max_atoms} bound")
+
+    facts = set(base.facts)
+    for stratum_rules in rules.rules_by_stratum():
+        while True:
+            added = False
+            for rule in stratum_rules:
+                rvars = _rule_vars(rule)
+                for combo in product(domain, repeat=len(rvars)):
+                    sub = dict(zip(rvars, combo))
+                    ok = True
+                    for lit in rule.body:
+                        if lit.pred == "=":
+                            a, b = (apply(sub, t) for t in lit.args)
+                            if (a == b) == lit.negated:
+                                ok = False
+                                break
+                        elif lit.negated:
+                            if apply(sub, lit.atom) in facts:
+                                ok = False
+                                break
+                        elif apply(sub, lit) not in facts:
+                            ok = False
+                            break
+                    if ok:
+                        head = apply(sub, rule.head)
+                        if head not in facts:
+                            facts.add(head)
+                            added = True
+            if not added:
+                break
+    return FactSet(frozenset(facts), base.window_id)
+
+
+# ---------------------------------------------------------------------------
+# Resolution refutation
+# ---------------------------------------------------------------------------
+
+def _propositional_refute(clauses: list[frozenset], goal: Literal,
+                          max_clauses: int = 50_000) -> bool:
+    """Ground resolution with the negated goal as set of support."""
+    neg_goal = frozenset([goal.negate()])
+    usable = [c for c in clauses]
+    sos = [neg_goal]
+    seen = set(map(frozenset, usable)) | {neg_goal}
+    while sos:
+        given = sos.pop(0)
+        if not given:
+            return True
+        for other in usable + [given]:
+            for lit in given:
+                if lit.negate() in other:
+                    resolvent = (given - {lit}) | (other - {lit.negate()})
+                    if any(l.negate() in resolvent for l in resolvent):
+                        continue
+                    fr = frozenset(resolvent)
+                    if fr in seen:
+                        continue
+                    if not fr:
+                        return True
+                    seen.add(fr)
+                    sos.append(fr)
+                    if len(seen) > max_clauses:
+                        raise DepthExceeded("resolution clause budget exhausted")
+        usable.append(given)
+    return False
+
+
+def _ground_rule_clauses(rules: RuleSet, stratum_rules: list[RuleDecl],
+                         domain: tuple[Const, ...]) -> list[frozenset]:
+    grounded: list[frozenset] = []
+    for rule in stratum_rules:
+        for clause in to_cnf(rule.statement):
+            cvars = sorted({v for l in clause.literals for a in l.args
+                            for v in ([a] if isinstance(a, Var) else [])},
+                           key=lambda v: v.name)
+            for combo in product(domain, repeat=len(cvars)):
+                sub = dict(zip(cvars, combo))
+                lits = set()
+                tautology = False
+                for lit in clause.literals:
+                    g = apply(sub, lit)
+                    if g.negate() in lits:
+                        tautology = True
+                        break
+                    lits.add(g)
+                if not tautology:
+                    grounded.append(frozenset(lits))
+    return grounded
+
+
+def resolve_by_refutation(base: FactSet, rules: RuleSet, q: Query) -> Answer:
+    """Answer a ground query by refutation over the clausal form, stratum by
+    stratum, without consulting the forward-chained fixpoint."""
+    if not q.is_ground():
+        raise NonGroundQuery("resolution mode requires a ground query")
+
+    domain = _active_domain(base, rules)
+
+    # Only predicates the query can reach through rule bodies matter.
+    needed = {c.pred for c in q.conjuncts if c.pred != "="}
+    changed = True
+    while changed:
+        changed = False
+        for r in rules.rules:
+            if r.head.pred in needed:
+                for b in r.body:
+                    if b.pred != "=" and b.pred not in needed:
+                        needed.add(b.pred)
+                        changed = True
+
+    # Evaluate strata bottom-up.  Literals already decided below (or fixed by
+    # the base) simplify out of each stratum's ground clauses, leaving a Horn
+    # set; every remaining atom is then settled by refutation.
+    strata_preds: dict[int, list] = {}
+    for d in rules.declarations:
+        if d.name in needed:
+            strata_preds.setdefault(rules.strata.get(d.name, 0), []).append(d)
+
+    proven: set[Literal] = set(base.facts)
+    rule_groups: dict[int, list[RuleDecl]] = {}
+    for r in rules.rules:
+        if r.head.pred in needed:
+            rule_groups.setdefault(rules.strata.get(r.head.pred, 0), []).append(r)
+
+    for level in range(rules.max_stratum() + 1):
+        clauses: list[frozenset] = []
+        for raw in _ground_rule_clauses(rules, rule_groups.get(level, []), domain):
+            satisfied = False
+            open_lits = set()
+            for l in raw:
+                atom = l.atom
+                decided = rules.strata.get(l.pred, 0) < level or atom in base.facts
+                if decided:
+                    if (atom in proven) != l.negated:
+                        satisfied = True
+                        break
+                else:
+                    open_lits.add(l)
+            if satisfied:
+                continue
+            if not open_lits:
+                raise RuntimeError("ground rules contradict the base facts")
+            clauses.append(frozenset(open_lits))
+        for fact in base.sorted():
+            if rules.strata.get(fact.pred, 0) == level:
+                clauses.append(frozenset([fact]))
+
+        for d in sorted(strata_preds.get(level, []), key=lambda d: d.name):
+            for combo in product(domain, repeat=d.arity):
+                atom = Literal(d.name, combo)
+                if atom not in proven and _propositional_refute(clauses, atom):
+                    proven.add(atom)
+
+    truth = True
+    for c in q.conjuncts:
+        if c.pred == "=":
+            a, b = c.args
+            holds = (a == b)
+        else:
+            holds = c.atom in proven
+        if holds == c.negated:
+            truth = False
+            break
+    return Answer(truth, ({},) if truth else ())

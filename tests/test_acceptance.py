@@ -15,7 +15,7 @@ from scenelogic.evaluation import run_pipeline
 from scenelogic.facts import compile_window
 from scenelogic.fol import Const, Literal
 from scenelogic.geometry import CameraIntrinsics, back_project, estimate_origin
-from scenelogic.inference import brute_force_models, saturate
+from scenelogic.inference import saturate
 from scenelogic.logicpad import default_ruleset
 from scenelogic.questions import match_question, parse_nl_question
 from scenelogic.ragcontext import (
@@ -30,6 +30,7 @@ from scenelogic.scene import build_window, windows
 from scenelogic.tracking import link_window
 
 from conftest import linear_track, make_sequence
+from oracles import brute_force_models
 from test_inference import random_ruleset_and_base
 
 

@@ -195,6 +195,25 @@ def test_cli_gen_eval_round_trip(tmp_path, capsys):
     assert report["aggregate"]["accuracy"] == 1.0
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_eval_scores_the_requested_window_length(tmp_path, capsys, via_config):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "collide", "--seed", "3", "--out", str(out)]) == 0
+    flags = ["--window", "5"]
+    if via_config:
+        (tmp_path / "cfg.yaml").write_text("window: 5\n")
+        flags = ["--config", str(tmp_path / "cfg.yaml")]
+    capsys.readouterr()
+    assert cli_main(["eval", str(out), *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["window"] == 5
+    sc = generate_scenario(ScenarioSpec("collide", 3))
+    five = run_pipeline(sc.sequence, None, sc.qa, n=5).report
+    ten = run_pipeline(sc.sequence, None, sc.qa).report
+    assert five.aggregate != ten.aggregate
+    assert report["aggregate"] == json.loads(five.to_json())["aggregate"]
+
+
 def test_cli_query_answers(tmp_path, capsys):
     out = tmp_path / "suite"
     cli_main(["gen", "--kind", "static", "--seed", "3", "--out", str(out)])

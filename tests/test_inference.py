@@ -5,15 +5,13 @@ import random
 
 import pytest
 
-from scenelogic.fol import And, Const, Implies, Literal, Statement, Var
+from scenelogic.fol import And, Const, Func, Implies, Literal, Statement, Var
 from scenelogic.inference import (
     DepthExceeded,
     FactSet,
-    NonGroundQuery,
     ProofTrace,
     Query,
     TraceStep,
-    brute_force_models,
     check_trace,
     resolve,
     saturate,
@@ -23,7 +21,16 @@ from scenelogic.logicpad import (
     RuleDecl,
     RuleSet,
     UnknownPredicate,
+    parse_rule_file,
     stratify,
+)
+
+from oracles import (
+    NonGroundQuery,
+    OracleTooLarge,
+    brute_force_models,
+    naive_saturate,
+    resolve_by_refutation,
 )
 
 x, y = Var("x"), Var("y")
@@ -69,6 +76,22 @@ def test_depth_bound_guards_runaway_rulesets(rules):
     base = facts(lit("Vehicle", "vehicle01"))
     with pytest.raises(DepthExceeded):
         saturate(base, rules, depth_bound=0)
+
+
+def test_variable_only_inside_function_terms_ranges_over_the_domain():
+    rs = parse_rule_file("""
+predicates:
+  - {name: R, arity: 1}
+  - {name: P, arity: 1}
+  - {name: Q, arity: 1, source: derived}
+rules:
+  - {name: q, fol: "forall x: (!P(f(x))) -> Q(f(x))"}
+""")
+    fa, fb = Func("f", (Const("a"),)), Func("f", (Const("b"),))
+    base = facts(lit("R", "a"), lit("R", "b"), lit("P", fa))
+    sat = saturate(base, rs)
+    assert sat.facts - base.facts == {lit("Q", fb)}
+    assert check_trace(sat.trace, base, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +259,21 @@ def test_saturate_agrees_with_brute_force_on_random_kbs(rules):
     rng = random.Random(20240817)
     for _ in range(150):
         rs, base = random_ruleset_and_base(rng)
-        assert saturate(base, rs).facts == brute_force_models(base, rs).facts
+        sat = saturate(base, rs)
+        assert sat.facts == brute_force_models(base, rs).facts
+        # Naive evaluation derives the same facts by the same steps, in order.
+        assert sat.trace.steps == naive_saturate(base, rs).trace.steps
+        assert check_trace(sat.trace, base, rs)
+        assert len(sat.trace.steps) == len(sat.facts - base.facts)
 
 
 def test_single_fact_sweep_matches_brute_force(rules):
     for d in rules.atomic_predicates():
         args = tuple(Const(f"c{k}") for k in range(d.arity))
         base = facts(Literal(d.name, args))
-        assert saturate(base, rules).facts == brute_force_models(base, rules).facts
+        sat = saturate(base, rules)
+        assert sat.facts == brute_force_models(base, rules).facts
+        assert sat.trace.steps == naive_saturate(base, rules).trace.steps
 
 
 def test_monotone_within_stratum():
@@ -270,7 +300,6 @@ def test_monotone_within_stratum():
 
 def test_brute_force_guards_size(rules):
     base = facts(*[lit("Vehicle", f"v{i:02d}") for i in range(30)])
-    from scenelogic.inference import OracleTooLarge
     with pytest.raises(OracleTooLarge):
         brute_force_models(base, rules, max_atoms=100)
 
@@ -323,7 +352,7 @@ def test_resolution_mode_matches_chaining_on_ground_queries(rules):
         Query((lit("Vehicle", "vehicle01"), lit("SpeedUp", "vehicle01", neg=True))),
     ):
         chain = resolve(base, rules, query)
-        refut = resolve(base, rules, query, method="resolution")
+        refut = resolve_by_refutation(base, rules, query)
         assert chain.truth == refut.truth
 
 
@@ -338,7 +367,7 @@ def test_resolution_mode_differential_on_random_kbs():
                 args = tuple(Const(rng.choice("abc")) for _ in range(d.arity))
                 q = Query((Literal(d.name, args),))
                 expected = Literal(d.name, args) in sat
-                got = resolve(base, rs, q, method="resolution").truth
+                got = resolve_by_refutation(base, rs, q).truth
                 assert got == expected, f"{d.name}{args} expected {expected}"
                 checked += 1
     assert checked > 100
@@ -346,4 +375,4 @@ def test_resolution_mode_differential_on_random_kbs():
 
 def test_resolution_mode_rejects_open_queries(rules):
     with pytest.raises(NonGroundQuery):
-        resolve(_fig3_base(), rules, Query((lit("Vehicle", x),)), method="resolution")
+        resolve_by_refutation(_fig3_base(), rules, Query((lit("Vehicle", x),)))

@@ -11,6 +11,7 @@ import pytest
 
 import scenelogic
 from scenelogic.cli import main as cli_main
+from scenelogic.geometry import CameraIntrinsics
 from scenelogic.scenarios import InvalidSpec, ScenarioSpec, generate_scenario
 from scenelogic.scene import ObjectObservation, save_annotation, windows
 
@@ -42,6 +43,29 @@ def test_cli_exits_at_ingest_on_non_finite_numbers(tmp_path, capsys, field, valu
     doc = json.loads(path.read_text())
     doc["frames"][4]["objects"][0][field] = value
     path.write_text(json.dumps(doc))  # json writes NaN and Infinity literals
+    assert cli_main(["ingest", str(path)]) == 3
+    assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == 3
+    assert "ingest: " in capsys.readouterr().err
+
+
+INTRINSICS = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, fps=10.0)
+
+
+@pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "fps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_intrinsics_rejected(field, value):
+    CameraIntrinsics(**INTRINSICS)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CameraIntrinsics(**{**INTRINSICS, field: value})
+
+
+@pytest.mark.parametrize("field", ["fx", "cx", "fps"])
+def test_cli_exits_at_ingest_on_non_finite_intrinsics(tmp_path, capsys, field):
+    path = tmp_path / "annotation.json"
+    save_annotation(generate_scenario(ScenarioSpec("static", seed=3)).sequence, path)
+    doc = json.loads(path.read_text())
+    doc["intrinsics"][field] = math.nan
+    path.write_text(json.dumps(doc))
     assert cli_main(["ingest", str(path)]) == 3
     assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == 3
     assert "ingest: " in capsys.readouterr().err
