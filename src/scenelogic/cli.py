@@ -14,17 +14,11 @@ import sys
 
 import yaml
 
-from .evaluation import PipelineResult, StageError, run_scenario_dir
+from .evaluation import PipelineResult, StageError, process_window, run_scenario_dir, stage
 from .facts import CompilerConfig, compile_window
-from .inference import answer_query, saturate
+from .inference import answer_query
 from .logicpad import default_ruleset, load_rule_file
-from .questions import (
-    NoPatternMatch,
-    UnknownVocabulary,
-    answer_to_text,
-    parse_fol_query,
-    parse_nl_question,
-)
+from .questions import answer_to_text, parse_fol_query, parse_nl_question
 from .scenarios import KINDS, ScenarioSpec, generate_scenario, write_scenario
 from .scene import load_annotation, windows
 from .tracking import TrackerConfig, link_window
@@ -182,18 +176,17 @@ def _cmd_ingest(args) -> int:
 
 
 def _answer_one(seq, rules, cfg, tracker, window, args):
-    wins = windows(seq, window)
+    with stage("ingest"):
+        wins = windows(seq, window)
     by_id = {w.window_id: w for w in wins}
     if args.window_id not in by_id:
         raise StageError("question", f"window {args.window_id} not available")
-    w = by_id[args.window_id]
-    tracks = link_window(w, args.track_mode, tracker)
-    wf = compile_window(w, tracks, cfg, rules)
-    sat = saturate(wf.facts, rules)
-    if args.fol:
-        q = parse_fol_query(args.question, rules)
-    else:
-        q = parse_nl_question(args.question, rules)
+    _, sat = process_window(by_id[args.window_id], rules, args.track_mode, cfg, tracker)
+    with stage("question"):
+        if args.fol:
+            q = parse_fol_query(args.question, rules)
+        else:
+            q = parse_nl_question(args.question, rules)
     return answer_query(sat, rules, q), q
 
 
@@ -209,9 +202,7 @@ def _cmd_query(args) -> int:
     try:
         ans, q = _answer_one(seq, rules, cfg, tracker, window, args)
     except StageError as e:
-        return _fail(e.stage, str(e))
-    except (NoPatternMatch, UnknownVocabulary) as e:
-        return _fail("question", str(e))
+        return _fail(e.stage, e.message)
     except Exception as e:
         return _fail("infer", str(e))
     print(answer_to_text(ans, q))
@@ -223,20 +214,21 @@ def _cmd_query(args) -> int:
 def _cmd_repl(args) -> int:
     try:
         cfg, tracker, window, rules = _prepare(args)
-        seq = load_annotation(args.file)
-        wins = windows(seq, window)
+    except Exception as e:
+        return _fail("config", str(e))
+    try:
+        wins = {w.window_id: w for w in windows(load_annotation(args.file), window)}
     except Exception as e:
         return _fail("ingest", str(e))
 
-    current = wins[0].window_id
+    current = next(iter(wins))
     prepared = {}
 
     def sat_for(wid):
+        if wid not in wins:
+            raise StageError("question", f"window {wid} not available")
         if wid not in prepared:
-            w = next(x for x in wins if x.window_id == wid)
-            tracks = link_window(w, args.track_mode, tracker)
-            wf = compile_window(w, tracks, cfg, rules)
-            prepared[wid] = (wf, saturate(wf.facts, rules))
+            prepared[wid] = process_window(wins[wid], rules, args.track_mode, cfg, tracker)
         return prepared[wid]
 
     print(f"{len(wins)} window(s); current window {current}. "
@@ -283,7 +275,7 @@ def _cmd_eval(args) -> int:
             export_context=args.export_context, n=window,
         )
     except StageError as e:
-        return _fail(e.stage, str(e))
+        return _fail(e.stage, e.message)
     report_json = result.report.to_json()
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .facts import CompilerConfig, compile_window
@@ -19,7 +20,7 @@ from .ragcontext import (
     template_table,
 )
 from .scenarios import QAItem, load_qa
-from .scene import Sequence, load_annotation, windows
+from .scene import SceneWindow, Sequence, load_annotation, windows
 from .tracking import TrackerConfig, link_window
 
 
@@ -33,6 +34,7 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -110,6 +112,29 @@ class PipelineResult:
     saturated: dict  # window_id -> FactSet
 
 
+@contextmanager
+def stage(name: str):
+    """Re-raise any failure inside the block as a StageError tagged ``name``."""
+    try:
+        yield
+    except Exception as e:
+        raise StageError(name, str(e)) from e
+
+
+def process_window(w: SceneWindow, rules: RuleSet, track_mode: str = "oracle",
+                   cfg: CompilerConfig = CompilerConfig(),
+                   tracker_cfg: TrackerConfig = TrackerConfig()):
+    """Track, compile and saturate one window.  Returns (WindowFacts,
+    FactSet); a failure is a StageError tagged track, compile or infer."""
+    with stage("track"):
+        tracks = link_window(w, track_mode, tracker_cfg)
+    with stage("compile"):
+        wf = compile_window(w, tracks, cfg, rules)
+    with stage("infer"):
+        sat = saturate(wf.facts, rules)
+    return wf, sat
+
+
 def process_sequence(seq: Sequence, rules: RuleSet,
                      track_mode: str = "oracle",
                      cfg: CompilerConfig = CompilerConfig(),
@@ -120,26 +145,10 @@ def process_sequence(seq: Sequence, rules: RuleSet,
     ``n`` defaults as in ``scene.windows``.  Returns {window_id:
     (WindowFacts, FactSet)}.
     """
-    try:
+    with stage("ingest"):
         wins = windows(seq, n)
-    except Exception as e:
-        raise StageError("ingest", str(e)) from e
-    out = {}
-    for w in wins:
-        try:
-            tracks = link_window(w, track_mode, tracker_cfg)
-        except Exception as e:
-            raise StageError("track", str(e)) from e
-        try:
-            wf = compile_window(w, tracks, cfg, rules)
-        except Exception as e:
-            raise StageError("compile", str(e)) from e
-        try:
-            sat = saturate(wf.facts, rules)
-        except Exception as e:
-            raise StageError("infer", str(e)) from e
-        out[w.window_id] = (wf, sat)
-    return out
+    return {w.window_id: process_window(w, rules, track_mode, cfg, tracker_cfg)
+            for w in wins}
 
 
 def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],

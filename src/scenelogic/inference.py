@@ -78,10 +78,13 @@ class FactSet:
         return FactSet(frozenset(literals), window_id)
 
     @classmethod
-    def _trusted(cls, facts: frozenset, window_id: int, trace: ProofTrace) -> "FactSet":
-        """A fact set of literals already known to be ground and positive."""
+    def _trusted(cls, facts: frozenset, window_id: int, trace: ProofTrace,
+                 index: dict, unmerged: list) -> "FactSet":
+        """A fact set of literals already known to be ground and positive,
+        taking over ``index``, which holds all of them but ``unmerged``."""
         fs = object.__new__(cls)
-        fs.__dict__.update(facts=facts, window_id=window_id, trace=trace)
+        fs.__dict__.update(facts=facts, window_id=window_id, trace=trace,
+                           _unmerged=(index, unmerged))
         return fs
 
     def __contains__(self, lit: Literal) -> bool:
@@ -94,13 +97,37 @@ class FactSet:
         return iter(self.sorted())
 
     def sorted(self) -> list[Literal]:
-        return sorted(self.facts, key=_fact_key)
+        """The facts in ``_fact_key`` order, read off the index."""
+        idx = self.index
+        return [f for pred in sorted(idx) for f in idx[pred][None]]
 
     @cached_property
     def index(self) -> dict:
         """pred -> first argument -> facts in sorted order; the key None
-        collects all of a predicate's facts."""
-        return _build_index(self.facts)
+        collects all of a predicate's facts.  A saturated set finishes the
+        index its saturation kept instead of building one."""
+        handed = self.__dict__.pop("_unmerged", None)
+        if handed is None:
+            return _build_index(self.facts)
+        index, unmerged = handed
+        _merge_into(index, unmerged)
+        return index
+
+    @cached_property
+    def by_constant(self) -> dict[str, dict[int, Literal]]:
+        """constant name -> {position in ``sorted()``: fact} for the facts
+        that name the constant as an argument."""
+        out: dict = {}
+        for i, f in enumerate(self.sorted()):
+            for a in f.args:
+                if isinstance(a, Const):
+                    out.setdefault(a.name, {})[i] = f
+        return out
+
+    @cached_property
+    def trace_map(self) -> dict:
+        """derived fact -> (position, step) in the trace."""
+        return {s.derived: (i, s) for i, s in enumerate(self.trace.steps)}
 
     @cached_property
     def constants(self) -> tuple[Const, ...]:
@@ -434,7 +461,8 @@ def saturate(base: FactSet, rules: RuleSet,
             pending.extend(delta_facts)
 
     facts = base.facts.union(s.derived for s in steps)
-    return FactSet._trusted(facts, base.window_id, ProofTrace(tuple(steps)))
+    return FactSet._trusted(facts, base.window_id, ProofTrace(tuple(steps)),
+                            index, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +537,20 @@ def _enumerate_bindings(q: Query, sat: FactSet) -> list[Substitution]:
 
 
 def _answer_trace(q: Query, bindings, sat: FactSet) -> ProofTrace:
-    """Restrict the saturation trace to the steps supporting the answer."""
+    """Restrict the saturation trace to the steps supporting the answer, in
+    trace order."""
     if sat.trace is None or not bindings:
         return ProofTrace()
-    by_fact = {s.derived: s for s in sat.trace.steps}
-    needed: set[Literal] = set()
-
-    def pull(fact: Literal):
-        if fact in needed:
-            return
-        needed.add(fact)
-        step = by_fact.get(fact)
-        if step:
-            for p in step.premises:
-                pull(p)
-
-    for sub in bindings:
-        for c in q.conjuncts:
-            if not c.negated and c.pred != "=":
-                pull(apply(sub, c))
-    return ProofTrace(tuple(s for s in sat.trace.steps if s.derived in needed))
+    by_fact = sat.trace_map
+    reached: dict[int, TraceStep] = {}
+    todo = [apply(sub, c) for sub in bindings for c in q.conjuncts
+            if not c.negated and c.pred != "="]
+    while todo:
+        entry = by_fact.get(todo.pop())
+        if entry is not None and entry[0] not in reached:
+            reached[entry[0]] = entry[1]
+            todo.extend(entry[1].premises)
+    return ProofTrace(tuple(reached[i] for i in sorted(reached)))
 
 
 def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:

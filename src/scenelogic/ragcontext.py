@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 
 from .fol import Const, Literal, apply
-from .inference import Answer, FactSet, Query
+from .inference import Answer, FactSet, Query, _fact_key
 from .logicpad import RuleSet
 from .questions import answer_to_text, print_query
 
@@ -57,14 +57,10 @@ def template_table(rules: RuleSet) -> TemplateTable:
     return tbl
 
 
-def _fact_order(f: Literal):
-    return (f.pred, tuple(str(a) for a in f.args))
-
-
 def export_templates(facts, tbl: TemplateTable) -> list[str]:
     """One sentence per fact, ordered by predicate then arguments."""
-    fact_set = facts.facts if isinstance(facts, FactSet) else facts.facts.facts
-    return [tbl.render(f) for f in sorted(fact_set, key=_fact_order)]
+    fact_set = facts if isinstance(facts, FactSet) else facts.facts
+    return [tbl.render(f) for f in fact_set.sorted()]
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,8 @@ def _support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
     """Base facts the answer rests on: trace premises plus the facts that
     ground the query's positive conjuncts; for a refuted query, the facts
     about the constants the query names."""
-    support: set[Literal] = set()
     if a.truth:
+        support: set[Literal] = set()
         for step in a.trace.steps:
             for p in step.premises:
                 if p in base:
@@ -96,12 +92,12 @@ def _support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
                     ground = apply(sub, c)
                     if ground in base:
                         support.add(ground)
-    else:
-        named = {t for c in q.conjuncts for t in c.args if isinstance(t, Const)}
-        for f in base:
-            if named and any(arg in named for arg in f.args):
-                support.add(f)
-    return sorted(support, key=_fact_order)
+        return sorted(support, key=_fact_key)
+    named = {t.name for c in q.conjuncts for t in c.args if isinstance(t, Const)}
+    found: dict[int, Literal] = {}
+    for name in named:
+        found.update(base.by_constant.get(name, {}))
+    return [found[i] for i in sorted(found)]
 
 
 def build_context(q: Query, a: Answer, facts, tbl: TemplateTable,

@@ -7,6 +7,10 @@ the compiled engine in ``scenelogic.inference`` is checked against.
 - ``brute_force_models``: the stratified model by exhaustive grounding.
 - ``resolve_by_refutation``: ground queries answered by resolution
   refutation over the clausal form.
+- ``scan_answer_trace``, ``scan_support_facts`` and ``sort_facts``: an
+  answer's trace, a C2 payload's facts and a fact set's order, computed by
+  scanning and sorting the whole trace or fact set on every call instead of
+  reading the per-window indexes.
 """
 
 from __future__ import annotations
@@ -313,3 +317,63 @@ def resolve_by_refutation(base: FactSet, rules: RuleSet, q: Query) -> Answer:
             truth = False
             break
     return Answer(truth, ({},) if truth else ())
+
+
+# ---------------------------------------------------------------------------
+# Answer traces and context facts by whole-set scans
+# ---------------------------------------------------------------------------
+
+def fact_order(f: Literal):
+    return (f.pred, tuple(str(a) for a in f.args))
+
+
+def sort_facts(fs: FactSet) -> list[Literal]:
+    """Stands in for ``FactSet.sorted``: sorts every fact on every call."""
+    return sorted(fs.facts, key=fact_order)
+
+
+def scan_answer_trace(q: Query, bindings, sat: FactSet) -> ProofTrace:
+    """The saturation trace restricted to the steps supporting the answer,
+    through a derived -> step map built over the whole trace."""
+    if sat.trace is None or not bindings:
+        return ProofTrace()
+    by_fact = {s.derived: s for s in sat.trace.steps}
+    needed: set[Literal] = set()
+
+    def pull(fact: Literal):
+        if fact in needed:
+            return
+        needed.add(fact)
+        step = by_fact.get(fact)
+        if step:
+            for p in step.premises:
+                pull(p)
+
+    for sub in bindings:
+        for c in q.conjuncts:
+            if not c.negated and c.pred != "=":
+                pull(apply(sub, c))
+    return ProofTrace(tuple(s for s in sat.trace.steps if s.derived in needed))
+
+
+def scan_support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
+    """The base facts a C2 payload lists, by scanning every base fact for a
+    refuted query."""
+    support: set[Literal] = set()
+    if a.truth:
+        for step in a.trace.steps:
+            for p in step.premises:
+                if p in base:
+                    support.add(p)
+        for sub in a.bindings:
+            for c in q.conjuncts:
+                if not c.negated and c.pred != "=":
+                    ground = apply(sub, c)
+                    if ground in base:
+                        support.add(ground)
+    else:
+        named = {t for c in q.conjuncts for t in c.args if isinstance(t, Const)}
+        for f in sort_facts(base):
+            if named and any(arg in named for arg in f.args):
+                support.add(f)
+    return sorted(support, key=fact_order)

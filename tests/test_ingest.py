@@ -13,7 +13,7 @@ import scenelogic
 from scenelogic.cli import main as cli_main
 from scenelogic.geometry import CameraIntrinsics
 from scenelogic.scenarios import InvalidSpec, ScenarioSpec, generate_scenario
-from scenelogic.scene import ObjectObservation, save_annotation, windows
+from scenelogic.scene import STATIC_CATEGORIES, ObjectObservation, save_annotation, windows
 
 from conftest import linear_track, make_sequence
 
@@ -46,6 +46,55 @@ def test_cli_exits_at_ingest_on_non_finite_numbers(tmp_path, capsys, field, valu
     assert cli_main(["ingest", str(path)]) == 3
     assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == 3
     assert "ingest: " in capsys.readouterr().err
+
+
+def _static_scene(tmp_path):
+    path = tmp_path / "annotation.json"
+    save_annotation(generate_scenario(ScenarioSpec("static", seed=3)).sequence, path)
+    return path
+
+
+def _without_anchors(doc):
+    doc["frames"][3]["objects"] = [o for o in doc["frames"][3]["objects"]
+                                   if o["category"] not in STATIC_CATEGORIES]
+
+
+def _category_flip(doc):
+    for o in doc["frames"][2]["objects"]:
+        if o["gt_instance"] == "vehicle01":
+            o["category"] = "Pedestrian"
+
+
+@pytest.mark.parametrize("break_doc,code,message", [
+    (lambda doc: doc.update(frames=[]), 3,
+     "ingest: origin chain must have one transform per frame pair"),
+    (_without_anchors, 3, "ingest: frames 2-3: 0 static correspondences, need 2"),
+    (_category_flip, 4, "track: vehicle01: Vehicle vs Pedestrian across frames"),
+])
+def test_query_exits_at_the_failing_stage(tmp_path, capsys, break_doc, code, message):
+    path = _static_scene(tmp_path)
+    doc = json.loads(path.read_text())
+    break_doc(doc)
+    path.write_text(json.dumps(doc))
+    assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == code
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("flags", [["--fol", "--q", "Moves("], ["--q", "Is the sky blue?"]])
+def test_query_exits_at_question_on_unparseable_questions(tmp_path, capsys, flags):
+    path = _static_scene(tmp_path)
+    assert cli_main(["query", str(path), *flags]) == 7
+    assert capsys.readouterr().err.startswith("question: ")
+
+
+def test_repl_stages_config_errors_and_unknown_windows(tmp_path, capsys, monkeypatch):
+    path = _static_scene(tmp_path)
+    assert cli_main(["repl", str(path), "--config", str(tmp_path / "missing.yaml")]) == 2
+    assert capsys.readouterr().err.startswith("config: ")
+    lines = iter([":window 99", ":quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    assert cli_main(["repl", str(path)]) == 0
+    assert "error: question: window 99 not available\n" in capsys.readouterr().out
 
 
 INTRINSICS = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, fps=10.0)
