@@ -12,7 +12,7 @@ from .inference import Answer, FactSet, ProofTrace, Query, answer_query, check_t
 from .geometry import CameraIntrinsics, Kinematics, Transform2, back_project, estimate_origin, kinematics, to_bev
 from .scene import FrameObservation, ObjectObservation, SceneWindow, Sequence, build_window, load_annotation, windows
 from .tracking import PresenceFlags, Trajectory, TrackerConfig, edge_weight, link_window, match_frames, presence
-from .facts import CompilerConfig, WindowFacts, advance, compile_window
+from .facts import CompilerConfig, WindowFacts, compile_window
 from .questions import answer_to_text, parse_fol_query, parse_nl_question, parse_question, print_query
 from .ragcontext import ContextPayload, TemplateTable, build_context, export_templates, template_table
 from .scenarios import KINDS, QAItem, ScenarioSpec, generate_scenario, standard_suite, write_scenario

@@ -14,7 +14,7 @@ import sys
 
 import yaml
 
-from .evaluation import PipelineResult, StageError, process_window, run_scenario_dir, stage
+from .evaluation import StageError, process_window, run_scenario_dir, stage
 from .facts import CompilerConfig, compile_window
 from .inference import answer_query
 from .logicpad import default_ruleset, load_rule_file
@@ -27,28 +27,6 @@ EXIT_CODES = {
     "config": 2, "ingest": 3, "track": 4, "compile": 5,
     "infer": 6, "question": 7, "eval": 8, "gen": 9,
 }
-
-
-def _fail(stage: str, message: str) -> int:
-    print(f"{stage}: {message}", file=sys.stderr)
-    return EXIT_CODES.get(stage, 1)
-
-
-def _load_config(path: str | None):
-    doc = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
-    cfg = CompilerConfig(**doc.get("compiler", {}))
-    tracker = TrackerConfig(**doc.get("tracker", {}))
-    window = doc.get("window")
-    return cfg, tracker, window
-
-
-def _ruleset(args):
-    if getattr(args, "rules", None):
-        return load_rule_file(args.rules)
-    return default_ruleset()
 
 
 def _common_flags(sub):
@@ -102,45 +80,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args) -> int:
     kinds = KINDS if args.kind == "all" else (args.kind,)
-    try:
+    with stage("gen"):
         for kind in kinds:
             for j in range(args.count):
                 spec = ScenarioSpec(kind, args.seed + j)
                 sc = generate_scenario(spec)
                 write_scenario(sc, os.path.join(args.out, f"{kind}_{spec.seed:04d}"))
-    except Exception as e:
-        return _fail("gen", str(e))
     print(f"wrote {len(kinds) * args.count} scenario(s) under {args.out}")
     return 0
 
 
 def _prepare(args):
-    cfg, tracker, window = _load_config(getattr(args, "config", None))
-    if getattr(args, "window", None):
-        window = args.window
-    rules = _ruleset(args)
+    """Thresholds and window length from the config file and flags, and the
+    rule set."""
+    with stage("config"):
+        doc = {}
+        if args.config:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                doc = yaml.safe_load(fh) or {}
+        cfg = CompilerConfig(**doc.get("compiler", {}))
+        tracker = TrackerConfig(**doc.get("tracker", {}))
+        rules = load_rule_file(args.rules) if args.rules else default_ruleset()
     # A window of 0 or none selects the default length.
-    return cfg, tracker, window or None, rules
+    return cfg, tracker, args.window or doc.get("window") or None, rules
+
+
+def _windows(path, window):
+    with stage("ingest"):
+        return windows(load_annotation(path), window)
 
 
 def _cmd_ingest(args) -> int:
-    try:
-        cfg, tracker, window, rules = _prepare(args)
-    except Exception as e:
-        return _fail("config", str(e))
-    try:
-        seq = load_annotation(args.file)
-    except Exception as e:
-        return _fail("ingest", str(e))
-    try:
-        wins = windows(seq, window)
-    except Exception as e:
-        return _fail("ingest", str(e))
-    for w in wins:
-        try:
+    cfg, tracker, window, rules = _prepare(args)
+    for w in _windows(args.file, window):
+        with stage("track"):
             tracks = link_window(w, args.track_mode, tracker)
-        except Exception as e:
-            return _fail("track", str(e))
         if args.dump_tracks:
             doc = [
                 {
@@ -158,10 +132,8 @@ def _cmd_ingest(args) -> int:
             print(json.dumps({"window_id": w.window_id, "tracks": doc},
                              indent=1, sort_keys=True))
             continue
-        try:
+        with stage("compile"):
             wf = compile_window(w, tracks, cfg, rules)
-        except Exception as e:
-            return _fail("compile", str(e))
         if args.dump_facts:
             for f in wf.facts:
                 print(f)
@@ -175,36 +147,16 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-def _answer_one(seq, rules, cfg, tracker, window, args):
-    with stage("ingest"):
-        wins = windows(seq, window)
-    by_id = {w.window_id: w for w in wins}
-    if args.window_id not in by_id:
-        raise StageError("question", f"window {args.window_id} not available")
-    _, sat = process_window(by_id[args.window_id], rules, args.track_mode, cfg, tracker)
-    with stage("question"):
-        if args.fol:
-            q = parse_fol_query(args.question, rules)
-        else:
-            q = parse_nl_question(args.question, rules)
-    return answer_query(sat, rules, q), q
-
-
 def _cmd_query(args) -> int:
-    try:
-        cfg, tracker, window, rules = _prepare(args)
-    except Exception as e:
-        return _fail("config", str(e))
-    try:
-        seq = load_annotation(args.file)
-    except Exception as e:
-        return _fail("ingest", str(e))
-    try:
-        ans, q = _answer_one(seq, rules, cfg, tracker, window, args)
-    except StageError as e:
-        return _fail(e.stage, e.message)
-    except Exception as e:
-        return _fail("infer", str(e))
+    cfg, tracker, window, rules = _prepare(args)
+    wins = {w.window_id: w for w in _windows(args.file, window)}
+    if args.window_id not in wins:
+        raise StageError("question", f"window {args.window_id} not available")
+    _, sat = process_window(wins[args.window_id], rules, args.track_mode, cfg, tracker)
+    with stage("question"):
+        q = (parse_fol_query if args.fol else parse_nl_question)(args.question, rules)
+    with stage("infer"):
+        ans = answer_query(sat, rules, q)
     print(answer_to_text(ans, q))
     for step in ans.trace.steps:
         print(f"  {step}")
@@ -212,15 +164,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_repl(args) -> int:
-    try:
-        cfg, tracker, window, rules = _prepare(args)
-    except Exception as e:
-        return _fail("config", str(e))
-    try:
-        wins = {w.window_id: w for w in windows(load_annotation(args.file), window)}
-    except Exception as e:
-        return _fail("ingest", str(e))
-
+    cfg, tracker, window, rules = _prepare(args)
+    wins = {w.window_id: w for w in _windows(args.file, window)}
     current = next(iter(wins))
     prepared = {}
 
@@ -265,32 +210,25 @@ def _cmd_repl(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        cfg, tracker, window, rules = _prepare(args)
-    except Exception as e:
-        return _fail("config", str(e))
-    try:
-        result: PipelineResult = run_scenario_dir(
-            args.dir, rules, args.track_mode, cfg, tracker,
-            export_context=args.export_context, n=window,
-        )
-    except StageError as e:
-        return _fail(e.stage, e.message)
+    cfg, tracker, window, rules = _prepare(args)
+    result = run_scenario_dir(args.dir, rules, args.track_mode, cfg, tracker,
+                              export_context=args.export_context, n=window)
     report_json = result.report.to_json()
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_json + "\n")
-    print(report_json)
-    if args.export_context and result.payloads:
-        outdir = args.context_dir or os.path.join(args.dir, f"context_{args.export_context}")
-        os.makedirs(outdir, exist_ok=True)
-        for idx, (item, payload) in enumerate(result.payloads):
-            path = os.path.join(outdir, f"{idx:04d}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"QUESTION\n{payload.question}\n\n{payload.retrieved}")
-            with open(path.replace(".txt", ".json"), "w", encoding="utf-8") as fh:
-                fh.write(payload.to_json() + "\n")
-        print(f"wrote {len(result.payloads)} context payload(s) to {outdir}")
+    with stage("eval"):
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report_json + "\n")
+        print(report_json)
+        if args.export_context and result.payloads:
+            outdir = args.context_dir or os.path.join(args.dir, f"context_{args.export_context}")
+            os.makedirs(outdir, exist_ok=True)
+            for idx, (item, payload) in enumerate(result.payloads):
+                path = os.path.join(outdir, f"{idx:04d}.txt")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(f"QUESTION\n{payload.question}\n\n{payload.retrieved}")
+                with open(path.replace(".txt", ".json"), "w", encoding="utf-8") as fh:
+                    fh.write(payload.to_json() + "\n")
+            print(f"wrote {len(result.payloads)} context payload(s) to {outdir}")
     return 0
 
 
@@ -303,7 +241,11 @@ def main(argv=None) -> int:
         "repl": _cmd_repl,
         "eval": _cmd_eval,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except StageError as e:
+        print(f"{e.stage}: {e.message}", file=sys.stderr)
+        return EXIT_CODES[e.stage]
 
 
 if __name__ == "__main__":

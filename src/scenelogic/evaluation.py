@@ -226,20 +226,16 @@ def run_scenario_dir(root, rules: RuleSet | None = None,
     ``root`` with windows of ``n`` frames (default as in ``scene.windows``)."""
     sequences = []
     questions = []
-    names = sorted(
-        d for d in os.listdir(root)
-        if os.path.isfile(os.path.join(root, d, "annotation.json"))
-    )
-    if not names:
-        raise StageError("ingest", f"no scenario directories under {root}")
-    for name in names:
-        sdir = os.path.join(root, name)
-        try:
-            seq = load_annotation(os.path.join(sdir, "annotation.json"))
-        except FileNotFoundError as e:
-            raise StageError("ingest", str(e)) from e
-        sequences.append((name, seq))
-        for item in load_qa(os.path.join(sdir, "qa.json")):
-            questions.append((name, item))
+    with stage("ingest"):
+        names = sorted(
+            d for d in os.listdir(root)
+            if os.path.isfile(os.path.join(root, d, "annotation.json"))
+        )
+        if not names:
+            raise FileNotFoundError(f"no scenario directories under {root}")
+        for name in names:
+            sdir = os.path.join(root, name)
+            sequences.append((name, load_annotation(os.path.join(sdir, "annotation.json"))))
+            questions.extend((name, item) for item in load_qa(os.path.join(sdir, "qa.json")))
     return run_pipeline(sequences, rules, questions, track_mode, cfg,
                         tracker_cfg, n, export_context=export_context)

@@ -1,5 +1,5 @@
 """Ground-fact compilation: evaluate every atomic predicate over a window's
-trajectories and geometry, then advance the sliding window."""
+trajectories and geometry."""
 
 from __future__ import annotations
 
@@ -11,22 +11,11 @@ from .fol import Const, Literal
 from .geometry import kinematics
 from .inference import FactSet
 from .logicpad import RuleSet
-from .scene import (
-    STATIC_CATEGORIES,
-    SURFACE_CATEGORIES,
-    FrameObservation,
-    SceneWindow,
-    bev_of,
-    build_window,
-)
-from .tracking import Trajectory, TrackerConfig, link_window, presence
+from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, bev_of
+from .tracking import Trajectory, presence
 
 
 class UndeclaredCategory(ValueError):
-    pass
-
-
-class NonConsecutiveFrame(ValueError):
     pass
 
 
@@ -111,9 +100,7 @@ def _dense_positions(keyed: dict[int, tuple[float, float]]) -> list[tuple[float,
 
 
 def _vocab_constant(rules: RuleSet, section: str, value: str) -> str:
-    table = rules.vocabulary.get(section, {})
-    lowered = {str(k).lower(): v for k, v in table.items()}
-    return lowered.get(str(value).lower(), str(value))
+    return rules.vocabulary.get(section, {}).get(str(value).lower(), str(value))
 
 
 def _bottom_mid(bbox) -> tuple[float, float]:
@@ -233,21 +220,3 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
     fact_set = FactSet(frozenset(facts), w.window_id)
     return WindowFacts(w.window_id, fact_set, provenance, window=w, tracks=list(tracks))
 
-
-def advance(kb: WindowFacts, next_frame: FrameObservation,
-            rules: RuleSet | None = None,
-            cfg: CompilerConfig = CompilerConfig(),
-            mode: str = "inferred",
-            tracker_cfg: TrackerConfig = TrackerConfig()) -> WindowFacts:
-    """Slide the window one frame forward and recompile facts from scratch."""
-    if kb.window is None:
-        raise ValueError("WindowFacts has no attached window to advance")
-    last = kb.window.frames[-1].frame_index
-    if next_frame.frame_index != last + 1:
-        raise NonConsecutiveFrame(
-            f"expected frame {last + 1}, got {next_frame.frame_index}"
-        )
-    frames = kb.window.frames[1:] + (next_frame,)
-    w = build_window(frames, kb.window.intrinsics, window_id=kb.window.window_id + 1)
-    tracks = link_window(w, mode, tracker_cfg)
-    return compile_window(w, tracks, cfg, rules)

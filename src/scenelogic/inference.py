@@ -469,7 +469,9 @@ def saturate(base: FactSet, rules: RuleSet,
 # Query answering
 # ---------------------------------------------------------------------------
 
-def _check_query(q: Query, rules: RuleSet) -> None:
+def check_query(q: Query, rules: RuleSet) -> None:
+    """Raise UnknownPredicate unless every conjunct uses a declared predicate
+    with its declared arity."""
     for c in q.conjuncts:
         if c.pred == "=":
             continue
@@ -555,7 +557,7 @@ def _answer_trace(q: Query, bindings, sat: FactSet) -> ProofTrace:
 
 def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:
     """Answer a query against an already saturated fact set."""
-    _check_query(q, rules)
+    check_query(q, rules)
     bindings = _enumerate_bindings(q, sat)
     return Answer(bool(bindings), tuple(bindings), _answer_trace(q, bindings, sat))
 
@@ -563,7 +565,6 @@ def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:
 def resolve(base: FactSet, rules: RuleSet, q: Query,
             depth_bound: int = DEFAULT_DEPTH_BOUND) -> Answer:
     """Enumerate all satisfying ground bindings of the query."""
-    _check_query(q, rules)
     return answer_query(saturate(base, rules, depth_bound), rules, q)
 
 

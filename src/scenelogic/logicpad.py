@@ -359,6 +359,18 @@ class RuleSet:
         return max(self.strata.values(), default=0)
 
 
+def flatten_conjunction(f: Formula, what: str) -> list[Literal]:
+    """The literals of a conjunction of possibly negated literals; anything
+    else is a ParseError saying ``what`` must be such a conjunction."""
+    if isinstance(f, Literal):
+        return [f]
+    if isinstance(f, And):
+        return [lit for p in f.parts for lit in flatten_conjunction(p, what)]
+    if isinstance(f, Not) and isinstance(f.part, Literal):
+        return [f.part.negate()]
+    raise ParseError(0, f"{what} must be a conjunction of literals")
+
+
 def _rule_shape(name: str, st: Statement, provenance: str) -> RuleDecl:
     for kind, _ in st.quantifiers:
         if kind != FORALL:
@@ -370,19 +382,7 @@ def _rule_shape(name: str, st: Statement, provenance: str) -> RuleDecl:
     if not isinstance(head, Literal) or head.negated:
         raise ParseError(0, f"rule {name!r}: head must be a single positive literal")
 
-    def flatten(f: Formula) -> list[Literal]:
-        if isinstance(f, Literal):
-            return [f]
-        if isinstance(f, And):
-            out = []
-            for p in f.parts:
-                out.extend(flatten(p))
-            return out
-        if isinstance(f, Not) and isinstance(f.part, Literal):
-            return [f.part.negate()]
-        raise ParseError(0, f"rule {name!r}: body must be a conjunction of literals")
-
-    body = tuple(flatten(body_f.left))
+    body = tuple(flatten_conjunction(body_f.left, f"rule {name!r}: body"))
     return RuleDecl(name, st, head, body, provenance)
 
 
@@ -475,7 +475,10 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
         functions=functions,
         rules=tuple(rules),
         strata=strata,
-        vocabulary=doc.get("vocabulary") or {},
+        # Question words match case-insensitively; on duplicate keys the
+        # later one wins.
+        vocabulary={section: {str(k).lower(): v for k, v in (table or {}).items()}
+                    for section, table in (doc.get("vocabulary") or {}).items()},
         templates=doc.get("templates") or {},
     )
 

@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
-from .fol import And, Const, Implies, Literal, Not, Or, Var
-from .logicpad import ParseError, RuleSet, UnknownPredicate, format_literal, parse_fol_expr
-from .inference import Answer, Query
+from .fol import Const, Literal, Var
+from .logicpad import ParseError, RuleSet, flatten_conjunction, format_literal, parse_fol_expr
+from .inference import Answer, Query, check_query
 
 
 class NoPatternMatch(ValueError):
@@ -58,10 +58,10 @@ class ObjectDescriptor:
 
 
 def _parse_descriptor(phrase: str, vocab: dict) -> ObjectDescriptor:
-    colors = {str(k).lower(): v for k, v in vocab.get("colors", {}).items()}
-    types = {str(k).lower(): v for k, v in vocab.get("types", {}).items()}
-    categories = {str(k).lower(): v for k, v in vocab.get("categories", {}).items()}
-    positions = {str(k).lower(): v for k, v in vocab.get("positions", {}).items()}
+    colors = vocab.get("colors", {})
+    types = vocab.get("types", {})
+    categories = vocab.get("categories", {})
+    positions = vocab.get("positions", {})
 
     toks = phrase.split()
     if not toks or toks[0] not in ("the", "a", "an"):
@@ -217,8 +217,9 @@ def match_question(text: str, rules: RuleSet) -> ParsedQuestion:
             if vocab_error is None:
                 vocab_error = e
             continue
-        conjuncts = pattern.logic_builder(d1, d2)
-        return ParsedQuestion(Query(tuple(conjuncts)), pattern.category, pattern)
+        query = Query(tuple(pattern.logic_builder(d1, d2)))
+        check_query(query, rules)
+        return ParsedQuestion(query, pattern.category, pattern)
     if vocab_error is not None:
         raise vocab_error
     raise NoPatternMatch(f"no grammar pattern matches {text!r}")
@@ -237,33 +238,9 @@ def parse_fol_query(text: str, rules: RuleSet) -> Query:
     st = parse_fol_expr(text)
     if st.quantifiers:
         raise ParseError(0, "queries are implicitly existential; drop the quantifier")
-
-    def flatten(f) -> list[Literal]:
-        if isinstance(f, Literal):
-            return [f]
-        if isinstance(f, And):
-            out = []
-            for p in f.parts:
-                out.extend(flatten(p))
-            return out
-        if isinstance(f, Not) and isinstance(f.part, Literal):
-            return [f.part.negate()]
-        if isinstance(f, (Or, Implies)):
-            raise ParseError(0, "queries must be conjunctions of literals")
-        raise ParseError(0, f"unsupported query form: {f!r}")
-
-    conjuncts = flatten(st.body)
-    for lit in conjuncts:
-        if lit.pred == "=":
-            continue
-        d = rules.decl(lit.pred)
-        if d is None:
-            raise UnknownPredicate(f"query uses undeclared predicate {lit.pred!r}")
-        if d.arity != len(lit.args):
-            raise UnknownPredicate(
-                f"{lit.pred} declared with arity {d.arity}, used with {len(lit.args)}"
-            )
-    return Query(tuple(conjuncts))
+    q = Query(tuple(flatten_conjunction(st.body, "a query")))
+    check_query(q, rules)
+    return q
 
 
 def print_query(q: Query, rules: RuleSet) -> str:

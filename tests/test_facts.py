@@ -1,17 +1,11 @@
-"""Fact compilation over windows and the sliding-window advance."""
+"""Fact compilation over windows and sliding windows."""
 
 import pytest
 
-from scenelogic.facts import (
-    CompilerConfig,
-    NonConsecutiveFrame,
-    UndeclaredCategory,
-    advance,
-    compile_window,
-)
+from scenelogic.facts import CompilerConfig, UndeclaredCategory, compile_window
 from scenelogic.fol import Const, Literal
 from scenelogic.inference import saturate
-from scenelogic.scene import build_window
+from scenelogic.scene import build_window, windows
 from scenelogic.tracking import link_window
 
 from conftest import linear_track, make_sequence
@@ -181,7 +175,7 @@ def test_provenance_carries_numeric_evidence(rules):
 
 
 # ---------------------------------------------------------------------------
-# advance
+# Sliding windows
 # ---------------------------------------------------------------------------
 
 def _static_world(n):
@@ -192,37 +186,29 @@ def _static_world(n):
     }
 
 
+def _window_facts(seq, rules):
+    """Compiled facts of every stride-1 ten-frame window, by window id."""
+    return [compile_window(w, link_window(w, "oracle"), rules=rules)
+            for w in windows(seq, 10)]
+
+
 def test_advance_static_scene_preserves_facts(rules):
-    seq = make_sequence(_static_world(12), n=12)
-    w = build_window(seq.frames[:10], seq.intrinsics)
-    wf = compile_window(w, link_window(w, "oracle"), rules=rules)
-    wf2 = advance(wf, seq.frames[10], rules, mode="oracle")
+    wf, wf2, _ = _window_facts(make_sequence(_static_world(12), n=12), rules)
     assert wf2.window_id == wf.window_id + 1
     assert wf2.facts.facts == wf.facts.facts
-
-
-def test_advance_rejects_nonconsecutive_frame(rules):
-    seq = make_sequence(_static_world(12), n=12)
-    w = build_window(seq.frames[:10], seq.intrinsics)
-    wf = compile_window(w, link_window(w, "oracle"), rules=rules)
-    with pytest.raises(NonConsecutiveFrame):
-        advance(wf, seq.frames[11], rules, mode="oracle")
 
 
 def test_advance_drops_object_after_it_leaves(rules):
     n = 14
     world = _static_world(n)
-    # Pedestrian only exists in frames 0..3; advancing far enough forgets it.
+    # Pedestrian only exists in frames 0..3; sliding far enough forgets it.
     world["pedestrian01"]["track"] = linear_track((-4.4, 11.0), (0.0, 0.0), n=n,
                                        hidden=range(4, n))
-    seq = make_sequence(world, n=n)
-    w = build_window(seq.frames[:10], seq.intrinsics)
-    wf = compile_window(w, link_window(w, "oracle"), rules=rules)
-    assert lit("Pedestrian", "pedestrian01") in wf.facts
-    assert lit("Disappears", "pedestrian01") in wf.facts
-    for i in range(10, n):
-        wf = advance(wf, seq.frames[i], rules, mode="oracle")
-    assert lit("Pedestrian", "pedestrian01") not in wf.facts
+    wfs = _window_facts(make_sequence(world, n=n), rules)
+    assert lit("Pedestrian", "pedestrian01") in wfs[0].facts
+    assert lit("Disappears", "pedestrian01") in wfs[0].facts
+    assert lit("Pedestrian", "pedestrian01") in wfs[3].facts
+    assert lit("Pedestrian", "pedestrian01") not in wfs[4].facts
 
 
 def test_advance_reports_new_appearance(rules):
@@ -230,9 +216,6 @@ def test_advance_reports_new_appearance(rules):
     world = _static_world(n)
     world["pedestrian01"]["track"] = linear_track((-4.4, 11.0), (0.0, 0.0), n=n,
                                        hidden=range(0, 10))
-    seq = make_sequence(world, n=n)
-    w = build_window(seq.frames[:10], seq.intrinsics)
-    wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+    wf, wf2 = _window_facts(make_sequence(world, n=n), rules)
     assert lit("Pedestrian", "pedestrian01") not in wf.facts
-    wf2 = advance(wf, seq.frames[10], rules, mode="oracle")
     assert lit("Appears", "pedestrian01") in wf2.facts

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+from importlib import resources
 
 import pytest
 
@@ -14,6 +16,7 @@ from scenelogic.evaluation import (
     run_scenario_dir,
 )
 from scenelogic.fol import Const, Literal
+from scenelogic.logicpad import parse_rule_file
 from scenelogic.scenarios import (
     KINDS,
     InvalidSpec,
@@ -183,6 +186,19 @@ def test_scenario_dir_missing_annotation_raises_stage_error(tmp_path, rules):
     assert e.value.stage == "ingest"
 
 
+def test_pipeline_tags_undeclared_question_predicates_question(rules):
+    without_walk = parse_rule_file(
+        resources.files("scenelogic").joinpath("rules/default.yaml").read_text("utf-8")
+        .replace("Walk", "Stroll"))
+    sc = generate_scenario(ScenarioSpec("crossing", seed=3))
+    item = QAItem("Is the pedestrian walking?", "U2", True)
+    run_pipeline(sc.sequence, rules, [item])
+    with pytest.raises(StageError) as e:
+        run_pipeline(sc.sequence, without_walk, [item])
+    assert e.value.stage == "question"
+    assert e.value.message.endswith("query uses undeclared predicate 'Walk'")
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -240,6 +256,36 @@ def test_cli_dump_facts(tmp_path, capsys):
 def test_cli_missing_file_exit_code(capsys):
     assert cli_main(["ingest", "/no/such/file.json"]) == 3
     assert cli_main(["query", "/no/such/file.json", "--q", "x"]) == 3
+
+
+def _nan_depth(sdir):
+    path = sdir / "annotation.json"
+    doc = json.loads(path.read_text())
+    doc["frames"][4]["objects"][0]["depth_m"] = float("nan")
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("break_suite,flags,code,message", [
+    (lambda sdir: shutil.rmtree(sdir.parent), [], 3, "ingest: [Errno 2] No such file"),
+    (_nan_depth, [], 3, "ingest: depth, centroid, bbox and flow must be finite"),
+    (lambda sdir: (sdir / "qa.json").unlink(), [], 3, "ingest: [Errno 2] No such file"),
+    (lambda sdir: None, ["--report", "{tmp}/missing/r.json"], 8, "eval: [Errno 2] No such file"),
+], ids=["missing-dir", "nan-depth", "missing-qa", "unwritable-report"])
+def test_cli_eval_exits_at_the_failing_stage(tmp_path, capsys, break_suite, flags, code,
+                                              message):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "static", "--seed", "3", "--out", str(out)]) == 0
+    break_suite(out / "static_0003")
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    capsys.readouterr()
+    assert cli_main(["eval", str(out), *flags]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_cli_gen_unknown_kind_exits_at_gen(tmp_path, capsys):
+    assert cli_main(["gen", "--kind", "nosuch", "--out", str(tmp_path)]) == 9
+    assert capsys.readouterr().err.startswith("gen: unknown kind 'nosuch'")
 
 
 def test_cli_context_export(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -78,6 +79,9 @@ def test_query_exits_at_the_failing_stage(tmp_path, capsys, break_doc, code, mes
     path.write_text(json.dumps(doc))
     assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == code
     assert capsys.readouterr().err == message + "\n"
+    for flags in ([], ["--dump-tracks"], ["--dump-facts"]):
+        assert cli_main(["ingest", str(path), *flags]) == code
+        assert capsys.readouterr().err == message + "\n"
 
 
 @pytest.mark.parametrize("flags", [["--fol", "--q", "Moves("], ["--q", "Is the sky blue?"]])
@@ -85,6 +89,16 @@ def test_query_exits_at_question_on_unparseable_questions(tmp_path, capsys, flag
     path = _static_scene(tmp_path)
     assert cli_main(["query", str(path), *flags]) == 7
     assert capsys.readouterr().err.startswith("question: ")
+
+
+def test_english_question_with_undeclared_predicate_exits_at_question(tmp_path, capsys):
+    path = _static_scene(tmp_path)
+    rules = tmp_path / "nowalk.yaml"
+    default = resources.files("scenelogic").joinpath("rules/default.yaml").read_text("utf-8")
+    rules.write_text("".join(l for l in default.splitlines(keepends=True) if "Walk" not in l))
+    for flags in (["--q", "Is the pedestrian walking?"], ["--fol", "--q", "Walk(x)"]):
+        assert cli_main(["query", str(path), "--rules", str(rules), *flags]) == 7
+        assert capsys.readouterr().err == "question: query uses undeclared predicate 'Walk'\n"
 
 
 def test_repl_stages_config_errors_and_unknown_windows(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from scenelogic.logicpad import (
     parse_fol_expr,
     parse_rule_file,
 )
+from scenelogic.questions import parse_fol_query
 
 x, y = Var("x"), Var("y")
 
@@ -162,6 +163,22 @@ def test_print_parse_round_trip_on_every_default_rule(rules):
     for r in rules.rules:
         printed = format_statement(r.statement, rules.functions)
         assert parse_fol_expr(printed) == r.statement
+
+
+def test_vocabulary_keys_are_lower_cased_at_load_and_the_later_duplicate_wins():
+    rs = parse_rule_file("vocabulary:\n  colors: {White: A, Teal: Teal, white: B}\n"
+                         "  types: {SUV: SUV}\n")
+    assert rs.vocabulary == {"colors": {"white": "B", "teal": "Teal"},
+                             "types": {"suv": "SUV"}}
+
+
+def test_rule_and_query_bodies_share_one_conjunction_check(rules):
+    bad = MINI + '  - {name: oops, fol: "forall x: (Moves(x) | Pedestrian(x)) -> Stopped(x)"}\n'
+    with pytest.raises(ParseError, match="rule 'oops': body must be a conjunction of literals"):
+        parse_rule_file(bad)
+    for text in ("Moves(x) | Appears(x)", "!(Moves(x) & Appears(x))"):
+        with pytest.raises(ParseError, match="a query must be a conjunction of literals"):
+            parse_fol_query(text, rules)
 
 
 def test_default_carries_vocabulary_and_templates(rules):
