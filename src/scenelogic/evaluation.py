@@ -173,12 +173,13 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
         keyed = dict(sequences)
         qitems = list(questions)
 
+    with stage("config"):
+        tbl = template_table(rules) if export_context else None
     processed = {
         key: process_sequence(seq, rules, track_mode, cfg, tracker_cfg, n)
         for key, seq in keyed.items()
     }
 
-    tbl = template_table(rules) if export_context else None
     answers: list[bool] = []
     payloads: list[tuple[QAItem, ContextPayload]] = []
     flat_qa: list[QAItem] = []

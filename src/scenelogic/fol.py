@@ -1,5 +1,9 @@
 """First-order logic core: terms, literals, statements, clauses.
 
+The logic is function-free: a term is a constant or a variable.  A function
+such as ``ColOf(x) = White`` lives in the knowledge base as the relation
+``ColOfRel(x, White)``, so the rules are Datalog with stratified negation.
+
 Everything here is an immutable value.  Substitutions are plain dicts
 mapping Var to Term; ``unify`` keeps them in solved (idempotent) form.
 """
@@ -41,16 +45,7 @@ class Var:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
-class Func:
-    functor: str
-    args: tuple["Term", ...]
-
-    def __str__(self):
-        return f"{self.functor}({', '.join(str(a) for a in self.args)})"
-
-
-Term = Const | Var | Func
+Term = Const | Var
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +140,8 @@ class Clause:
 # Variables of a thing
 # ---------------------------------------------------------------------------
 
-def term_vars(t: Term) -> set[Var]:
-    if isinstance(t, Var):
-        return {t}
-    if isinstance(t, Func):
-        return term_vars_many(t.args)
-    return set()
-
-
 def term_vars_many(ts) -> set[Var]:
-    out: set[Var] = set()
-    for t in ts:
-        out |= term_vars(t)
-    return out
+    return {t for t in ts if isinstance(t, Var)}
 
 
 def formula_vars(f: Formula) -> set[Var]:
@@ -181,16 +165,12 @@ Substitution = dict  # Var -> Term
 
 def apply_term(s: Substitution, t: Term) -> Term:
     """Simultaneous single-pass substitution: replacements are not re-substituted."""
-    if isinstance(t, Var):
-        return s.get(t, t)
-    if isinstance(t, Func):
-        return Func(t.functor, tuple(apply_term(s, a) for a in t.args))
-    return t
+    return s.get(t, t) if isinstance(t, Var) else t
 
 
 def apply(s: Substitution, x):
     """Apply a substitution to a Term, Literal, Clause, or Formula."""
-    if isinstance(x, (Const, Var, Func)):
+    if isinstance(x, (Const, Var)):
         return apply_term(s, x)
     if isinstance(x, Literal):
         return Literal(x.pred, tuple(apply_term(s, a) for a in x.args), x.negated)
@@ -216,23 +196,6 @@ def compose(s1: Substitution, s2: Substitution) -> Substitution:
     return {v: t for v, t in out.items() if t != v}
 
 
-def occurs(v: Var, t: Term) -> bool:
-    if v == t:
-        return True
-    if isinstance(t, Func):
-        return any(occurs(v, a) for a in t.args)
-    return False
-
-
-def _bind(s: Substitution, v: Var, t: Term) -> Substitution | None:
-    if occurs(v, t):
-        return None
-    one = {v: t}
-    out = {u: apply_term(one, tu) for u, tu in s.items()}
-    out[v] = t
-    return out
-
-
 def unify_terms(a: Term, b: Term, s: Substitution | None) -> Substitution | None:
     """Most general unifier of two terms, extending s.  None when absent."""
     if s is None:
@@ -241,22 +204,14 @@ def unify_terms(a: Term, b: Term, s: Substitution | None) -> Substitution | None
     b = apply_term(s, b)
     if a == b:
         return s
-    if isinstance(a, Var):
-        return _bind(s, a, b)
-    if isinstance(b, Var):
-        return _bind(s, b, a)
-    if (
-        isinstance(a, Func)
-        and isinstance(b, Func)
-        and a.functor == b.functor
-        and len(a.args) == len(b.args)
-    ):
-        for x, y in zip(a.args, b.args):
-            s = unify_terms(x, y, s)
-            if s is None:
-                return None
-        return s
-    return None
+    if not isinstance(a, Var):
+        a, b = b, a
+    if not isinstance(a, Var):
+        return None
+    # Bind a to b, and substitute b for a in the bindings so far.
+    out = {u: b if t == a else t for u, t in s.items()}
+    out[a] = b
+    return out
 
 
 def unify(a: Literal, b: Literal, s: Substitution | None = None) -> Substitution | None:

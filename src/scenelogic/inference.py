@@ -8,7 +8,9 @@ base and of the rules.
 
 Each rule is compiled once per rule set into a plan over numbered variable
 slots, and a query's positive conjuncts compile the same way; both run
-through one join over the fact set's predicate/first-argument index.
+through one join over the fact set's predicate/first-argument index.  A
+negated query conjunct is a one-step join from the positive conjuncts'
+bindings: it rules a candidate out when any fact matches it.
 Saturation is semi-naive: the first round of a stratum matches every rule
 against all facts, and each later round fires only the rules with a positive
 body atom whose predicate gained facts in the round before, matching that
@@ -24,7 +26,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Callable
 
-from .fol import Const, Func, Literal, Substitution, Var, apply, term_vars, unify
+from .fol import Const, Literal, Substitution, Var, apply, unify
 from .logicpad import RuleDecl, RuleSet, UnknownPredicate
 
 DEFAULT_DEPTH_BOUND = 64
@@ -120,8 +122,7 @@ class FactSet:
         out: dict = {}
         for i, f in enumerate(self.sorted()):
             for a in f.args:
-                if isinstance(a, Const):
-                    out.setdefault(a.name, {})[i] = f
+                out.setdefault(a.name, {})[i] = f
         return out
 
     @cached_property
@@ -131,8 +132,7 @@ class FactSet:
 
     @cached_property
     def constants(self) -> tuple[Const, ...]:
-        seen = {a for f in self.facts for a in f.args if isinstance(a, Const)}
-        return tuple(sorted(seen, key=lambda c: c.name))
+        return tuple(sorted({a for f in self.facts for a in f.args}, key=lambda c: c.name))
 
 
 def _fact_key(lit: Literal):
@@ -214,19 +214,13 @@ class _SlotTable:
         return s
 
 
-def _is_pattern(t) -> bool:
-    return isinstance(t, Func) and bool(term_vars(t))
-
-
 def _fit(args, table: _SlotTable, bound: set, skip: int = -1) -> tuple:
     """How a ground argument tuple matches ``args``, as (arity, tests,
-    repeats, binds, funcs); see ``_fits``.  ``bound`` holds the variable
-    slots bound before and gains those bound here; position ``skip`` is
-    already fixed by the index lookup."""
+    repeats, binds); see ``_fits``.  ``bound`` holds the variable slots
+    bound before and gains those bound here; position ``skip`` is already
+    fixed by the index lookup."""
     tests, repeats, binds, first_at = [], [], [], {}
     for pos, t in enumerate(args):
-        if _is_pattern(t):
-            continue
         s = table.slot(t)
         if not isinstance(t, Var) or s in bound:
             if pos != skip:
@@ -237,15 +231,13 @@ def _fit(args, table: _SlotTable, bound: set, skip: int = -1) -> tuple:
             first_at[s] = pos
             binds.append((pos, s))
     bound.update(first_at)
-    funcs = tuple((pos, t.functor, _fit(t.args, table, bound))
-                  for pos, t in enumerate(args) if _is_pattern(t))
-    return len(args), tuple(tests), tuple(repeats), tuple(binds), funcs
+    return len(args), tuple(tests), tuple(repeats), tuple(binds)
 
 
 def _fits(args, fit: tuple, slots: list) -> bool:
     """Match ground ``args`` against a compiled ``fit``, binding new
     variable slots in place."""
-    arity, tests, repeats, binds, funcs = fit
+    arity, tests, repeats, binds = fit
     if len(args) != arity:
         return False
     for pos, s in tests:
@@ -256,22 +248,19 @@ def _fits(args, fit: tuple, slots: list) -> bool:
             return False
     for pos, s in binds:
         slots[s] = args[pos]
-    for pos, functor, sub in funcs:
-        t = args[pos]
-        if not (isinstance(t, Func) and t.functor == functor and _fits(t.args, sub, slots)):
-            return False
     return True
 
 
-def _compile_atoms(atoms, table: _SlotTable) -> tuple[tuple, set]:
+def _compile_atoms(atoms, table: _SlotTable, bound=frozenset()) -> tuple[tuple, set]:
     """Positive atoms, in order, as (pred, key slot, fit) join steps; the key
     slot's value selects the first-argument bucket (None scans the
-    predicate).  Also returns the variable slots the join binds."""
-    bound: set = set()
+    predicate).  ``bound`` holds the variable slots bound before the join.
+    Also returns those and the variable slots the join binds."""
+    bound = set(bound)
     steps = []
     for atom in atoms:
         key = None
-        if atom.args and not _is_pattern(atom.args[0]):
+        if atom.args:
             first = atom.args[0]
             if not isinstance(first, Var) or table.slot(first) in bound:
                 key = table.slot(first)
@@ -279,25 +268,9 @@ def _compile_atoms(atoms, table: _SlotTable) -> tuple[tuple, set]:
     return tuple(steps), bound
 
 
-def _term_spec(t, table: _SlotTable):
-    """A slot, or (functor, argument specs) for a function term with variables."""
-    if _is_pattern(t):
-        return (t.functor, tuple(_term_spec(a, table) for a in t.args))
-    return table.slot(t)
-
-
-def _build(spec, slots: list):
-    if isinstance(spec, int):
-        return slots[spec]
-    functor, args = spec
-    return Func(functor, tuple(_build(a, slots) for a in args))
-
-
 def _grounder(args, table: _SlotTable) -> Callable[[list], tuple]:
     """slots -> the argument tuple ``args`` denotes under them."""
-    specs = [_term_spec(a, table) for a in args]
-    if not all(isinstance(s, int) for s in specs):
-        return lambda slots: tuple(_build(s, slots) for s in specs)
+    specs = [table.slot(a) for a in args]
     if len(specs) == 1:
         only = specs[0]
         return lambda slots: (slots[only],)
@@ -354,15 +327,14 @@ def _compile_rule(rule: RuleDecl) -> _RulePlan:
     free: list[int] = []
     for lit in (*rule.body, rule.head):
         for a in lit.args:
-            for v in sorted(term_vars(a), key=lambda v: v.name):
-                if table.slot(v) not in bound and table.slot(v) not in free:
-                    free.append(table.slot(v))
+            if isinstance(a, Var) and table.slot(a) not in bound and table.slot(a) not in free:
+                free.append(table.slot(a))
     checks, late = [], []
     for lit in rule.body:
         if lit.negated or lit.pred == "=":
             # (pred, arguments, whether the atom or equality must hold)
             check = (lit.pred, _grounder(lit.args, table), not lit.negated)
-            reads = {table.slot(v) for a in lit.args for v in term_vars(a)}
+            reads = {table.slot(a) for a in lit.args if isinstance(a, Var)}
             (late if reads - bound else checks).append(check)
     head = _grounder(rule.head.args, table)
     return _RulePlan(rule.name, steps, frozenset(p for p, _, _ in steps),
@@ -488,17 +460,15 @@ def _enumerate_bindings(q: Query, sat: FactSet) -> list[Substitution]:
     table = _SlotTable()
     positive = [c for c in q.conjuncts if not c.negated and c.pred != "="]
     steps, bound = _compile_atoms(positive, table)
-    qvars = q.variables()
-    out = [(v, table.slot(v)) for v in qvars if table.slot(v) in bound]
+    out = [(v, table.slot(v)) for v in q.variables() if table.slot(v) in bound]
 
-    # Closed-world tests; variables a negated conjunct leaves free are read
-    # as "for no grounding".
+    # Closed-world tests: a negated conjunct rules a candidate out when some
+    # fact matches it, so the variables it leaves free read "for no grounding".
     negative = []
     for c in q.conjuncts:
         if c.negated and c.pred != "=":
-            free = sorted({a for a in c.args if isinstance(a, Var) and table.slot(a) not in bound},
-                          key=lambda v: v.name)
-            negative.append((c.pred, _grounder(c.args, table), [table.slot(v) for v in free]))
+            step, after = _compile_atoms([c.atom], table, bound)
+            negative.append((step, after - bound))
     equalities = [(_grounder(c.args, table), c.negated)
                   for c in q.conjuncts if c.pred == "="]
 
@@ -507,35 +477,20 @@ def _enumerate_bindings(q: Query, sat: FactSet) -> list[Substitution]:
             a, b = ground(slots)
             if (a == b) == negated:
                 return False
-        for pred, ground, free in negative:
-            found = False
-            for combo in product(sat.constants, repeat=len(free)):
-                for s, c in zip(free, combo):
-                    slots[s] = c
-                if Literal(pred, ground(slots)) in sat.facts:
-                    found = True
-                    break
+        for step, free in negative:
+            found = any(_join(step, 0, slots, sat.index))
             for s in free:
                 slots[s] = table.init[s]
             if found:
                 return False
         return True
 
+    # Distinct bindings of the bound query variables, ordered by name.
     slots = list(table.init)
-    results: list[Substitution] = []
-    for _ in _join(steps, 0, slots, sat.index):
-        if admissible(slots):
-            results.append({v: slots[s] for v, s in out})
-
-    unique: list[Substitution] = []
-    seen = set()
-    for sub in results:
-        key = tuple(str(sub.get(v, "")) for v in qvars)
-        if key not in seen:
-            seen.add(key)
-            unique.append(sub)
-    unique.sort(key=lambda s: tuple(str(s.get(v, "")) for v in qvars))
-    return unique
+    rows = {tuple(slots[s] for _, s in out)
+            for _ in _join(steps, 0, slots, sat.index) if admissible(slots)}
+    return [dict(zip([v for v, _ in out], row))
+            for row in sorted(rows, key=lambda row: [c.name for c in row])]
 
 
 def _answer_trace(q: Query, bindings, sat: FactSet) -> ProofTrace:

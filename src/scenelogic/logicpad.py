@@ -8,7 +8,8 @@ The textual FOL syntax used inside rule files (and by the query parsers) is:
     !Moves(x)                 negation
 
 Variables are single lowercase letters or ``?name``; everything else in
-argument position is a constant.
+argument position is a constant.  Function terms such as ``P(f(x))`` are
+rejected: a declared function appears only in its equality form.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .fol import (
     And,
     Const,
     Formula,
-    Func,
     Implies,
     Literal,
     Not,
@@ -39,8 +39,14 @@ FUNC_REL_SUFFIX = "Rel"
 
 
 class ParseError(ValueError):
-    def __init__(self, position: int, message: str):
-        super().__init__(f"at position {position}: {message}")
+    """A syntax or shape error.  ``entry`` names the rule-file entry it is
+    in; ``position`` is None when the error is not at one place in a text."""
+
+    def __init__(self, position: int | None, message: str, entry: str = ""):
+        where = [entry] if entry else []
+        if position is not None:
+            where.append(f"at position {position}")
+        super().__init__(": ".join([*where, message]))
         self.position = position
         self.message = message
 
@@ -197,34 +203,28 @@ class _Parser:
             raise ParseError(t.pos, f"expected a predicate, found {t.text or 'end of input'!r}")
         name = t.text
         self.expect("(")
-        args = [self.parse_term(depth=0)]
+        args = [self.parse_term()]
         while self.peek().text == ",":
             self.next()
-            args.append(self.parse_term(depth=0))
+            args.append(self.parse_term())
         self.expect(")")
         if self.peek().text == "=":
             self.next()
-            value = self.parse_term(depth=1)
+            value = self.parse_term()
             # Function equality normalizes to the function's relation form.
             return Literal(name + FUNC_REL_SUFFIX, tuple(args) + (value,))
         return Literal(name, tuple(args))
 
-    def parse_term(self, depth: int) -> Term:
+    def parse_term(self) -> Term:
         t = self.next()
         if t.kind == "qvar":
             return Var(t.text[1:])
         if t.kind != "name":
             raise ParseError(t.pos, f"expected a term, found {t.text or 'end of input'!r}")
         if self.peek().text == "(":
-            if depth >= 1:
-                raise ParseError(t.pos, "function terms may not nest")
-            self.next()
-            args = [self.parse_term(depth + 1)]
-            while self.peek().text == ",":
-                self.next()
-                args.append(self.parse_term(depth + 1))
-            self.expect(")")
-            return Func(t.text, tuple(args))
+            raise ParseError(t.pos, f"arguments are constants or variables; write the "
+                                    f"function {t.text} as {t.text}(...) = value and "
+                                    f"declare it under functions:")
         if _is_var_name(t.text):
             return Var(t.text)
         return Const(t.text)
@@ -430,6 +430,12 @@ def stratify(decls: tuple[PredicateDecl, ...], rules: tuple[RuleDecl, ...]) -> d
 # Loading
 # ---------------------------------------------------------------------------
 
+def _field(row: dict, key: str, entry: str):
+    if key not in row:
+        raise ParseError(None, f"missing key {key!r}", entry)
+    return row[key]
+
+
 def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
     """Parse a LogicPad YAML document into a RuleSet."""
     try:
@@ -445,15 +451,20 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
 
     decls: list[PredicateDecl] = []
     seen: set[str] = set()
-    for row in doc.get("predicates") or []:
-        name = row["name"]
+    for idx, row in enumerate(doc.get("predicates") or []):
+        name = _field(row, "name", f"predicates[{idx}]")
+        entry = f"predicate {name!r}"
         if name in seen:
             raise ParseError(0, f"duplicate predicate declaration {name!r}")
         seen.add(name)
-        decls.append(PredicateDecl(name, int(row["arity"]), row.get("source", "atomic"),
+        kind = row.get("source", "atomic")
+        if kind not in ("atomic", "derived"):
+            raise ParseError(None, f"source must be atomic or derived, not {kind!r}", entry)
+        decls.append(PredicateDecl(name, int(_field(row, "arity", entry)), kind,
                                    row.get("doc", "")))
 
-    functions = tuple(row["name"] for row in doc.get("functions") or [])
+    functions = tuple(_field(row, "name", f"functions[{idx}]")
+                      for idx, row in enumerate(doc.get("functions") or []))
     for fname in functions:
         rel = fname + FUNC_REL_SUFFIX
         if rel not in seen:
@@ -463,7 +474,12 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
     rules: list[RuleDecl] = []
     for idx, row in enumerate(doc.get("rules") or []):
         name = row.get("name", f"rule{idx}")
-        st = parse_fol_expr(row["fol"])
+        entry = f"rule {name!r}"
+        text = _field(row, "fol", entry)
+        try:
+            st = parse_fol_expr(text)
+        except ParseError as e:
+            raise ParseError(e.position, e.message, entry) from e
         rules.append(_rule_shape(name, st, provenance=f"{source}:rules[{idx}]"))
 
     decl_map = {d.name: d for d in decls}

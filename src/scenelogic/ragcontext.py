@@ -21,7 +21,8 @@ WITH_INFERENCE = "with_inference"
 
 
 class MissingTemplate(KeyError):
-    pass
+    def __str__(self):
+        return f"no sentence template for predicate {self.args[0]!r}"
 
 
 @dataclass(frozen=True)

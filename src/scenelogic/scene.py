@@ -30,6 +30,9 @@ from .geometry import (
 
 DEFAULT_WINDOW = 10
 
+# Unlabelled static objects pair with the nearest neighbour within this (m).
+NN_GATE_M = 1.0
+
 # Categories whose instances anchor the temporary origin.
 STATIC_CATEGORIES = frozenset({
     "Road", "LaneMarking", "TrafficSign", "Sidewalk", "Fence",
@@ -158,11 +161,11 @@ def bev_of(obs: ObjectObservation, k: CameraIntrinsics) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _static_correspondences(prev: FrameObservation, curr: FrameObservation,
-                            k: CameraIntrinsics, nn_gate_m: float):
+                            k: CameraIntrinsics):
     """Pair static-object BEV positions across a frame pair.
 
     Ground-truth instance labels pair directly; the rest pair to the nearest
-    unclaimed neighbor within the gate.
+    unclaimed neighbor within NN_GATE_M.
     """
     prev_static = [o for o in prev.objects if o.category in STATIC_CATEGORIES]
     curr_static = [o for o in curr.objects if o.category in STATIC_CATEGORIES]
@@ -183,7 +186,7 @@ def _static_correspondences(prev: FrameObservation, curr: FrameObservation,
             remaining_prev.append(i)
 
     for i in remaining_prev:
-        best, best_d = None, nn_gate_m
+        best, best_d = None, NN_GATE_M
         for j in range(len(curr_static)):
             if j in used_curr or curr_static[j].category != prev_static[i].category:
                 continue
@@ -197,13 +200,12 @@ def _static_correspondences(prev: FrameObservation, curr: FrameObservation,
     return pairs
 
 
-def _origin_chain(frames, intrinsics: CameraIntrinsics, translation_only: bool,
-                  nn_gate_m: float) -> list[Transform2]:
+def _origin_chain(frames, intrinsics: CameraIntrinsics) -> list[Transform2]:
     """One transform per consecutive frame pair, estimated from static-object
     correspondences; the first pair without two of them raises."""
     chain = []
     for prev, curr in zip(frames, frames[1:]):
-        pairs = _static_correspondences(prev, curr, intrinsics, nn_gate_m)
+        pairs = _static_correspondences(prev, curr, intrinsics)
         if len(pairs) < 2:
             raise InsufficientAnchors(
                 f"frames {prev.frame_index}-{curr.frame_index}: "
@@ -211,21 +213,19 @@ def _origin_chain(frames, intrinsics: CameraIntrinsics, translation_only: bool,
             )
         prev_pts = [p for p, _ in pairs]
         curr_pts = [c for _, c in pairs]
-        chain.append(estimate_origin(prev_pts, curr_pts, translation_only))
+        chain.append(estimate_origin(prev_pts, curr_pts))
     return chain
 
 
-def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0,
-                 translation_only: bool = False, nn_gate_m: float = 1.0) -> SceneWindow:
+def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0) -> SceneWindow:
     """Assemble a SceneWindow, estimating the frame-pair origin transforms
     from static-object correspondences."""
     frames = tuple(frames)
-    chain = _origin_chain(frames, intrinsics, translation_only, nn_gate_m)
+    chain = _origin_chain(frames, intrinsics)
     return SceneWindow(frames, intrinsics, window_id, tuple(chain))
 
 
-def windows(seq: Sequence, n: int | None = None, translation_only: bool = False,
-            nn_gate_m: float = 1.0) -> list[SceneWindow]:
+def windows(seq: Sequence, n: int | None = None) -> list[SceneWindow]:
     """All sliding windows of length n, advancing one frame at a time.
 
     ``n`` defaults to DEFAULT_WINDOW frames, or the whole sequence when it is
@@ -236,8 +236,7 @@ def windows(seq: Sequence, n: int | None = None, translation_only: bool = False,
         n = min(len(seq.frames), DEFAULT_WINDOW)
     if len(seq.frames) < n:
         raise ValueError(f"sequence has {len(seq.frames)} frames, window needs {n}")
-    chain = _origin_chain(seq.frames, seq.intrinsics, translation_only,
-                          nn_gate_m) if n > 1 else []
+    chain = _origin_chain(seq.frames, seq.intrinsics) if n > 1 else []
     return [
         SceneWindow(seq.frames[i:i + n], seq.intrinsics, i, tuple(chain[i:i + n - 1]))
         for i in range(len(seq.frames) - n + 1)

@@ -5,6 +5,8 @@ the compiled engine in ``scenelogic.inference`` is checked against.
   on every round through ``unify``/``apply``; same facts and same trace steps
   as ``saturate``, by a different route.
 - ``brute_force_models``: the stratified model by exhaustive grounding.
+- ``brute_force_answer``: a query's truth and bindings by grounding its
+  variables and testing each conjunct.
 - ``resolve_by_refutation``: ground queries answered by resolution
   refutation over the clausal form.
 - ``scan_answer_trace``, ``scan_support_facts`` and ``sort_facts``: an
@@ -184,6 +186,35 @@ def brute_force_models(base: FactSet, rules: RuleSet,
             if not added:
                 break
     return FactSet(frozenset(facts), base.window_id)
+
+
+def brute_force_answer(model: FactSet, q: Query) -> Answer:
+    """Answer ``q`` over a saturated ``model`` by grounding over the
+    constants of the model and the query.  Each variable of a positive
+    conjunct takes every constant; a negated conjunct holds when no
+    grounding of the variables it leaves open is a fact; an equality
+    compares its terms as they stand after grounding, so a variable that no
+    positive conjunct binds equals only itself."""
+    named = {a for c in q.conjuncts for a in c.args if isinstance(a, Const)}
+    domain = sorted(set(model.constants) | named, key=lambda c: c.name)
+    positive = [c for c in q.conjuncts if not c.negated and c.pred != "="]
+    bound = [v for v in q.variables() if any(v in c.args for c in positive)]
+
+    def holds(c: Literal, sub: Substitution) -> bool:
+        g = apply(sub, c)
+        if c.pred == "=":
+            return (g.args[0] == g.args[1]) != c.negated
+        if not c.negated:
+            return g in model.facts
+        open_vars = sorted({a for a in g.args if isinstance(a, Var)}, key=lambda v: v.name)
+        return not any(apply(dict(zip(open_vars, combo)), g.atom) in model.facts
+                       for combo in product(domain, repeat=len(open_vars)))
+
+    bindings = [sub for sub in (dict(zip(bound, combo))
+                                for combo in product(domain, repeat=len(bound)))
+                if all(holds(c, sub) for c in q.conjuncts)]
+    bindings.sort(key=lambda sub: [sub[v].name for v in bound])
+    return Answer(bool(bindings), tuple(bindings))
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,13 @@ def test_distance_facts_equal_scalar_reference_on_random_tracks():
 
 @pytest.mark.parametrize("kind,n_frames", [("crossing", 16), ("constant_speed", 17),
                                            ("stop", 20)])
-@pytest.mark.parametrize("translation_only", [False, True])
-def test_window_chains_equal_per_window_build(kind, n_frames, translation_only):
+def test_window_chains_equal_per_window_build(kind, n_frames):
     seq = generate_scenario(ScenarioSpec(kind, seed=2, n_frames=n_frames)).sequence
-    wins = windows(seq, 10, translation_only=translation_only)
+    wins = windows(seq, 10)
     assert [w.window_id for w in wins] == list(range(n_frames - 9))
     for w in wins:
         i = w.window_id
-        alone = build_window(seq.frames[i:i + 10], seq.intrinsics, window_id=i,
-                             translation_only=translation_only)
+        alone = build_window(seq.frames[i:i + 10], seq.intrinsics, window_id=i)
         assert w.frames == alone.frames
         assert w.origin_chain == alone.origin_chain
         assert w.cumulative() == alone.cumulative()

@@ -10,7 +10,6 @@ from scenelogic.fol import (
     And,
     Clause,
     Const,
-    Func,
     Implies,
     Literal,
     Not,
@@ -22,7 +21,6 @@ from scenelogic.fol import (
     compose,
     to_cnf,
     unify,
-    unify_terms,
 )
 
 x, y = Var("x"), Var("y")
@@ -55,15 +53,6 @@ def test_unify_sign_mismatch_fails():
     assert unify(lit("Moves", x), lit("Moves", v01, neg=True)) is None
 
 
-def test_unify_occurs_check():
-    assert unify_terms(x, Func("f", (x,)), {}) is None
-
-
-def test_unify_function_terms():
-    s = unify(lit("P", Func("f", (x,)), y), lit("P", Func("f", (Const("a"),)), Const("b")))
-    assert s == {x: Const("a"), y: Const("b")}
-
-
 # ---------------------------------------------------------------------------
 # apply
 # ---------------------------------------------------------------------------
@@ -78,8 +67,8 @@ def test_apply_empty_substitution():
 
 def test_apply_is_single_pass():
     # Replacements are simultaneous, never re-substituted.
-    s = {x: Func("f", (y,)), y: Const("a")}
-    assert apply(s, lit("P", x, y)) == lit("P", Func("f", (y,)), Const("a"))
+    s = {x: y, y: Const("a")}
+    assert apply(s, lit("P", x, y)) == lit("P", y, Const("a"))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +214,7 @@ def test_unifier_is_idempotent(a, b):
 
 
 def test_compose_applies_in_sequence():
-    s1 = {x: Func("f", (y,))}
+    s1 = {x: y}
     s2 = {y: Const("a")}
     c = compose(s1, s2)
     t = lit("P", x, y)

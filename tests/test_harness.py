@@ -283,6 +283,19 @@ def test_cli_eval_exits_at_the_failing_stage(tmp_path, capsys, break_suite, flag
     assert err.startswith(message) and err.count("\n") == 1
 
 
+def test_cli_eval_export_without_templates_exits_at_config(tmp_path, capsys):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "static", "--seed", "3", "--out", str(out)]) == 0
+    default = resources.files("scenelogic").joinpath("rules/default.yaml").read_text("utf-8")
+    rules = tmp_path / "untemplated.yaml"
+    rules.write_text(default[:default.index("\ntemplates:")] + "\n")
+    capsys.readouterr()
+    assert cli_main(["eval", str(out), "--rules", str(rules), "--export-context", "c2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: no sentence template for predicate ") and err.count("\n") == 1
+    assert cli_main(["eval", str(out), "--rules", str(rules)]) == 0
+
+
 def test_cli_gen_unknown_kind_exits_at_gen(tmp_path, capsys):
     assert cli_main(["gen", "--kind", "nosuch", "--out", str(tmp_path)]) == 9
     assert capsys.readouterr().err.startswith("gen: unknown kind 'nosuch'")

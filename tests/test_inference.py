@@ -5,13 +5,14 @@ import random
 
 import pytest
 
-from scenelogic.fol import And, Const, Func, Implies, Literal, Statement, Var
+from scenelogic.fol import And, Const, Implies, Literal, Statement, Var
 from scenelogic.inference import (
     DepthExceeded,
     FactSet,
     ProofTrace,
     Query,
     TraceStep,
+    answer_query,
     check_trace,
     resolve,
     saturate,
@@ -21,13 +22,13 @@ from scenelogic.logicpad import (
     RuleDecl,
     RuleSet,
     UnknownPredicate,
-    parse_rule_file,
     stratify,
 )
 
 from oracles import (
     NonGroundQuery,
     OracleTooLarge,
+    brute_force_answer,
     brute_force_models,
     naive_saturate,
     resolve_by_refutation,
@@ -76,22 +77,6 @@ def test_depth_bound_guards_runaway_rulesets(rules):
     base = facts(lit("Vehicle", "vehicle01"))
     with pytest.raises(DepthExceeded):
         saturate(base, rules, depth_bound=0)
-
-
-def test_variable_only_inside_function_terms_ranges_over_the_domain():
-    rs = parse_rule_file("""
-predicates:
-  - {name: R, arity: 1}
-  - {name: P, arity: 1}
-  - {name: Q, arity: 1, source: derived}
-rules:
-  - {name: q, fol: "forall x: (!P(f(x))) -> Q(f(x))"}
-""")
-    fa, fb = Func("f", (Const("a"),)), Func("f", (Const("b"),))
-    base = facts(lit("R", "a"), lit("R", "b"), lit("P", fa))
-    sat = saturate(base, rs)
-    assert sat.facts - base.facts == {lit("Q", fb)}
-    assert check_trace(sat.trace, base, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +195,7 @@ def test_trace_where_head_does_not_follow_fails(rules):
 # Random stratified rulesets for differential testing
 # ---------------------------------------------------------------------------
 
-def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6):
+def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6, max_facts=8):
     """A random stratified program plus a random ground base."""
     n_preds = rng.randint(2, max_preds)
     arities = {f"P{i}": rng.randint(1, 2) for i in range(n_preds)}
@@ -249,7 +234,7 @@ def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6):
     rs = RuleSet(decls, (), tuple(rule_decls), strata)
 
     base_lits = set()
-    for _ in range(rng.randint(0, 8)):
+    for _ in range(rng.randint(0, max_facts)):
         p = rng.choice([q for q in arities if levels[q] == 0])
         base_lits.add(Literal(p, tuple(rng.choice(consts) for _ in range(arities[p]))))
     return rs, FactSet.of(base_lits)
@@ -265,6 +250,95 @@ def test_saturate_agrees_with_brute_force_on_random_kbs(rules):
         assert sat.trace.steps == naive_saturate(base, rs).trace.steps
         assert check_trace(sat.trace, base, rs)
         assert len(sat.trace.steps) == len(sat.facts - base.facts)
+
+
+def random_query(rng: random.Random, rs: RuleSet, sat: FactSet) -> Query:
+    """A random conjunctive query over ``rs``.  One to three positive
+    conjuncts are mostly facts of ``sat`` with most arguments turned into x
+    or y.  Up to two negated conjuncts over other predicates mostly start
+    with one of the positive conjuncts' variables and may also use u and w,
+    which no positive conjunct binds.  Up to two (in)equalities mostly
+    compare a variable of a negated conjunct with a constant or variable."""
+    consts = [*sat.constants, Const("nowhere")]
+    bound, open_ = [Var("x"), Var("y")], [Var("u"), Var("w")]
+
+    def positive():
+        if not sat.facts or rng.random() < 0.3:
+            d = rng.choice(rs.declarations)
+            return Literal(d.name, tuple(rng.choice(bound + consts) for _ in range(d.arity)))
+        f = rng.choice(sat.sorted())
+        return Literal(f.pred, tuple(rng.choice(bound) if rng.random() < 0.7 else a
+                                     for a in f.args))
+
+    conjuncts = [positive() for _ in range(rng.randint(1, 3))]
+    used = sorted({a for c in conjuncts for a in c.args if isinstance(a, Var)},
+                  key=lambda v: v.name)
+    others = [d for d in rs.declarations if d.name not in {c.pred for c in conjuncts}]
+    read = []  # variables the negated conjuncts read
+    for _ in range(rng.randint(0, 2)):
+        d = rng.choice(others or rs.declarations)
+        args = [rng.choice(used + open_ + open_ + consts) for _ in range(d.arity)]
+        if used and rng.random() < 0.7:
+            args[0] = rng.choice(used)
+        conjuncts.append(Literal(d.name, tuple(args), True))
+        read += [a for a in args if isinstance(a, Var)]
+    for _ in range(rng.randint(0, 2)):
+        left = rng.choice(read if read and rng.random() < 0.7 else used + open_)
+        right = rng.choice(consts if rng.random() < 0.5 else used + open_)
+        conjuncts.append(Literal("=", (left, right), rng.random() < 0.5))
+    rng.shuffle(conjuncts)
+    return Query(tuple(conjuncts))
+
+
+def leftover_binding_query(rng: random.Random, sat: FactSet) -> Query | None:
+    """``P(.., x, ..) & !Q(x, u) & u = c`` (or ``u != c``) for facts
+    P(.., a, ..) and Q(a, c) of ``sat``.  The negated conjunct matches
+    Q(a, c) on the candidate x = a; the equality must still read u as
+    unbound on every later candidate."""
+    x, u = Var("x"), Var("u")
+    facts = sat.sorted()
+    if not facts:
+        return None
+    f = rng.choice(facts)
+    i = rng.randrange(len(f.args))
+    values = {g.args[i] for g in sat.index[f.pred][None]}
+    pairs = [g for g in facts if len(g.args) == 2 and g.args[0] in values]
+    if not pairs:
+        return None
+    g = rng.choice(pairs)
+    return Query((Literal(f.pred, tuple(x if j == i else a for j, a in enumerate(f.args))),
+                  Literal(g.pred, (x, u), True),
+                  Literal("=", (u, g.args[1]), rng.random() < 0.5)))
+
+
+def test_answers_agree_with_brute_force_queries_on_random_kbs():
+    rng = random.Random(424242)
+    seen = dict.fromkeys(("true", "false", "repeated open", "shared open",
+                          "= on bound", "= on open", "leftover probe"), 0)
+    n = 0
+    for _ in range(150):
+        rs, base = random_ruleset_and_base(rng, max_facts=20)
+        sat, model = saturate(base, rs), brute_force_models(base, rs)
+        queries = [random_query(rng, rs, sat) for _ in range(4)]
+        probes = [q for q in (leftover_binding_query(rng, sat) for _ in range(2)) if q]
+        seen["leftover probe"] += len(probes)
+        for q in queries + probes:
+            got, want = answer_query(sat, rs, q), brute_force_answer(model, q)
+            assert (got.truth, got.bindings) == (want.truth, want.bindings), q
+            n += 1
+            bound = {a for c in q.conjuncts if not c.negated and c.pred != "="
+                     for a in c.args if isinstance(a, Var)}
+            negated = [[a for a in c.args if isinstance(a, Var) and a not in bound]
+                       for c in q.conjuncts if c.negated and c.pred != "="]
+            equated = {a for c in q.conjuncts if c.pred == "=" for a in c.args}
+            seen["true" if got.truth else "false"] += 1
+            seen["repeated open"] += any(len(v) > len(set(v)) for v in negated)
+            seen["shared open"] += any(set(a) & set(b) for i, a in enumerate(negated)
+                                       for b in negated[i + 1:])
+            seen["= on bound"] += bool(equated & bound)
+            seen["= on open"] += bool(equated & {Var("u"), Var("w")})
+    assert n >= 300
+    assert min(seen.values()) >= 10, seen
 
 
 def test_single_fact_sweep_matches_brute_force(rules):

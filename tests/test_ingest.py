@@ -91,6 +91,34 @@ def test_query_exits_at_question_on_unparseable_questions(tmp_path, capsys, flag
     assert capsys.readouterr().err.startswith("question: ")
 
 
+FUNCTION_HINT = ("arguments are constants or variables; write the function f as "
+                 "f(...) = value and declare it under functions:")
+
+
+def test_function_term_in_a_fol_question_exits_at_question(tmp_path, capsys):
+    path = _static_scene(tmp_path)
+    assert cli_main(["query", str(path), "--fol", "--q", "Moves(f(a))"]) == 7
+    assert capsys.readouterr().err == f"question: at position 6: {FUNCTION_HINT}\n"
+
+
+@pytest.mark.parametrize("rule,message", [
+    ('{name: oops, fol: "forall x: (Moves(f(x))) -> Gone(x)"}',
+     f"rule 'oops': at position 17: {FUNCTION_HINT}"),
+    ('{name: oops, fol: "forall x: (Moves(x) & ) -> Gone(x)"}',
+     "rule 'oops': at position 22: expected a predicate, found ')'"),
+    ("{name: oops}", "rule 'oops': missing key 'fol'"),
+], ids=["function-term", "syntax", "missing-fol"])
+def test_rule_file_errors_exit_at_config(tmp_path, capsys, rule, message):
+    path = _static_scene(tmp_path)
+    rules = tmp_path / "rules.yaml"
+    rules.write_text("predicates:\n  - {name: Moves, arity: 1}\n"
+                     "  - {name: Gone, arity: 1, source: derived}\n"
+                     f"rules:\n  - {rule}\n")
+    for flags in (["query", str(path), "--q", "Gone(x)", "--fol"], ["ingest", str(path)]):
+        assert cli_main([*flags, "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err == f"config: {message}\n"
+
+
 def test_english_question_with_undeclared_predicate_exits_at_question(tmp_path, capsys):
     path = _static_scene(tmp_path)
     rules = tmp_path / "nowalk.yaml"

@@ -113,8 +113,9 @@ def test_function_equality_normalizes_to_relation():
 
 
 def test_function_nesting_rejected():
-    with pytest.raises(ParseError):
-        parse_fol_expr("P(f(g(x)))")
+    for text in ("P(f(x))", "P(f(g(x)))", "P(a, f(x)) & Q(x)", "ColOf(x) = f(y)"):
+        with pytest.raises(ParseError, match="declare it under functions:"):
+            parse_fol_expr(text)
 
 
 def test_question_mark_variables():
@@ -179,6 +180,33 @@ def test_rule_and_query_bodies_share_one_conjunction_check(rules):
     for text in ("Moves(x) | Appears(x)", "!(Moves(x) & Appears(x))"):
         with pytest.raises(ParseError, match="a query must be a conjunction of literals"):
             parse_fol_query(text, rules)
+
+
+@pytest.mark.parametrize("row,message", [
+    ('{name: oops, fol: "forall x: (Moves(x) & ) -> Stopped(x)"}',
+     "rule 'oops': at position 22: expected a predicate, found ')'"),
+    ('{name: oops, fol: "forall x: (Moves(f(x))) -> Stopped(x)"}',
+     "rule 'oops': at position 17: arguments are constants or variables; write the "
+     "function f as f(...) = value and declare it under functions:"),
+    ("{name: oops}", "rule 'oops': missing key 'fol'"),
+], ids=["syntax", "function-term", "missing-fol"])
+def test_rule_errors_name_the_rule(row, message):
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(MINI + f"  - {row}\n")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("predicates:\n  - {name: Moves}\n", "predicate 'Moves': missing key 'arity'"),
+    ("predicates:\n  - {arity: 1}\n", "predicates[0]: missing key 'name'"),
+    ("predicates:\n  - {name: Moves, arity: 1, source: derivd}\n",
+     "predicate 'Moves': source must be atomic or derived, not 'derivd'"),
+    ("functions:\n  - {doc: colour}\n", "functions[0]: missing key 'name'"),
+], ids=["missing-arity", "missing-name", "bad-source", "function-without-name"])
+def test_declaration_errors_name_the_entry(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(text)
+    assert str(exc.value) == message
 
 
 def test_default_carries_vocabulary_and_templates(rules):
