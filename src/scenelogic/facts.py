@@ -3,6 +3,7 @@ trajectories and geometry."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,31 @@ class WindowFacts:
     provenance: dict  # Literal -> numeric evidence
     window: SceneWindow | None = None
     tracks: list[Trajectory] | None = None
+
+
+def _track_points(w: SceneWindow, tracks: list[Trajectory]):
+    """Every track observation's BEV point, in its own frame's coordinates
+    and in the window's (frame 0's), each as one dict per track from window
+    position to point.
+
+    Points are read from the frames' ``bev`` caches; an observation that is
+    not one of its frame's objects is back-projected.  The window mapping is
+    ``Transform2.transform``'s arithmetic with each frame's cosine and sine
+    taken once, so equal to it bit for bit.
+    """
+    k = w.intrinsics
+    frames = [(f.bev(k), math.cos(c.rotation_rad), math.sin(c.rotation_rad),
+               *c.translation_m) for f, c in zip(w.frames, w.cumulative())]
+    own, window = [], []
+    for t in tracks:
+        own_t, window_t = {}, {}
+        for pos, obs in t.observations.items():
+            points, c, s, tx, tz = frames[pos]
+            x, z = own_t[pos] = points.get(id(obs)) or bev_of(obs, k)
+            window_t[pos] = (c * x - s * z + tx, s * x + c * z + tz)
+        own.append(own_t)
+        window.append(window_t)
+    return own, window
 
 
 def _distance_trends(bev: list[dict], n: int):
@@ -119,7 +145,7 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
     provenance: dict = {}
 
     def emit(pred: str, *args: str, **evidence):
-        lit = Literal(pred, tuple(Const(a) for a in args))
+        lit = Literal(pred, tuple(map(Const, args)))
         facts.append(lit)
         if evidence:
             provenance[lit] = evidence
@@ -135,11 +161,9 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
     k = w.intrinsics
     width = cfg.image_width if cfg.image_width is not None else 2.0 * k.cx
 
-    bev = [{pos: bev_of(obs, k) for pos, obs in t.observations.items()} for t in tracks]
-    positions = {t.instance_id: {pos: w.to_window_frame(pos, p) for pos, p in pts.items()}
-                 for t, pts in zip(tracks, bev)}
+    bev, positions = _track_points(w, tracks)
 
-    for t in tracks:
+    for t, window_points in zip(tracks, positions):
         name = t.instance_id
         emit(t.category, name)
 
@@ -149,7 +173,7 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
         if flags.disappears:
             emit("Disappears", name, last_frame=flags.last_frame)
 
-        dense = _dense_positions(positions[name])
+        dense = _dense_positions(window_points)
         if len(dense) >= 2:
             kin = kinematics(dense, k)
             if kin.displacement_total > cfg.eps_move:
@@ -160,8 +184,11 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
             elif -delta > cfg.eps_speed:
                 emit("SpeedDown", name, velocity_delta=delta)
 
-        xs = [obs.centroid_px[0] for _, obs in t.frames_sorted()]
-        mean_x = float(np.mean(xs))
+        # One call for both means: each row of a 2-D mean is summed exactly
+        # as np.mean sums that row alone.
+        observed = [obs for _, obs in t.frames_sorted()]
+        mean_x, mean_depth = np.mean([[o.centroid_px[0] for o in observed],
+                                      [o.depth_m for o in observed]], axis=1).tolist()
         if mean_x < width * cfg.left_frac:
             emit("AtLeft", name, mean_centroid_x=mean_x)
         elif mean_x > width * cfg.right_frac:
@@ -169,7 +196,6 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
         else:
             emit("AtCenter", name, mean_centroid_x=mean_x)
 
-        mean_depth = float(np.mean([obs.depth_m for _, obs in t.frames_sorted()]))
         if mean_depth < cfg.close_depth:
             emit("CloseToCamera", name, mean_depth_m=mean_depth)
 

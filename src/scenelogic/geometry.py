@@ -144,13 +144,19 @@ def kinematics(positions, k: CameraIntrinsics) -> Kinematics:
     """Finite-difference speed and acceleration along a positions series.
 
     ``positions`` are (X, Z) pairs in the common window frame, one per frame.
+    A window holds about ten of them, too few for arrays to pay off, so the
+    arithmetic is scalar.
     """
-    pts = np.asarray(positions, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
+    pts = [(float(x), float(z)) for x, z in positions]
+    if len(pts) < 2:
         raise TooFewSamples("kinematics needs at least 2 positions")
-    steps = np.diff(pts, axis=0)
-    velocity = np.sqrt((steps ** 2).sum(axis=1)) * k.fps
-    accel = np.diff(velocity) * k.fps
-    displacement = float(np.sqrt(((pts[-1] - pts[0]) ** 2).sum()))
-    return Kinematics(displacement, tuple(float(v) for v in velocity),
-                      tuple(float(a) for a in accel))
+    velocity = tuple(_norm(b[0] - a[0], b[1] - a[1]) * k.fps for a, b in zip(pts, pts[1:]))
+    accel = tuple((v1 - v0) * k.fps for v0, v1 in zip(velocity, velocity[1:]))
+    displacement = _norm(pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1])
+    return Kinematics(displacement, velocity, accel)
+
+
+def _norm(dx: float, dz: float) -> float:
+    # dx * dx, not dx ** 2: float power can differ from the product in the
+    # last bit.
+    return math.sqrt(dx * dx + dz * dz)

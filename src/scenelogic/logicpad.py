@@ -198,6 +198,12 @@ class _Parser:
         return self.parse_atom()
 
     def parse_atom(self) -> Formula:
+        if self.peek().kind in ("name", "qvar") and self._equality_follows(self.i + 1):
+            left = self.parse_term()
+            negated = self.next().text == "!"
+            if negated:
+                self.expect("=")
+            return Literal("=", (left, self.parse_term()), negated)
         t = self.next()
         if t.kind != "name":
             raise ParseError(t.pos, f"expected a predicate, found {t.text or 'end of input'!r}")
@@ -214,6 +220,11 @@ class _Parser:
             # Function equality normalizes to the function's relation form.
             return Literal(name + FUNC_REL_SUFFIX, tuple(args) + (value,))
         return Literal(name, tuple(args))
+
+    def _equality_follows(self, i: int) -> bool:
+        """Whether the tokens from ``i`` on start with ``=`` or ``!=``."""
+        t = self.tokens[i]
+        return t.text == "=" or (t.text == "!" and self.tokens[i + 1].text == "=")
 
     def parse_term(self) -> Term:
         t = self.next()
@@ -430,6 +441,18 @@ def stratify(decls: tuple[PredicateDecl, ...], rules: tuple[RuleDecl, ...]) -> d
 # Loading
 # ---------------------------------------------------------------------------
 
+def _entries(doc: dict, section: str) -> list[tuple[str, dict]]:
+    """The section's entries, each with its name for messages; a section
+    that is not a list, or an entry that is not a mapping, raises."""
+    rows = doc.get(section) or []
+    if not isinstance(rows, list):
+        raise ParseError(None, f"must be a list of mappings, not {rows!r}", section)
+    for idx, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ParseError(None, f"must be a mapping, not {row!r}", f"{section}[{idx}]")
+    return [(f"{section}[{idx}]", row) for idx, row in enumerate(rows)]
+
+
 def _field(row: dict, key: str, entry: str):
     if key not in row:
         raise ParseError(None, f"missing key {key!r}", entry)
@@ -451,8 +474,8 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
 
     decls: list[PredicateDecl] = []
     seen: set[str] = set()
-    for idx, row in enumerate(doc.get("predicates") or []):
-        name = _field(row, "name", f"predicates[{idx}]")
+    for where, row in _entries(doc, "predicates"):
+        name = _field(row, "name", where)
         entry = f"predicate {name!r}"
         if name in seen:
             raise ParseError(0, f"duplicate predicate declaration {name!r}")
@@ -460,11 +483,12 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
         kind = row.get("source", "atomic")
         if kind not in ("atomic", "derived"):
             raise ParseError(None, f"source must be atomic or derived, not {kind!r}", entry)
-        decls.append(PredicateDecl(name, int(_field(row, "arity", entry)), kind,
-                                   row.get("doc", "")))
+        arity = _field(row, "arity", entry)
+        if not isinstance(arity, int) or isinstance(arity, bool):
+            raise ParseError(None, f"arity must be an integer, not {arity!r}", entry)
+        decls.append(PredicateDecl(name, arity, kind, row.get("doc", "")))
 
-    functions = tuple(_field(row, "name", f"functions[{idx}]")
-                      for idx, row in enumerate(doc.get("functions") or []))
+    functions = tuple(_field(row, "name", where) for where, row in _entries(doc, "functions"))
     for fname in functions:
         rel = fname + FUNC_REL_SUFFIX
         if rel not in seen:
@@ -472,7 +496,7 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
             decls.append(PredicateDecl(rel, 2, "atomic", f"relation form of function {fname}"))
 
     rules: list[RuleDecl] = []
-    for idx, row in enumerate(doc.get("rules") or []):
+    for idx, (_, row) in enumerate(_entries(doc, "rules")):
         name = row.get("name", f"rule{idx}")
         entry = f"rule {name!r}"
         text = _field(row, "fol", entry)

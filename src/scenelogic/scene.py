@@ -79,6 +79,15 @@ class FrameObservation:
             self.__dict__["_boxes"] = cache
         return cache
 
+    def bev(self, k: CameraIntrinsics) -> dict[int, tuple[float, float]]:
+        """``bev_of`` of each object, keyed by the object's ``id``, computed
+        once per intrinsics and shared like ``boxes``."""
+        cache = self.__dict__.setdefault("_bev", {})
+        points = cache.get(k)
+        if points is None:
+            points = cache[k] = {id(o): bev_of(o, k) for o in self.objects}
+        return points
+
 
 @dataclass(frozen=True, eq=False)
 class BoxArrays:
@@ -88,9 +97,6 @@ class BoxArrays:
     # bbox carried along its flow (row 1)
     boxes: np.ndarray
     categories: np.ndarray  # (n,) category names
-
-    def take(self, columns) -> "BoxArrays":
-        return BoxArrays(self.boxes[..., columns], self.categories[columns])
 
 
 def with_areas(boxes: np.ndarray) -> np.ndarray:
@@ -146,11 +152,6 @@ class SceneWindow:
             self.__dict__["_cumulative"] = cache
         return cache
 
-    def to_window_frame(self, frame_pos: int, point) -> tuple[float, float]:
-        """Map a BEV point of frame ``frame_pos`` (window-relative) into the
-        window's common origin (frame 0 coordinates)."""
-        return self.cumulative()[frame_pos].transform(point)
-
 
 def bev_of(obs: ObjectObservation, k: CameraIntrinsics) -> tuple[float, float]:
     return to_bev(back_project(obs.centroid_px, obs.depth_m, k))
@@ -169,8 +170,8 @@ def _static_correspondences(prev: FrameObservation, curr: FrameObservation,
     """
     prev_static = [o for o in prev.objects if o.category in STATIC_CATEGORIES]
     curr_static = [o for o in curr.objects if o.category in STATIC_CATEGORIES]
-    prev_pts = [bev_of(o, k) for o in prev_static]
-    curr_pts = [bev_of(o, k) for o in curr_static]
+    prev_pts = [prev.bev(k)[id(o)] for o in prev_static]
+    curr_pts = [curr.bev(k)[id(o)] for o in curr_static]
 
     pairs: list[tuple[tuple[float, float], tuple[float, float]]] = []
     used_curr: set[int] = set()

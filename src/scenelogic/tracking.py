@@ -7,12 +7,18 @@ hypothetical observations extrapolated at constant velocity.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .scene import BoxArrays, ObjectObservation, SceneWindow, box_arrays, with_areas
+from .scene import (
+    BoxArrays,
+    FrameObservation,
+    ObjectObservation,
+    SceneWindow,
+    box_arrays,
+    with_areas,
+)
 
 
 class CategoryMismatch(ValueError):
@@ -163,17 +169,15 @@ def presence(t: Trajectory, n: int) -> PresenceFlags:
 
 
 def _consolidate_attributes(observations) -> dict:
-    votes: dict[str, Counter] = {}
-    order: dict[str, dict] = {}
+    """Each attribute's most frequent value, the one seen first winning a
+    tie (``max`` keeps the first of equal keys, and dicts keep insertion
+    order)."""
+    votes: dict[str, dict] = {}
     for _, obs in sorted(observations.items()):
         for key, value in (obs.attributes or {}).items():
-            votes.setdefault(key, Counter())[value] += 1
-            order.setdefault(key, {}).setdefault(value, len(order.get(key, {})))
-    out = {}
-    for key, counter in votes.items():
-        best = max(counter, key=lambda v: (counter[v], -order[key][v]))
-        out[key] = best
-    return out
+            counts = votes.setdefault(key, {})
+            counts[value] = counts.get(value, 0) + 1
+    return {key: max(counts, key=counts.get) for key, counts in votes.items()}
 
 
 def _assign_ids(tracks: list[Trajectory]) -> list[Trajectory]:
@@ -259,17 +263,58 @@ class _LiveTrack:
         )
 
 
+def _pair(prev: FrameObservation, curr: FrameObservation, alpha: float):
+    """The real-observation weights ``_weights(prev.boxes(), curr.boxes(),
+    alpha)`` and a memo of the matchings over them, built once per
+    (predecessor frame, alpha) and cached on ``curr`` like its boxes.  The
+    entry holds ``prev``, so the ``id`` in its key stays unique."""
+    cache = curr.__dict__.setdefault("_pairs", {})
+    key = (id(prev), alpha)
+    entry = cache.get(key)
+    if entry is None:
+        weights = _weights(prev.boxes(), curr.boxes(), alpha)
+        weights.flags.writeable = False
+        entry = cache[key] = (prev, weights, {})
+    return entry[1], entry[2]
+
+
+def _match_live(live: list[_LiveTrack], rows: list[int | None], real: np.ndarray,
+                frame: FrameObservation, cfg: TrackerConfig) -> MatchResult:
+    """Match the live tracks to ``frame``'s objects.  ``rows[i]`` is live
+    track i's row in ``real``, the previous frame's weights, or None for a
+    ghost, whose row is computed here.  Every entry is ``_weights``'s
+    elementwise kernel, so the matrix equals the one built from the live
+    tracks' boxes."""
+    ghosts = [i for i, r in enumerate(rows) if r is None]
+    if ghosts:
+        weights = np.empty((len(rows), len(frame.objects)))
+        observed = [i for i, r in enumerate(rows) if r is not None]
+        weights[observed] = real[[rows[i] for i in observed]]
+        weights[ghosts] = _weights(box_arrays([live[i].repr_obs for i in ghosts]),
+                                   frame.boxes(), cfg.alpha)
+    else:
+        weights = real[rows]
+    return match_frames(AssociationGraph(tuple(t.repr_obs for t in live), frame.objects,
+                                         weights, cfg.w_min))
+
+
 def _link_inferred(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
     live = [_LiveTrack(0, obs) for obs in w.frames[0].objects]
-    live_boxes = w.frames[0].boxes()
+    # Each live track's row in the previous frame's objects; None for a ghost.
+    rows: list[int | None] = list(range(len(live)))
     done: list[_LiveTrack] = []
 
     for pos in range(1, w.n):
         frame = w.frames[pos]
         objects = frame.objects
-        g = AssociationGraph(tuple(t.repr_obs for t in live), objects,
-                             _weights(live_boxes, frame.boxes(), cfg.alpha), cfg.w_min)
-        result = match_frames(g)
+        real, memo = _pair(w.frames[pos - 1], frame, cfg.alpha)
+        if None in rows:
+            result = _match_live(live, rows, real, frame, cfg)
+        else:
+            key = (tuple(rows), cfg.w_min)
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = _match_live(live, rows, real, frame, cfg)
         for i, j, _ in result.assignments:
             live[i].record(pos, objects[j])
         survivors = []
@@ -280,18 +325,10 @@ def _link_inferred(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
             else:
                 t.ghost()
                 survivors.append(t)
-        live = [live[i] for i, _, _ in result.assignments] + survivors
-        for j in result.unmatched_right:
-            live.append(_LiveTrack(pos, objects[j]))
-        # The live tracks' boxes, in live order: matched and new tracks'
-        # from this frame's cached boxes, ghosts' built after those.
-        pool = frame.boxes()
-        if survivors:
-            pool = box_arrays(objects + tuple(t.repr_obs for t in survivors))
-        live_boxes = pool.take(
-            [j for _, j, _ in result.assignments]
-            + list(range(len(objects), len(objects) + len(survivors)))
-            + list(result.unmatched_right))
+        live = ([live[i] for i, _, _ in result.assignments] + survivors
+                + [_LiveTrack(pos, objects[j]) for j in result.unmatched_right])
+        rows = ([j for _, j, _ in result.assignments] + [None] * len(survivors)
+                + list(result.unmatched_right))
     done.extend(live)
 
     tracks = [

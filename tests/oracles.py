@@ -13,6 +13,11 @@ the compiled engine in ``scenelogic.inference`` is checked against.
   answer's trace, a C2 payload's facts and a fact set's order, computed by
   scanning and sorting the whole trace or fact set on every call instead of
   reading the per-window indexes.
+- ``link_inferred_per_window`` and ``track_points_per_observation``:
+  inferred tracking and the BEV points ``compile_window`` reads, computed
+  for each window from scratch (every weight matrix built from the live
+  tracks' boxes, every point back-projected and mapped on its own) instead
+  of read from the per-frame and per-frame-pair caches.
 """
 
 from __future__ import annotations
@@ -30,6 +35,17 @@ from scenelogic.inference import (
     TraceStep,
 )
 from scenelogic.logicpad import RuleDecl, RuleSet
+from scenelogic.scene import BoxArrays, SceneWindow, bev_of, box_arrays
+from scenelogic.tracking import (
+    AssociationGraph,
+    TrackerConfig,
+    Trajectory,
+    _assign_ids,
+    _consolidate_attributes,
+    _LiveTrack,
+    _weights,
+    match_frames,
+)
 
 
 class OracleTooLarge(RuntimeError):
@@ -408,3 +424,65 @@ def scan_support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
             if named and any(arg in named for arg in f.args):
                 support.add(f)
     return sorted(support, key=fact_order)
+
+
+# ---------------------------------------------------------------------------
+# Per-window tracking and points
+# ---------------------------------------------------------------------------
+
+def link_inferred_per_window(w: SceneWindow, cfg: TrackerConfig = TrackerConfig(),
+                             visits: list | None = None) -> list[Trajectory]:
+    """Inferred tracking of one window with nothing reused from another.
+
+    When ``visits`` is a list, each frame-pair visit appends ``(prev, curr,
+    live, ghost)``: the two frames, the ids of the live tracks'
+    observations in row order, and whether any of them is a ghost."""
+    live = [_LiveTrack(0, obs) for obs in w.frames[0].objects]
+    live_boxes = box_arrays(w.frames[0].objects)
+    done: list[_LiveTrack] = []
+
+    for pos in range(1, w.n):
+        frame = w.frames[pos]
+        objects = frame.objects
+        if visits is not None:
+            visits.append((w.frames[pos - 1], frame, tuple(id(t.repr_obs) for t in live),
+                           any(t.misses for t in live)))
+        g = AssociationGraph(tuple(t.repr_obs for t in live), objects,
+                             _weights(live_boxes, box_arrays(objects), cfg.alpha), cfg.w_min)
+        result = match_frames(g)
+        for i, j, _ in result.assignments:
+            live[i].record(pos, objects[j])
+        survivors = []
+        for i in result.unmatched_left:
+            t = live[i]
+            if t.misses + 1 > cfg.max_gap or pos == w.n - 1:
+                done.append(t)
+            else:
+                t.ghost()
+                survivors.append(t)
+        live = [live[i] for i, _, _ in result.assignments] + survivors
+        for j in result.unmatched_right:
+            live.append(_LiveTrack(pos, objects[j]))
+        pool = box_arrays(objects + tuple(t.repr_obs for t in survivors))
+        take = ([j for _, j, _ in result.assignments]
+                + list(range(len(objects), len(objects) + len(survivors)))
+                + list(result.unmatched_right))
+        live_boxes = BoxArrays(pool.boxes[..., take], pool.categories[take])
+    done.extend(live)
+
+    tracks = [
+        Trajectory("", t.category, t.observations,
+                   _consolidate_attributes(t.observations))
+        for t in done
+    ]
+    return _assign_ids(tracks)
+
+
+def track_points_per_observation(w: SceneWindow, tracks: list[Trajectory]):
+    """Each track's BEV points by window position, in its own frame and in
+    the window's, one ``bev_of`` and one ``Transform2.transform`` per
+    observation."""
+    own = [{pos: bev_of(obs, w.intrinsics) for pos, obs in t.observations.items()}
+           for t in tracks]
+    cums = w.cumulative()
+    return own, [{pos: cums[pos].transform(p) for pos, p in pts.items()} for pts in own]

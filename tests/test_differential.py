@@ -1,18 +1,24 @@
-"""The array kernels against the scalar formulas they replaced.
+"""The array kernels and shared work against the formulas they replaced.
 
 Association weights, pairwise distance trends and per-sequence origin
-chains are computed over whole arrays or once per sequence; each test here
-keeps the per-pair (or per-window) computation as a reference and requires
-exactly equal results.
+chains are computed over whole arrays or once per sequence; BEV points,
+real-observation weights and assignments once per frame or frame pair;
+kinematics with scalars.  Each test here keeps the per-pair (or
+per-window, or array) computation as a reference and requires exactly
+equal results.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from scenelogic import tracking
+import oracles
+from scenelogic import facts, tracking
 from scenelogic.facts import CompilerConfig, compile_window
 from scenelogic.fol import Const, Literal
-from scenelogic.geometry import InsufficientAnchors, Transform2
+from scenelogic.geometry import CameraIntrinsics, InsufficientAnchors, Transform2, kinematics
 from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
 from scenelogic.scene import (
     STATIC_CATEGORIES,
@@ -22,9 +28,18 @@ from scenelogic.scene import (
     Sequence,
     bev_of,
     build_window,
+    sequence_from_dict,
+    sequence_to_dict,
     windows,
 )
-from scenelogic.tracking import Trajectory, build_graph, edge_weight, iou, link_window
+from scenelogic.tracking import (
+    TrackerConfig,
+    Trajectory,
+    build_graph,
+    edge_weight,
+    iou,
+    link_window,
+)
 
 from conftest import INTR, linear_track, make_sequence
 
@@ -299,3 +314,205 @@ def test_first_bad_pair_raises_the_per_window_message():
 
     # One-frame windows hold no frame pair, so no transform is estimated.
     assert len(windows(bad, 1)) == 16
+
+
+# ---------------------------------------------------------------------------
+# (d) Frame and frame-pair work shared between windows
+# ---------------------------------------------------------------------------
+
+def reloaded(frames):
+    """Equal frames as new objects, with nothing cached on them."""
+    seq = sequence_from_dict(sequence_to_dict(Sequence(INTR, tuple(frames))))
+    return seq.frames
+
+
+def track_rows(tracks):
+    return [(t.instance_id, t.category, t.attributes, sorted(t.observations.items()))
+            for t in tracks]
+
+
+def compiled(w, tracks):
+    wf = compile_window(w, tracks)
+    return wf.facts, wf.provenance
+
+
+def flow_or_overlap():
+    """Two vehicles a box apart moving one box right per frame: the
+    flow-carried IoU links each to its own continuation, the raw IoU links
+    the rear one to where the front one was.  The weights and the links
+    depend on ``alpha``."""
+    def frame(i):
+        boxes = [(10.0 * (i + k), 0.0, 10.0 * (i + k + 1), 10.0) for k in (0, 1)]
+        return FrameObservation(i, tuple(
+            ObjectObservation("Vehicle", ((b[0] + b[2]) / 2, 5.0), b, 10.0, flow_px=(10.0, 0.0))
+            for b in boxes))
+    return tuple(frame(i) for i in range(4))
+
+
+def identity_window(frames):
+    return SceneWindow(tuple(frames), INTR, 0, (Transform2.identity(),) * (len(frames) - 1))
+
+
+def test_links_follow_alpha_on_shared_frames():
+    frames = flow_or_overlap()
+    results = {}
+    for alpha in (1.0, 0.0, 0.5, 1.0):
+        cfg = TrackerConfig(alpha=alpha)
+        got = track_rows(link_window(identity_window(frames), "inferred", cfg))
+        want = track_rows(link_window(identity_window(reloaded(frames)), "inferred", cfg))
+        assert got == want
+        results[alpha] = got
+    assert results[1.0] != results[0.0]  # the scene tells the weights apart
+
+    seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=14)).sequence
+    fresh = windows(Sequence(seq.intrinsics, reloaded(seq.frames)), 10)
+    for alpha in (0.5, 0.9, 0.5):
+        cfg = TrackerConfig(alpha=alpha)
+        for w, alone in zip(windows(seq, 10), fresh):
+            assert track_rows(link_window(w, "inferred", cfg)) == \
+                track_rows(link_window(alone, "inferred", cfg))
+
+
+def test_points_follow_the_intrinsics_on_shared_frames():
+    seq = generate_scenario(ScenarioSpec("crossing", seed=4)).sequence
+    k = seq.intrinsics
+    other = replace(k, fx=k.fx * 1.25, cx=k.cx + 7.0)
+    results = []
+    for intrinsics in (k, other, k):
+        w = build_window(seq.frames, intrinsics)
+        alone = build_window(reloaded(seq.frames), intrinsics)
+        tracks, alone_tracks = link_window(w, "oracle"), link_window(alone, "oracle")
+        assert facts._track_points(w, tracks) == \
+            oracles.track_points_per_observation(alone, alone_tracks)
+        assert compiled(w, tracks) == compiled(alone, alone_tracks)
+        results.append(compiled(w, tracks)[1])
+    assert results[0] != results[1]  # the intrinsics move the points
+
+
+def test_a_frame_links_afresh_after_another_predecessor():
+    seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=10)).sequence
+    frames = seq.frames
+    link_window(build_window(frames, seq.intrinsics), "inferred")  # caches (f0, f1) on f1
+
+    def without_an_agent(f):
+        agent = next(o for o in f.objects if o.category not in STATIC_CATEGORIES)
+        return FrameObservation(f.frame_index, tuple(o for o in f.objects if o is not agent))
+
+    w = build_window((without_an_agent(frames[0]),) + frames[1:], seq.intrinsics)
+    fresh = reloaded(frames)
+    alone = build_window((without_an_agent(fresh[0]),) + fresh[1:], seq.intrinsics)
+    tracks, alone_tracks = link_window(w, "inferred"), link_window(alone, "inferred")
+    assert track_rows(tracks) == track_rows(alone_tracks)
+    assert compiled(w, tracks) == compiled(alone, alone_tracks)
+    assert track_rows(tracks) != track_rows(link_window(build_window(frames, seq.intrinsics)))
+
+
+GHOST_SCENES = {
+    "appear": lambda: generate_scenario(ScenarioSpec("appear", seed=3, n_frames=16)).sequence,
+    "disappear": lambda: generate_scenario(
+        ScenarioSpec("disappear", seed=3, n_frames=16)).sequence,
+    "crossing": lambda: generate_scenario(
+        ScenarioSpec("crossing", seed=4, n_frames=16, object_count=4)).sequence,
+    "occlusion_and_arrival": lambda: occlusion_and_arrival(n=16),
+}
+
+
+@pytest.mark.parametrize("scene", sorted(GHOST_SCENES))
+def test_shared_links_and_points_equal_per_window_work(scene):
+    seq = GHOST_SCENES[scene]()
+    fresh = windows(Sequence(seq.intrinsics, reloaded(seq.frames)), 10)
+    ghost_visits = 0
+    for w, alone in zip(windows(seq, 10), fresh):
+        visits = []
+        want = oracles.link_inferred_per_window(alone, visits=visits)
+        ghost_visits += sum(ghost for *_, ghost in visits)
+        tracks = link_window(w, "inferred")
+        assert track_rows(tracks) == track_rows(want)
+        assert facts._track_points(w, tracks) == \
+            oracles.track_points_per_observation(alone, want)
+    if scene != "appear":
+        assert ghost_visits > 0
+
+
+def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeypatch):
+    seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=20)).sequence
+    visits = []
+    for alone in windows(Sequence(seq.intrinsics, reloaded(seq.frames)), 10):
+        oracles.link_inferred_per_window(alone, visits=visits)
+    distinct = {(id(prev), id(curr), live) for prev, curr, live, ghost in visits if not ghost}
+    ghost_visits = sum(ghost for *_, ghost in visits)
+
+    weighed, solves = [], []
+    weights, solve = tracking._weights, scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(tracking, "_weights",
+                        lambda left, right, alpha: weighed.append((left, right))
+                        or weights(left, right, alpha))
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    for w in windows(seq, 10):
+        link_window(w, "inferred")
+
+    frame_of = {id(f.boxes()): i for i, f in enumerate(seq.frames)}
+    real = sorted((frame_of[id(left)], frame_of[id(right)])
+                  for left, right in weighed if id(left) in frame_of)
+    assert real == [(i, i + 1) for i in range(len(seq.frames) - 1)]
+    assert len(weighed) - len(real) <= ghost_visits
+    assert len(solves) <= len(distinct) + ghost_visits
+    assert len(visits) > 3 * (len(distinct) + ghost_visits)  # windows share most visits
+
+
+# ---------------------------------------------------------------------------
+# (e) Kinematics
+# ---------------------------------------------------------------------------
+
+def ref_kinematics(positions, fps):
+    """The array formulas kinematics used before it went scalar."""
+    pts = np.asarray(positions, dtype=float)
+    velocity = np.sqrt((np.diff(pts, axis=0) ** 2).sum(axis=1)) * fps
+    return (float(np.sqrt(((pts[-1] - pts[0]) ** 2).sum())), tuple(velocity.tolist()),
+            tuple((np.diff(velocity) * fps).tolist()))
+
+
+def test_kinematics_equal_array_reference():
+    rng = np.random.default_rng(11)
+    for case in range(400):
+        n = int(rng.integers(2, 14))
+        scale = 10.0 ** int(rng.integers(-3, 4))
+        positions = (rng.normal(0, 20, (n, 2)) * scale).tolist()
+        if case % 5 == 0:
+            positions[1] = positions[0]  # a zero step
+        k = CameraIntrinsics(800.0, 800.0, 640.0, 360.0, float(rng.choice([5.0, 10.0, 29.97])))
+        kin = kinematics([tuple(p) for p in positions], k)
+        assert (kin.displacement_total, kin.velocity, kin.accel) == \
+            ref_kinematics(positions, k.fps)
+
+
+def test_mean_evidence_equals_per_list_means():
+    """compile_window takes both per-track means in one 2-D call; each must
+    equal np.mean of its own list, for lists long enough to be summed
+    pairwise."""
+    rng = np.random.default_rng(12)
+    n = 24
+    window = SceneWindow(tuple(FrameObservation(i, ()) for i in range(n)), INTR, 0,
+                         (Transform2.identity(),) * (n - 1))
+    for _ in range(40):
+        tracks = []
+        for t in range(int(rng.integers(1, 5))):
+            seen = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+            observations = {}
+            for pos in seen:
+                cx, cy = rng.uniform(5, 1270), rng.uniform(5, 700)
+                observations[pos] = ObjectObservation(
+                    "Vehicle", (cx, cy), (cx - 5, cy - 5, cx + 5, cy + 5),
+                    float(rng.uniform(0.5, 80.0) * 10.0 ** int(rng.integers(-2, 3))))
+            tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
+        provenance = compile_window(window, tracks).provenance
+        for t in tracks:
+            observed = [o for _, o in t.frames_sorted()]
+            name = (Const(t.instance_id),)
+            x = next(ev["mean_centroid_x"] for f, ev in provenance.items()
+                     if f.args == name and "mean_centroid_x" in ev)
+            assert x == float(np.mean([o.centroid_px[0] for o in observed]))
+            depth = float(np.mean([o.depth_m for o in observed]))
+            if depth < CompilerConfig().close_depth:
+                assert provenance[Literal("CloseToCamera", name)] == {"mean_depth_m": depth}

@@ -11,9 +11,12 @@ from importlib import resources
 import pytest
 
 import scenelogic
+from oracles import brute_force_answer
 from scenelogic.cli import main as cli_main
+from scenelogic.evaluation import process_window
 from scenelogic.geometry import CameraIntrinsics
 from scenelogic.scenarios import InvalidSpec, ScenarioSpec, generate_scenario
+from scenelogic.questions import answer_to_text, parse_fol_query
 from scenelogic.scene import STATIC_CATEGORIES, ObjectObservation, save_annotation, windows
 
 from conftest import linear_track, make_sequence
@@ -117,6 +120,35 @@ def test_rule_file_errors_exit_at_config(tmp_path, capsys, rule, message):
     for flags in (["query", str(path), "--q", "Gone(x)", "--fol"], ["ingest", str(path)]):
         assert cli_main([*flags, "--rules", str(rules)]) == 2
         assert capsys.readouterr().err == f"config: {message}\n"
+
+
+@pytest.mark.parametrize("doc,message", [
+    ('rules: ["forall x: Moves(x) -> Moves(x)"]\n',
+     "rules[0]: must be a mapping, not 'forall x: Moves(x) -> Moves(x)'"),
+    ("predicates: [Moves]\n", "predicates[0]: must be a mapping, not 'Moves'"),
+    ("predicates:\n  - {name: Moves, arity: one}\n",
+     "predicate 'Moves': arity must be an integer, not 'one'"),
+], ids=["bare-rule", "bare-predicate", "word-arity"])
+def test_badly_shaped_rule_file_entries_exit_at_config(tmp_path, capsys, doc, message):
+    path = _static_scene(tmp_path)
+    rules = tmp_path / "rules.yaml"
+    rules.write_text(doc)
+    for flags in (["query", str(path), "--q", "Moves(x)", "--fol"], ["ingest", str(path)]):
+        assert cli_main([*flags, "--rules", str(rules)]) == 2
+        assert capsys.readouterr().err == f"config: {message}\n"
+
+
+def test_fol_query_with_term_inequality_answers_as_grounding_does(tmp_path, capsys, rules):
+    seq = generate_scenario(ScenarioSpec("collide", seed=3)).sequence
+    path = tmp_path / "annotation.json"
+    save_annotation(seq, path)
+    text = "Vehicle(x) & Vehicle(y) & (x != y)"
+    assert cli_main(["query", str(path), "--fol", "--q", text]) == 0
+    _, sat = process_window(windows(seq)[0], rules)
+    q = parse_fol_query(text, rules)
+    want = brute_force_answer(sat, q)
+    assert len(want.bindings) == 2  # two vehicles, in either order
+    assert capsys.readouterr().out == answer_to_text(want, q) + "\n"
 
 
 def test_english_question_with_undeclared_predicate_exits_at_question(tmp_path, capsys):

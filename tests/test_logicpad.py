@@ -3,6 +3,7 @@
 import pytest
 
 from scenelogic.fol import And, Const, Implies, Literal, Var
+from scenelogic.inference import FactSet, saturate
 from scenelogic.logicpad import (
     ArityMismatch,
     NotStratifiable,
@@ -123,6 +124,39 @@ def test_question_mark_variables():
     assert st.body == Literal("Moves", (Var("item"),))
 
 
+@pytest.mark.parametrize("lit", [
+    Literal("=", (x, y)), Literal("=", (x, y), negated=True),
+    Literal("=", (x, Const("White"))), Literal("=", (Const("car1"), y), negated=True),
+], ids=["eq", "neq", "eq-const", "neq-const"])
+def test_term_equality_prints_and_parses_back(lit):
+    assert parse_fol_expr(str(lit)).body == lit
+
+
+def test_term_equality_reads_equals_and_not_equals():
+    assert parse_fol_expr("(x = y)").body == Literal("=", (x, y))
+    assert parse_fol_expr("(x != y)").body == Literal("=", (x, y), negated=True)
+    assert parse_fol_expr("!(?a != White)").body == Literal("=", (Var("a"), Const("White")))
+    st = parse_fol_expr("Vehicle(x) & Vehicle(y) & (x != y)")
+    assert st.body.parts[2] == Literal("=", (x, y), negated=True)
+    with pytest.raises(ParseError, match="expected '\\(', found '&'"):
+        parse_fol_expr("Moves & Vehicle(x)")
+
+
+def test_term_equality_in_a_rule_body():
+    rs = parse_rule_file(
+        "predicates:\n"
+        "  - {name: Pedestrian, arity: 1}\n"
+        "  - {name: Pair, arity: 2, source: derived}\n"
+        "rules:\n"
+        '  - {name: pair, fol: "forall x, y: (Pedestrian(x) & Pedestrian(y) & (x != y))'
+        ' -> Pair(x, y)"}\n')
+    assert rs.rules[0].body[2] == Literal("=", (x, y), negated=True)
+    a, b = Const("a"), Const("b")
+    sat = saturate(FactSet.of([Literal("Pedestrian", (a,)), Literal("Pedestrian", (b,))]), rs)
+    assert {f for f in sat.facts if f.pred == "Pair"} == {
+        Literal("Pair", (a, b)), Literal("Pair", (b, a))}
+
+
 # ---------------------------------------------------------------------------
 # Built-in rule file
 # ---------------------------------------------------------------------------
@@ -202,7 +236,18 @@ def test_rule_errors_name_the_rule(row, message):
     ("predicates:\n  - {name: Moves, arity: 1, source: derivd}\n",
      "predicate 'Moves': source must be atomic or derived, not 'derivd'"),
     ("functions:\n  - {doc: colour}\n", "functions[0]: missing key 'name'"),
-], ids=["missing-arity", "missing-name", "bad-source", "function-without-name"])
+    ("predicates: [Moves]\n", "predicates[0]: must be a mapping, not 'Moves'"),
+    ("predicates:\n  - {name: Moves, arity: one}\n",
+     "predicate 'Moves': arity must be an integer, not 'one'"),
+    ("predicates:\n  - {name: Moves, arity: 1.5}\n",
+     "predicate 'Moves': arity must be an integer, not 1.5"),
+    ("functions: [ColOf]\n", "functions[0]: must be a mapping, not 'ColOf'"),
+    ('rules: ["forall x: Moves(x) -> Moves(x)"]\n',
+     "rules[0]: must be a mapping, not 'forall x: Moves(x) -> Moves(x)'"),
+    ("predicates: {Moves: 1}\n", "predicates: must be a list of mappings, not {'Moves': 1}"),
+], ids=["missing-arity", "missing-name", "bad-source", "function-without-name",
+        "bare-predicate", "word-arity", "fraction-arity", "bare-function", "bare-rule",
+        "section-not-a-list"])
 def test_declaration_errors_name_the_entry(text, message):
     with pytest.raises(ParseError) as exc:
         parse_rule_file(text)
