@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -12,8 +13,8 @@ from .fol import Const, Literal
 from .geometry import kinematics
 from .inference import FactSet
 from .logicpad import RuleSet
-from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, bev_of
-from .tracking import Trajectory, presence
+from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, Sequence, bev_of
+from .tracking import Trajectory, cut_source, presence
 
 
 class UndeclaredCategory(ValueError):
@@ -73,39 +74,68 @@ def _track_points(w: SceneWindow, tracks: list[Trajectory]):
     return own, window
 
 
-def _distance_trends(bev: list[dict], n: int):
-    """The distance series of every track pair over the frames where both
-    are observed, each distance in that frame's own coordinates (rigid
-    camera motion cannot change it).
+def _pair_table(points: list[dict], n: int):
+    """Distance trends of every track pair over ``n`` frames, from which any
+    run of frames reads its own (``_trends``).
 
-    ``bev[t]`` maps track t's window positions to BEV points.  Returns, for
-    the pairs ``ia < ib`` with two or more common frames: the number of
-    steps between consecutive common frames, how many of them decrease and
-    increase the distance, and the first and last distances.
+    ``points[t]`` maps track t's frame positions to BEV points in their own
+    frame's coordinates (rigid camera motion cannot change a distance), so a
+    pair's distance in a frame is the same whichever frames are read.  The
+    pairs are ``ia < ib``.  Their common frames, in pair-then-frame order,
+    are the table's entries: each entry's distance, and the running counts
+    of the steps between consecutive entries of a pair that decrease and
+    increase the distance.  ``upto[p, f]`` counts the entries up to pair p's
+    frame f, so a run of frames finds its entries of each pair by index.
     """
-    rows = [t for t, keyed in enumerate(bev) for _ in keyed]
-    cols = [pos for keyed in bev for pos in keyed]
-    pts = np.zeros((len(bev), n, 2))
-    seen = np.zeros((len(bev), n), dtype=bool)
-    pts[rows, cols] = np.array([p for keyed in bev for p in keyed.values()]).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(points)), [len(keyed) for keyed in points])
+    cols = np.fromiter(chain.from_iterable(points), int)
+    seen = np.zeros((len(points), n), dtype=bool)
     seen[rows, cols] = True
-    ia, ib = np.triu_indices(len(bev), 1)
+    # x and z of each point at its flat (track, frame) index.
+    values = chain.from_iterable(chain.from_iterable(keyed.values() for keyed in points))
+    xz = np.zeros((2, len(points) * n))
+    xz[:, rows * n + cols] = np.fromiter(values, float).reshape(-1, 2).T
+    ia, ib = np.triu_indices(len(points), 1)
     both = seen[ia] & seen[ib]
-    common = both.sum(axis=1)
-    keep = common >= 2
-    ia, ib, both, steps = ia[keep], ib[keep], both[keep], common[keep] - 1
-    diff = pts[ia] - pts[ib]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    # For each frame, the latest common frame up to it (-1 before the first).
-    latest = np.maximum.accumulate(np.where(both, np.arange(n), -1), axis=1)
-    prev = np.take_along_axis(d, np.maximum(latest[:, :-1], 0), axis=1)
-    step = both[:, 1:] & (latest[:, :-1] >= 0)
-    dec = (step & (d[:, 1:] < prev)).sum(axis=1)
-    inc = (step & (d[:, 1:] > prev)).sum(axis=1)
-    pair = np.arange(len(d))
-    first = d[pair, both.argmax(axis=1)]
-    last = d[pair, latest[:, -1]]
-    return ia.tolist(), ib.tolist(), steps, dec, inc, first, last
+    pair, frame = np.nonzero(both)
+    dx, dz = (np.take(xz, ia[pair] * n + frame, axis=1)
+              - np.take(xz, ib[pair] * n + frame, axis=1))
+    d = np.hypot(dx, dz)
+    step = pair[1:] == pair[:-1]
+    dec, inc = np.zeros((2, len(d)), dtype=int)
+    np.cumsum(step & (d[1:] < d[:-1]), out=dec[1:])
+    np.cumsum(step & (d[1:] > d[:-1]), out=inc[1:])
+    upto = np.cumsum(both).reshape(both.shape)
+    return ia, ib, both, upto, d, dec, inc
+
+
+def _trends(table, start: int, stop: int):
+    """The pairs with two or more common frames in ``start..stop-1``, as
+    table rows ``ia < ib``, with the number of steps between consecutive
+    common frames there, how many of them decrease and increase the
+    distance, and the first and last distances."""
+    ia, ib, both, upto, d, dec, inc = table
+    first = upto[:, start] - both[:, start]
+    last = upto[:, stop - 1] - 1
+    p = np.flatnonzero(last > first)
+    first, last = first[p], last[p]
+    return (ia[p].tolist(), ib[p].tolist(), last - first, dec[last] - dec[first],
+            inc[last] - inc[first], d[first], d[last])
+
+
+def _sequence_table(seq: Sequence, k, tracks: list[Trajectory]):
+    """``_pair_table`` of a sequence's tracks, built once per intrinsics and
+    track list and cached on the sequence.  The entry holds ``tracks``, so
+    the ``id`` in its key stays unique."""
+    cache = seq.__dict__.setdefault("_pair_tables", {})
+    key = (k, id(tracks))
+    entry = cache.get(key)
+    if entry is None:
+        bev = [f.bev(k) for f in seq.frames]
+        points = [{pos: bev[pos][id(obs)] for pos, obs in t.observations.items()}
+                  for t in tracks]
+        entry = cache[key] = (tracks, _pair_table(points, len(seq.frames)))
+    return entry[1]
 
 
 def _dense_positions(keyed: dict[int, tuple[float, float]]) -> list[tuple[float, float]]:
@@ -206,13 +236,22 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
             emit("TypeOfRel", name, _vocab_constant(rules, "types", t.attributes["type"])
                  if rules else str(t.attributes["type"]))
 
-    # Pairwise relations over frames where both instances are observed.
-    ia, ib, steps, dec, inc, first, last = _distance_trends(bev, w.n)
+    # Pairwise relations over frames where both instances are observed.  A
+    # cut of the sequence's tracks reads the sequence's table; any other
+    # track list gets a table of its own over the window's frames.
+    source = cut_source(w, tracks)
+    if source is None:
+        table, start, by_row = _pair_table(bev, w.n), 0, tracks
+    else:
+        seq_tracks, rows = source
+        table = _sequence_table(w.sequence, k, seq_tracks)
+        start, by_row = w.start, dict(zip(rows, tracks))
+    ia, ib, steps, dec, inc, first, last = _trends(table, start, start + w.n)
     decreases = (dec / steps >= cfg.trend_frac) & (first - last > cfg.eps_move)
     increases = (inc / steps >= cfg.trend_frac) & (last - first > cfg.eps_move)
     first, last = first.tolist(), last.tolist()
     for p in np.flatnonzero(decreases | increases).tolist():
-        a, b = tracks[ia[p]], tracks[ib[p]]
+        a, b = by_row[ia[p]], by_row[ib[p]]
         if decreases[p]:
             for x, y in ((a, b), (b, a)):
                 emit("DistanceDecreases", x.instance_id, y.instance_id,
@@ -226,19 +265,16 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
                      initial_m=first[p], final_m=last[p])
 
     # Support relations: only tracked dynamic objects rest on surfaces.
+    surfaces = [s for s in tracks if s.category in SURFACE_CATEGORIES]
     for a in tracks:
         if a.category in STATIC_CATEGORIES:
             continue
-        for s in tracks:
-            if s.category not in SURFACE_CATEGORIES or s is a:
+        feet = {p: _bottom_mid(o.bbox) for p, o in a.observations.items()}
+        for s in surfaces:
+            common = feet.keys() & s.observations.keys()
+            if s is a or not common:
                 continue
-            common = sorted(set(a.observations) & set(s.observations))
-            if not common:
-                continue
-            hits = sum(
-                1 for p in common
-                if _contains(s.observations[p].bbox, _bottom_mid(a.observations[p].bbox))
-            )
+            hits = sum(_contains(s.observations[p].bbox, feet[p]) for p in common)
             if hits / len(common) > 0.5:
                 emit("On", a.instance_id, s.instance_id,
                      containment_frac=hits / len(common))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,10 +132,18 @@ class SceneWindow:
     intrinsics: CameraIntrinsics
     window_id: int
     origin_chain: tuple[Transform2, ...]
+    # The sequence the window was cut from and the position of its first
+    # frame there.  A window made without one is a sequence of its own frames.
+    sequence: Sequence | None = field(default=None, compare=False, repr=False)
+    start: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.origin_chain) != len(self.frames) - 1:
             raise ValueError("origin chain must have one transform per frame pair")
+        if self.sequence is None:
+            object.__setattr__(self, "sequence", Sequence(self.intrinsics, self.frames))
+        elif self.sequence.frames[self.start:self.start + len(self.frames)] != self.frames:
+            raise ValueError(f"window frames must be the sequence's frames from {self.start}")
 
     @property
     def n(self) -> int:
@@ -220,7 +228,8 @@ def _origin_chain(frames, intrinsics: CameraIntrinsics) -> list[Transform2]:
 
 def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0) -> SceneWindow:
     """Assemble a SceneWindow, estimating the frame-pair origin transforms
-    from static-object correspondences."""
+    from static-object correspondences.  The window is a sequence of its
+    own frames."""
     frames = tuple(frames)
     chain = _origin_chain(frames, intrinsics)
     return SceneWindow(frames, intrinsics, window_id, tuple(chain))
@@ -231,15 +240,19 @@ def windows(seq: Sequence, n: int | None = None) -> list[SceneWindow]:
 
     ``n`` defaults to DEFAULT_WINDOW frames, or the whole sequence when it is
     shorter.  Each frame pair's transform is estimated once and shared by
-    every window that holds the pair.
+    every window that holds the pair.  Each window knows ``seq`` and its
+    start in it, so that work done once per sequence is shared too.
     """
     if n is None:
         n = min(len(seq.frames), DEFAULT_WINDOW)
+    elif n < 1:
+        raise ValueError(f"window length must be at least 1, got {n}")
     if len(seq.frames) < n:
         raise ValueError(f"sequence has {len(seq.frames)} frames, window needs {n}")
     chain = _origin_chain(seq.frames, seq.intrinsics) if n > 1 else []
     return [
-        SceneWindow(seq.frames[i:i + n], seq.intrinsics, i, tuple(chain[i:i + n - 1]))
+        SceneWindow(seq.frames[i:i + n], seq.intrinsics, i, tuple(chain[i:i + n - 1]),
+                    seq, i)
         for i in range(len(seq.frames) - n + 1)
     ]
 

@@ -1,8 +1,10 @@
-"""Instance tracking across a window by weighted bipartite matching.
+"""Instance tracking by weighted bipartite matching.
 
 Edge weights blend two box overlaps: the raw IoU and the IoU after carrying
 the earlier box along its optical flow.  Short occlusions are bridged with
-hypothetical observations extrapolated at constant velocity.
+hypothetical observations extrapolated at constant velocity.  Inferred
+tracking runs over a window's whole sequence; each window gets the
+sequence's tracks cut to its frames.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .scene import (
     FrameObservation,
     ObjectObservation,
     SceneWindow,
+    Sequence,
     box_arrays,
     with_areas,
 )
@@ -172,9 +175,12 @@ def _consolidate_attributes(observations) -> dict:
     """Each attribute's most frequent value, the one seen first winning a
     tie (``max`` keeps the first of equal keys, and dicts keep insertion
     order)."""
+    seen = [obs.attributes or {} for _, obs in sorted(observations.items())]
+    if seen and all(attributes == seen[0] for attributes in seen):
+        return dict(seen[0])  # the usual case: every value wins every vote
     votes: dict[str, dict] = {}
-    for _, obs in sorted(observations.items()):
-        for key, value in (obs.attributes or {}).items():
+    for attributes in seen:
+        for key, value in attributes.items():
             counts = votes.setdefault(key, {})
             counts[value] = counts.get(value, 0) + 1
     return {key: max(counts, key=counts.get) for key, counts in votes.items()}
@@ -182,7 +188,7 @@ def _consolidate_attributes(observations) -> dict:
 
 def _assign_ids(tracks: list[Trajectory]) -> list[Trajectory]:
     """Deterministic instance ids: category plus ordinal by first appearance,
-    leftmost centroid breaking ties."""
+    leftmost centroid breaking ties, then the order of ``tracks``."""
     def sort_key(t: Trajectory):
         first = t.first_frame
         obs = t.observations[first]
@@ -263,21 +269,6 @@ class _LiveTrack:
         )
 
 
-def _pair(prev: FrameObservation, curr: FrameObservation, alpha: float):
-    """The real-observation weights ``_weights(prev.boxes(), curr.boxes(),
-    alpha)`` and a memo of the matchings over them, built once per
-    (predecessor frame, alpha) and cached on ``curr`` like its boxes.  The
-    entry holds ``prev``, so the ``id`` in its key stays unique."""
-    cache = curr.__dict__.setdefault("_pairs", {})
-    key = (id(prev), alpha)
-    entry = cache.get(key)
-    if entry is None:
-        weights = _weights(prev.boxes(), curr.boxes(), alpha)
-        weights.flags.writeable = False
-        entry = cache[key] = (prev, weights, {})
-    return entry[1], entry[2]
-
-
 def _match_live(live: list[_LiveTrack], rows: list[int | None], real: np.ndarray,
                 frame: FrameObservation, cfg: TrackerConfig) -> MatchResult:
     """Match the live tracks to ``frame``'s objects.  ``rows[i]`` is live
@@ -298,45 +289,78 @@ def _match_live(live: list[_LiveTrack], rows: list[int | None], real: np.ndarray
                                          weights, cfg.w_min))
 
 
-def _link_inferred(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
-    live = [_LiveTrack(0, obs) for obs in w.frames[0].objects]
+def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
+    """Track over ``frames``, with observations keyed by position in them
+    and no attributes."""
+    live = [_LiveTrack(0, obs) for obs in frames[0].objects]
     # Each live track's row in the previous frame's objects; None for a ghost.
     rows: list[int | None] = list(range(len(live)))
-    done: list[_LiveTrack] = []
+    # Every track in birth order: by frame, then by index within the frame.
+    born = list(live)
 
-    for pos in range(1, w.n):
-        frame = w.frames[pos]
+    for pos in range(1, len(frames)):
+        prev, frame = frames[pos - 1], frames[pos]
         objects = frame.objects
-        real, memo = _pair(w.frames[pos - 1], frame, cfg.alpha)
-        if None in rows:
-            result = _match_live(live, rows, real, frame, cfg)
-        else:
-            key = (tuple(rows), cfg.w_min)
-            result = memo.get(key)
-            if result is None:
-                result = memo[key] = _match_live(live, rows, real, frame, cfg)
+        real = _weights(prev.boxes(), frame.boxes(), cfg.alpha)
+        result = _match_live(live, rows, real, frame, cfg)
         for i, j, _ in result.assignments:
             live[i].record(pos, objects[j])
         survivors = []
         for i in result.unmatched_left:
             t = live[i]
-            if t.misses + 1 > cfg.max_gap or pos == w.n - 1:
-                done.append(t)
-            else:
+            if t.misses + 1 <= cfg.max_gap and pos < len(frames) - 1:
                 t.ghost()
                 survivors.append(t)
-        live = ([live[i] for i, _, _ in result.assignments] + survivors
-                + [_LiveTrack(pos, objects[j]) for j in result.unmatched_right])
+        new = [_LiveTrack(pos, objects[j]) for j in result.unmatched_right]
+        born += new
+        live = [live[i] for i, _, _ in result.assignments] + survivors + new
         rows = ([j for _, j, _ in result.assignments] + [None] * len(survivors)
                 + list(result.unmatched_right))
-    done.extend(live)
 
-    tracks = [
-        Trajectory("", t.category, t.observations,
-                   _consolidate_attributes(t.observations))
-        for t in done
-    ]
-    return _assign_ids(tracks)
+    return _assign_ids([Trajectory("", t.category, t.observations) for t in born])
+
+
+def _sequence_tracks(seq: Sequence, cfg: TrackerConfig) -> list[Trajectory]:
+    """The inferred tracks of the whole sequence, linked once per ``cfg`` and
+    cached on the sequence like a frame's boxes."""
+    cache = seq.__dict__.setdefault("_tracks", {})
+    tracks = cache.get(cfg)
+    if tracks is None:
+        tracks = cache[cfg] = _link_inferred(seq.frames, cfg)
+    return tracks
+
+
+def _cut(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
+    """The sequence tracks cut to the window's frames, with positions
+    rebased to the window and attributes voted over the window's own
+    observations.  The cut is recorded on the window for ``cut_source``."""
+    start, stop = w.start, w.start + w.n
+    seq_tracks = _sequence_tracks(w.sequence, cfg)
+    tracks, rows, kept = [], [], []
+    for row, t in enumerate(seq_tracks):
+        observations = {pos - start: obs for pos, obs in t.observations.items()
+                        if start <= pos < stop}
+        if observations:
+            cut = Trajectory(t.instance_id, t.category, observations,
+                             _consolidate_attributes(observations))
+            tracks.append(cut)
+            rows.append(row)
+            kept.append((cut, dict(observations)))
+    w.__dict__.setdefault("_cuts", {})[cfg] = (tracks, kept, seq_tracks, rows)
+    return tracks
+
+
+def cut_source(w: SceneWindow, tracks: list[Trajectory]):
+    """``(sequence tracks, rows)`` when ``tracks`` is a list ``link_window``
+    cut for ``w`` in inferred mode, holding the same tracks with the same
+    observations; ``rows[i]`` is track i's index among the sequence
+    tracks.  None for any other list."""
+    for cut, kept, seq_tracks, rows in w.__dict__.get("_cuts", {}).values():
+        if cut is tracks and len(tracks) == len(kept) and all(
+                t is k and t.observations == observations
+                for t, (k, observations) in zip(tracks, kept)):
+            return seq_tracks, rows
+    return None
 
 
 def link_window(w: SceneWindow, mode: str = "inferred",
@@ -345,9 +369,12 @@ def link_window(w: SceneWindow, mode: str = "inferred",
 
     ``oracle`` trusts gt_instance labels; ``inferred`` chains frame-pair
     matchings, bridging up to ``cfg.max_gap`` occluded frames per track.
+    Inferred tracking runs once over the window's whole sequence and gives
+    ids once, so an object keeps its id from window to window; the window
+    gets those tracks cut to its frames.
     """
     if mode == "oracle":
         return _link_oracle(w)
     if mode == "inferred":
-        return _link_inferred(w, cfg)
+        return _cut(w, cfg)
     raise ValueError(f"unknown tracking mode {mode!r}")

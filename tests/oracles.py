@@ -15,14 +15,21 @@ the compiled engine in ``scenelogic.inference`` is checked against.
   reading the per-window indexes.
 - ``link_inferred_per_window`` and ``track_points_per_observation``:
   inferred tracking and the BEV points ``compile_window`` reads, computed
-  for each window from scratch (every weight matrix built from the live
-  tracks' boxes, every point back-projected and mapped on its own) instead
-  of read from the per-frame and per-frame-pair caches.
+  for one window's frames from scratch (every weight matrix built from the
+  live tracks' boxes, every point back-projected and mapped on its own)
+  instead of read from the per-frame caches.  ``cut_tracks`` cuts tracks
+  to a run of frames; run over a whole sequence and cut, the per-window
+  tracker is the reference for the once-per-sequence tracker.
+- ``distance_trends_per_window``: the distance trends of a window's track
+  pairs computed from that window's points alone, instead of read from a
+  per-sequence pair table.
 """
 
 from __future__ import annotations
 
 from itertools import product
+
+import numpy as np
 
 from scenelogic.fol import Const, Literal, Substitution, Var, apply, to_cnf, unify
 from scenelogic.inference import (
@@ -427,7 +434,7 @@ def scan_support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
 
 
 # ---------------------------------------------------------------------------
-# Per-window tracking and points
+# Per-window tracking, points and distance trends
 # ---------------------------------------------------------------------------
 
 def link_inferred_per_window(w: SceneWindow, cfg: TrackerConfig = TrackerConfig(),
@@ -486,3 +493,51 @@ def track_points_per_observation(w: SceneWindow, tracks: list[Trajectory]):
            for t in tracks]
     cums = w.cumulative()
     return own, [{pos: cums[pos].transform(p) for pos, p in pts.items()} for pts in own]
+
+
+def cut_tracks(tracks: list[Trajectory], start: int, n: int) -> list[Trajectory]:
+    """``tracks`` restricted to positions ``start..start+n-1`` and rebased
+    to 0, attributes voted over the observations kept; tracks with none
+    left are dropped, the rest sorted by id."""
+    out = []
+    for t in tracks:
+        observations = {pos - start: obs for pos, obs in sorted(t.observations.items())
+                        if start <= pos < start + n}
+        if observations:
+            out.append(Trajectory(t.instance_id, t.category, observations,
+                                  _consolidate_attributes(observations)))
+    return sorted(out, key=lambda t: t.instance_id)
+
+
+def distance_trends_per_window(bev: list[dict], n: int):
+    """The distance series of every track pair over the frames where both
+    are observed, each distance in that frame's own coordinates.
+
+    ``bev[t]`` maps track t's window positions to BEV points.  Returns, for
+    the pairs ``ia < ib`` with two or more common frames: the number of
+    steps between consecutive common frames, how many of them decrease and
+    increase the distance, and the first and last distances.
+    """
+    rows = [t for t, keyed in enumerate(bev) for _ in keyed]
+    cols = [pos for keyed in bev for pos in keyed]
+    pts = np.zeros((len(bev), n, 2))
+    seen = np.zeros((len(bev), n), dtype=bool)
+    pts[rows, cols] = np.array([p for keyed in bev for p in keyed.values()]).reshape(-1, 2)
+    seen[rows, cols] = True
+    ia, ib = np.triu_indices(len(bev), 1)
+    both = seen[ia] & seen[ib]
+    common = both.sum(axis=1)
+    keep = common >= 2
+    ia, ib, both, steps = ia[keep], ib[keep], both[keep], common[keep] - 1
+    diff = pts[ia] - pts[ib]
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    # For each frame, the latest common frame up to it (-1 before the first).
+    latest = np.maximum.accumulate(np.where(both, np.arange(n), -1), axis=1)
+    prev = np.take_along_axis(d, np.maximum(latest[:, :-1], 0), axis=1)
+    step = both[:, 1:] & (latest[:, :-1] >= 0)
+    dec = (step & (d[:, 1:] < prev)).sum(axis=1)
+    inc = (step & (d[:, 1:] > prev)).sum(axis=1)
+    pair = np.arange(len(d))
+    first = d[pair, both.argmax(axis=1)]
+    last = d[pair, latest[:, -1]]
+    return ia.tolist(), ib.tolist(), steps, dec, inc, first, last

@@ -1,10 +1,9 @@
 """The array kernels and shared work against the formulas they replaced.
 
-Association weights, pairwise distance trends and per-sequence origin
-chains are computed over whole arrays or once per sequence; BEV points,
-real-observation weights and assignments once per frame or frame pair;
-kinematics with scalars.  Each test here keeps the per-pair (or
-per-window, or array) computation as a reference and requires exactly
+Association weights are computed over whole arrays; origin chains,
+inferred tracks and pairwise distance trends once per sequence; BEV points
+once per frame; kinematics with scalars.  Each test here keeps the per-pair
+(or per-window, or array) computation as a reference and requires exactly
 equal results.
 """
 
@@ -259,6 +258,83 @@ def test_distance_facts_equal_scalar_reference_on_random_tracks():
     assert emitted > 0
 
 
+def rows_to_window(trends, rows):
+    """Trends read from a sequence table, with pair rows renamed to the
+    window's track indices."""
+    window_index = {row: i for i, row in enumerate(rows)}
+    ia, ib, *rest = trends
+    return ([window_index[r] for r in ia], [window_index[r] for r in ib], *rest)
+
+
+def assert_same_trends(got, want):
+    assert got[:2] == want[:2]
+    for a, b in zip(got[2:], want[2:]):
+        assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pair_table_equals_per_window_trends_on_generated_scenes(kind):
+    sc = generate_scenario(ScenarioSpec(kind, seed=21, n_frames=16, object_count=5))
+    for w in windows(sc.sequence, 10):
+        tracks = link_window(w, "inferred")
+        seq_tracks, rows = tracking.cut_source(w, tracks)
+        table = facts._sequence_table(w.sequence, w.intrinsics, seq_tracks)
+        got = rows_to_window(facts._trends(table, w.start, w.start + w.n), rows)
+        own, _ = oracles.track_points_per_observation(w, tracks)
+        assert_same_trends(got, oracles.distance_trends_per_window(own, w.n))
+        # A copy of the list is not the cut: it gets a table of its own.
+        copy = list(tracks)
+        assert tracking.cut_source(w, copy) is None
+        assert compiled(w, tracks) == compiled(w, copy)
+        # Nor is the cut once a track in it is edited.
+        edited = next(t for t in tracks if len(t.observations) > 2)
+        del edited.observations[max(edited.observations)]
+        assert tracking.cut_source(w, tracks) is None
+        assert compiled(w, tracks) == compiled(w, list(tracks))
+
+
+def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch):
+    """Random sequence tracks with gaps, cut to windows of random length at
+    every start: the trends read from the sequence's table equal those of
+    the window's own points, and the distance facts and provenance equal
+    the per-pair loop's."""
+    rng = np.random.default_rng(5)
+    cfg = CompilerConfig(trend_frac=0.5, eps_move=0.05)
+    n = 14
+    emitted = 0
+    for _ in range(25):
+        seq_tracks, per_frame = [], [[] for _ in range(n)]
+        for t in range(int(rng.integers(0, 7))):
+            seen = np.flatnonzero(rng.random(n) < 0.7).tolist() or [0]
+            observations = {}
+            for pos in seen:
+                cx, cy = (float(v) for v in rng.integers(100, 540, 2) // 40 * 40)
+                observations[pos] = ObjectObservation(
+                    "Vehicle", (cx, cy), (cx - 5, cy - 5, cx + 5, cy + 5),
+                    float(rng.integers(2, 6)))
+                per_frame[pos].append(observations[pos])
+            seq_tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
+        seq = Sequence(INTR, tuple(FrameObservation(i, tuple(objects))
+                                   for i, objects in enumerate(per_frame)))
+        monkeypatch.setattr(tracking, "_link_inferred", lambda frames, cfg: seq_tracks)
+        m = int(rng.integers(1, n + 1))
+        for start in range(n - m + 1):
+            w = SceneWindow(seq.frames[start:start + m], INTR, start,
+                            (Transform2.identity(),) * (m - 1), seq, start)
+            tracks = link_window(w, "inferred")
+            assert track_rows(tracks) == track_rows(oracles.cut_tracks(seq_tracks, start, m))
+            _, rows = tracking.cut_source(w, tracks)
+            table = facts._sequence_table(seq, INTR, seq_tracks)
+            own, _ = oracles.track_points_per_observation(w, tracks)
+            assert_same_trends(rows_to_window(facts._trends(table, start, start + m), rows),
+                               oracles.distance_trends_per_window(own, m))
+            got = distance_part(compile_window(w, tracks, cfg))
+            assert got == ref_distance_facts(w, tracks, cfg)
+            assert got == distance_part(compile_window(w, list(tracks), cfg))
+            emitted += len(got[0])
+    assert emitted > 0
+
+
 # ---------------------------------------------------------------------------
 # (c) Origin chains computed once per sequence
 # ---------------------------------------------------------------------------
@@ -317,7 +393,7 @@ def test_first_bad_pair_raises_the_per_window_message():
 
 
 # ---------------------------------------------------------------------------
-# (d) Frame and frame-pair work shared between windows
+# (d) Tracks linked once per sequence and BEV points once per frame
 # ---------------------------------------------------------------------------
 
 def reloaded(frames):
@@ -355,10 +431,11 @@ def identity_window(frames):
 
 def test_links_follow_alpha_on_shared_frames():
     frames = flow_or_overlap()
+    w = identity_window(frames)  # one sequence, linked once per alpha
     results = {}
     for alpha in (1.0, 0.0, 0.5, 1.0):
         cfg = TrackerConfig(alpha=alpha)
-        got = track_rows(link_window(identity_window(frames), "inferred", cfg))
+        got = track_rows(link_window(w, "inferred", cfg))
         want = track_rows(link_window(identity_window(reloaded(frames)), "inferred", cfg))
         assert got == want
         results[alpha] = got
@@ -379,12 +456,14 @@ def test_points_follow_the_intrinsics_on_shared_frames():
     other = replace(k, fx=k.fx * 1.25, cx=k.cx + 7.0)
     results = []
     for intrinsics in (k, other, k):
-        w = build_window(seq.frames, intrinsics)
+        # Every window is cut from ``seq``, so they share its pair tables.
+        w = replace(build_window(seq.frames, intrinsics), sequence=seq)
         alone = build_window(reloaded(seq.frames), intrinsics)
-        tracks, alone_tracks = link_window(w, "oracle"), link_window(alone, "oracle")
-        assert facts._track_points(w, tracks) == \
-            oracles.track_points_per_observation(alone, alone_tracks)
-        assert compiled(w, tracks) == compiled(alone, alone_tracks)
+        for mode in ("oracle", "inferred"):
+            tracks, alone_tracks = link_window(w, mode), link_window(alone, mode)
+            assert facts._track_points(w, tracks) == \
+                oracles.track_points_per_observation(alone, alone_tracks)
+            assert compiled(w, tracks) == compiled(alone, alone_tracks)
         results.append(compiled(w, tracks)[1])
     assert results[0] != results[1]  # the intrinsics move the points
 
@@ -392,7 +471,7 @@ def test_points_follow_the_intrinsics_on_shared_frames():
 def test_a_frame_links_afresh_after_another_predecessor():
     seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=10)).sequence
     frames = seq.frames
-    link_window(build_window(frames, seq.intrinsics), "inferred")  # caches (f0, f1) on f1
+    link_window(build_window(frames, seq.intrinsics), "inferred")  # fills the frames' caches
 
     def without_an_agent(f):
         agent = next(o for o in f.objects if o.category not in STATIC_CATEGORIES)
@@ -417,30 +496,36 @@ GHOST_SCENES = {
 }
 
 
+def whole(seq):
+    """One window over all of the sequence's frames."""
+    return SceneWindow(seq.frames, seq.intrinsics, 0,
+                       (Transform2.identity(),) * (len(seq.frames) - 1))
+
+
 @pytest.mark.parametrize("scene", sorted(GHOST_SCENES))
 def test_shared_links_and_points_equal_per_window_work(scene):
+    """Each window's tracks are the per-window tracker's, run from scratch
+    over the whole sequence and cut to the window."""
     seq = GHOST_SCENES[scene]()
-    fresh = windows(Sequence(seq.intrinsics, reloaded(seq.frames)), 10)
-    ghost_visits = 0
-    for w, alone in zip(windows(seq, 10), fresh):
-        visits = []
-        want = oracles.link_inferred_per_window(alone, visits=visits)
-        ghost_visits += sum(ghost for *_, ghost in visits)
+    visits = []
+    linked = oracles.link_inferred_per_window(
+        whole(Sequence(seq.intrinsics, reloaded(seq.frames))), visits=visits)
+    for w in windows(seq, 10):
+        want = oracles.cut_tracks(linked, w.start, w.n)
         tracks = link_window(w, "inferred")
         assert track_rows(tracks) == track_rows(want)
         assert facts._track_points(w, tracks) == \
-            oracles.track_points_per_observation(alone, want)
+            oracles.track_points_per_observation(w, tracks)
     if scene != "appear":
-        assert ghost_visits > 0
+        assert sum(ghost for *_, ghost in visits) > 0
 
 
 def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeypatch):
     seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=20)).sequence
     visits = []
-    for alone in windows(Sequence(seq.intrinsics, reloaded(seq.frames)), 10):
-        oracles.link_inferred_per_window(alone, visits=visits)
-    distinct = {(id(prev), id(curr), live) for prev, curr, live, ghost in visits if not ghost}
+    oracles.link_inferred_per_window(whole(seq), visits=visits)
     ghost_visits = sum(ghost for *_, ghost in visits)
+    assert ghost_visits > 0
 
     weighed, solves = [], []
     weights, solve = tracking._weights, scipy.optimize.linear_sum_assignment
@@ -455,10 +540,10 @@ def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeyp
     frame_of = {id(f.boxes()): i for i, f in enumerate(seq.frames)}
     real = sorted((frame_of[id(left)], frame_of[id(right)])
                   for left, right in weighed if id(left) in frame_of)
-    assert real == [(i, i + 1) for i in range(len(seq.frames) - 1)]
-    assert len(weighed) - len(real) <= ghost_visits
-    assert len(solves) <= len(distinct) + ghost_visits
-    assert len(visits) > 3 * (len(distinct) + ghost_visits)  # windows share most visits
+    pairs = [(i, i + 1) for i in range(len(seq.frames) - 1)]
+    assert real == pairs
+    assert len(weighed) - len(real) == ghost_visits  # one ghost-row kernel per visit
+    assert len(solves) == len(pairs)
 
 
 # ---------------------------------------------------------------------------

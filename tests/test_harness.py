@@ -12,6 +12,7 @@ from scenelogic.evaluation import (
     LengthMismatch,
     StageError,
     evaluate,
+    process_sequence,
     run_pipeline,
     run_scenario_dir,
 )
@@ -26,6 +27,8 @@ from scenelogic.scenarios import (
     standard_suite,
     write_scenario,
 )
+from scenelogic.scene import load_annotation, save_annotation, windows
+from scenelogic.tracking import link_window
 
 
 def lit(pred, *names):
@@ -251,6 +254,45 @@ def test_cli_dump_facts(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Vehicle(vehicle01)" in text
     assert '"evidence"' in text
+
+
+def test_entry_points_report_the_same_tracks_for_a_window(tmp_path, capsys, rules):
+    """``ingest --dump-tracks``, ``query``, ``process_sequence`` and
+    ``link_window`` see one set of inferred tracks for window K."""
+    k = 6
+    sc = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=20, object_count=4))
+    path = tmp_path / "annotation.json"
+    save_annotation(sc.sequence, path)
+    flags = ["--track-mode", "inferred"]
+
+    def rows(tracks):
+        return {t.instance_id: {str(pos): {"centroid_px": list(o.centroid_px),
+                                           "depth_m": o.depth_m}
+                                for pos, o in t.frames_sorted()}
+                for t in tracks}
+
+    assert cli_main(["ingest", str(path), "--dump-tracks", *flags]) == 0
+    out, dumps, at = capsys.readouterr().out, [], 0
+    while out[at:].strip():
+        doc, at = json.JSONDecoder().raw_decode(out, at)
+        dumps.append(doc)
+        at += 1
+    dump = dumps[k]
+    assert dump["window_id"] == k
+    dumped = {t["instance_id"]: t["frames"] for t in dump["tracks"]}
+
+    seq = load_annotation(path)
+    processed = process_sequence(seq, rules, "inferred")[k][0].tracks
+    linked = link_window(windows(load_annotation(path))[k], "inferred")
+    assert rows(processed) == rows(linked) == dumped
+
+    assert cli_main(["query", str(path), "--window-id", str(k), "--fol",
+                     "--q", "Vehicle(x)", *flags]) == 0
+    answer = capsys.readouterr().out.splitlines()[0]
+    assert answer.startswith("Yes: ")
+    named = answer[len("Yes: "):].split(" satisf")[0].replace(" and ", ", ").split(", ")
+    vehicles = [t["instance_id"] for t in dump["tracks"] if t["category"] == "Vehicle"]
+    assert sorted(named) == sorted(vehicles) and len(vehicles) == 2
 
 
 def test_cli_missing_file_exit_code(capsys):

@@ -209,6 +209,21 @@ def test_default_window_is_ten_frames_or_the_whole_sequence():
     assert [w.n for w in windows(make_sequence(track, n=6))] == [6]
 
 
+def test_window_length_below_one_is_rejected(tmp_path, capsys):
+    track = {"v": {"category": "Vehicle", "track": linear_track((0.8, 12.0), (0.0, 2.0), n=12)}}
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^window length must be at least 1, got {n}$"):
+            windows(make_sequence(track, n=12), n)
+    path = _static_scene(tmp_path)
+    assert cli_main(["ingest", str(path), "--window", "-3"]) == 3
+    assert capsys.readouterr().err == "ingest: window length must be at least 1, got -3\n"
+    # --window 0 selects the default length.
+    assert cli_main(["ingest", str(path)]) == 0
+    default = capsys.readouterr().out
+    assert cli_main(["ingest", str(path), "--window", "0"]) == 0
+    assert capsys.readouterr().out == default
+
+
 def test_import_does_not_load_scipy_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(scenelogic.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

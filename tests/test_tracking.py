@@ -1,15 +1,25 @@
 """Bipartite association, occlusion bridging, and presence flags."""
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from scenelogic.scene import ObjectObservation, SceneWindow, build_window
+from scenelogic.scenarios import ScenarioSpec, generate_scenario
+from scenelogic.scene import (
+    FrameObservation,
+    ObjectObservation,
+    SceneWindow,
+    Sequence,
+    build_window,
+    windows,
+)
 from scenelogic.geometry import Transform2
 from scenelogic.tracking import (
     CategoryMismatch,
     MissingGroundTruthIds,
+    _consolidate_attributes,
     build_graph,
     edge_weight,
     iou,
@@ -189,8 +199,7 @@ def test_oracle_mode_requires_ids():
 
 
 def test_inferred_partition_matches_oracle_on_generated_scenes():
-    from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
-    from scenelogic.scene import windows
+    from scenelogic.scenarios import KINDS
 
     for kind in KINDS:
         sc = generate_scenario(ScenarioSpec(kind, seed=11))
@@ -223,9 +232,6 @@ def test_instance_ids_are_deterministic():
 
 
 def test_every_observation_lands_in_exactly_one_trajectory():
-    from scenelogic.scenarios import ScenarioSpec, generate_scenario
-    from scenelogic.scene import windows
-
     sc = generate_scenario(ScenarioSpec("crossing", seed=2))
     w = windows(sc.sequence, 10)[0]
     tracks = link_window(w, "inferred")
@@ -240,3 +246,107 @@ def test_every_observation_lands_in_exactly_one_trajectory():
             frames_seen.add(pos)
     total = sum(len(f.objects) for f in w.frames)
     assert len(seen) == total
+
+
+# ---------------------------------------------------------------------------
+# Ids kept across the windows of a sequence
+# ---------------------------------------------------------------------------
+
+STREAM_KINDS = ("crossing", "collide", "appear")
+
+
+def track_rows(tracks):
+    return [(t.instance_id, t.category, t.attributes, sorted(t.observations.items()))
+            for t in tracks]
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_an_object_keeps_its_id_in_every_window(kind):
+    seq = generate_scenario(ScenarioSpec(kind, seed=7, n_frames=20)).sequence
+    ids = {}
+    for w in windows(seq, 10):
+        for t in link_window(w, "inferred"):
+            owners = {o.gt_instance for o in t.observations.values()}
+            assert len(owners) == 1
+            assert ids.setdefault(owners.pop(), t.instance_id) == t.instance_id
+    assert len(ids) == len({o.gt_instance for f in seq.frames for o in f.objects})
+
+
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_a_prefix_links_its_windows_as_the_whole_sequence_does(kind):
+    seq = generate_scenario(ScenarioSpec(kind, seed=7, n_frames=20)).sequence
+    whole = windows(seq, 10)
+    for m in (10, 13, 17):
+        prefix = windows(Sequence(seq.intrinsics, seq.frames[:m]), 10)
+        assert len(prefix) == m - 9
+        for p, w in zip(prefix, whole):
+            assert track_rows(link_window(p, "inferred")) == \
+                track_rows(link_window(w, "inferred"))
+
+
+def test_a_window_holds_its_sequences_frames_from_its_start():
+    seq = generate_scenario(ScenarioSpec("crossing", seed=7, n_frames=12)).sequence
+    chain = (Transform2.identity(),) * 3
+    SceneWindow(seq.frames[2:6], INTR, 0, chain, seq, 2)
+    for start in (0, 3, 10):
+        with pytest.raises(ValueError, match="sequence's frames"):
+            SceneWindow(seq.frames[2:6], INTR, 0, chain, seq, start)
+
+
+def test_ids_break_ties_by_index_in_the_birth_frame():
+    """Two vehicles born in frame 0 around one centroid; the second ends at
+    once.  The first takes vehicle01 whether or not the other has ended."""
+    a = obs(0, 0, 10, 10, flow=(0.0, 0.0))
+    b = obs(-5, -5, 15, 15, flow=(0.0, 0.0))
+    frames = [FrameObservation(0, (a, b))] + [FrameObservation(i, (a,)) for i in (1, 2)]
+    for n in (1, 3):
+        tracks = link_window(identity_window(frames[:n]), "inferred")
+        assert [(t.instance_id, t.observations[0]) for t in tracks] == \
+            [("vehicle01", a), ("vehicle02", b)]
+
+
+def test_window_attributes_are_voted_over_the_window_frames():
+    """A vehicle red in frames 0-5 and blue after: each window votes over
+    its own frames, as oracle tracking does, not over the sequence."""
+    seq = make_sequence({"v": {"category": "Vehicle", "attributes": {"color": "red"},
+                               "track": linear_track((0.8, 12.0), (0.0, 2.0), n=12)}}, n=12)
+    seq = Sequence(seq.intrinsics, tuple(
+        FrameObservation(f.frame_index, tuple(
+            replace(o, attributes={"color": "blue"})
+            if o.category == "Vehicle" and f.frame_index >= 6 else o for o in f.objects))
+        for f in seq.frames))
+    colors = []
+    for w in windows(seq, 4):
+        inferred, oracle = (next(t for t in link_window(w, mode) if t.category == "Vehicle")
+                            for mode in ("inferred", "oracle"))
+        assert inferred.attributes == oracle.attributes
+        colors.append(inferred.attributes["color"])
+    assert colors == ["red"] * 5 + ["blue"] * 4  # a 2-2 tie goes to the first seen
+
+
+def ref_consolidate_attributes(observations):
+    """Each attribute's most frequent value, the first seen winning a tie,
+    by counting every observation's votes."""
+    votes = {}
+    for _, o in sorted(observations.items()):
+        for key, value in (o.attributes or {}).items():
+            counts = votes.setdefault(key, {})
+            counts[value] = counts.get(value, 0) + 1
+    return {key: max(counts, key=counts.get) for key, counts in votes.items()}
+
+
+def test_attribute_votes_equal_the_counting_reference():
+    rng = np.random.default_rng(9)
+    palette = [None, {}, {"color": "red"}, {"color": "blue"}, {"type": "suv", "color": "red"},
+               {"color": "red", "type": "suv"}, {"color": 1}, {"color": 1.0}, {"color": True}]
+    for case in range(400):
+        n = int(rng.integers(1, 8))
+        same = case % 3 == 0  # one set of attributes throughout
+        picks = [int(rng.integers(len(palette)))] * n if same else rng.integers(len(palette), size=n)
+        positions = rng.permutation(12)[:n].tolist()
+        observations = {pos: replace(obs(0, 0, 10, 10), attributes=palette[k])
+                        for pos, k in zip(positions, picks)}
+        got = _consolidate_attributes(observations)
+        want = ref_consolidate_attributes(observations)
+        assert got == want and list(got) == list(want)
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
