@@ -138,6 +138,19 @@ def _sequence_table(seq: Sequence, k, tracks: list[Trajectory]):
     return entry[1]
 
 
+def _window_trends(w: SceneWindow, tracks: list[Trajectory], bev: list[dict]):
+    """``_trends`` of the window's track pairs, and the tracks by the table
+    rows the pairs name.  A cut that ``link_window`` returned reads its
+    sequence's table; any other track list gets a table of its own over
+    the window's frames, from its points ``bev``."""
+    source = cut_source(w, tracks)
+    if source is None:
+        return _trends(_pair_table(bev, w.n), 0, w.n), tracks
+    seq_tracks, rows = source
+    table = _sequence_table(w.sequence, w.intrinsics, seq_tracks)
+    return _trends(table, w.start, w.start + w.n), dict(zip(rows, tracks))
+
+
 def _dense_positions(keyed: dict[int, tuple[float, float]]) -> list[tuple[float, float]]:
     """Fill interior occlusion gaps by linear interpolation."""
     keys = sorted(keyed)
@@ -236,17 +249,8 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
             emit("TypeOfRel", name, _vocab_constant(rules, "types", t.attributes["type"])
                  if rules else str(t.attributes["type"]))
 
-    # Pairwise relations over frames where both instances are observed.  A
-    # cut of the sequence's tracks reads the sequence's table; any other
-    # track list gets a table of its own over the window's frames.
-    source = cut_source(w, tracks)
-    if source is None:
-        table, start, by_row = _pair_table(bev, w.n), 0, tracks
-    else:
-        seq_tracks, rows = source
-        table = _sequence_table(w.sequence, k, seq_tracks)
-        start, by_row = w.start, dict(zip(rows, tracks))
-    ia, ib, steps, dec, inc, first, last = _trends(table, start, start + w.n)
+    # Pairwise relations over frames where both instances are observed.
+    (ia, ib, steps, dec, inc, first, last), by_row = _window_trends(w, tracks, bev)
     decreases = (dec / steps >= cfg.trend_frac) & (first - last > cfg.eps_move)
     increases = (inc / steps >= cfg.trend_frac) & (last - first > cfg.eps_move)
     first, last = first.tolist(), last.tolist()

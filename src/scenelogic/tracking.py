@@ -175,12 +175,9 @@ def _consolidate_attributes(observations) -> dict:
     """Each attribute's most frequent value, the one seen first winning a
     tie (``max`` keeps the first of equal keys, and dicts keep insertion
     order)."""
-    seen = [obs.attributes or {} for _, obs in sorted(observations.items())]
-    if seen and all(attributes == seen[0] for attributes in seen):
-        return dict(seen[0])  # the usual case: every value wins every vote
     votes: dict[str, dict] = {}
-    for attributes in seen:
-        for key, value in attributes.items():
+    for _, obs in sorted(observations.items()):
+        for key, value in (obs.attributes or {}).items():
             counts = votes.setdefault(key, {})
             counts[value] = counts.get(value, 0) + 1
     return {key: max(counts, key=counts.get) for key, counts in votes.items()}
@@ -330,35 +327,38 @@ def _sequence_tracks(seq: Sequence, cfg: TrackerConfig) -> list[Trajectory]:
     return tracks
 
 
+def _cut_observations(t: Trajectory, start: int, stop: int) -> dict:
+    """``t``'s observations in frames ``start..stop-1``, keyed from 0."""
+    return {pos - start: obs for pos, obs in t.observations.items() if start <= pos < stop}
+
+
 def _cut(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
     """The sequence tracks cut to the window's frames, with positions
     rebased to the window and attributes voted over the window's own
     observations.  The cut is recorded on the window for ``cut_source``."""
     start, stop = w.start, w.start + w.n
     seq_tracks = _sequence_tracks(w.sequence, cfg)
-    tracks, rows, kept = [], [], []
+    tracks, rows = [], []
     for row, t in enumerate(seq_tracks):
-        observations = {pos - start: obs for pos, obs in t.observations.items()
-                        if start <= pos < stop}
+        observations = _cut_observations(t, start, stop)
         if observations:
-            cut = Trajectory(t.instance_id, t.category, observations,
-                             _consolidate_attributes(observations))
-            tracks.append(cut)
+            tracks.append(Trajectory(t.instance_id, t.category, observations,
+                                     _consolidate_attributes(observations)))
             rows.append(row)
-            kept.append((cut, dict(observations)))
-    w.__dict__.setdefault("_cuts", {})[cfg] = (tracks, kept, seq_tracks, rows)
+    w.__dict__.setdefault("_cuts", {})[cfg] = (tracks, seq_tracks, rows)
     return tracks
 
 
 def cut_source(w: SceneWindow, tracks: list[Trajectory]):
     """``(sequence tracks, rows)`` when ``tracks`` is a list ``link_window``
-    cut for ``w`` in inferred mode, holding the same tracks with the same
-    observations; ``rows[i]`` is track i's index among the sequence
-    tracks.  None for any other list."""
-    for cut, kept, seq_tracks, rows in w.__dict__.get("_cuts", {}).values():
-        if cut is tracks and len(tracks) == len(kept) and all(
-                t is k and t.observations == observations
-                for t, (k, observations) in zip(tracks, kept)):
+    cut for ``w`` in inferred mode and each of its tracks still holds the
+    observations it was cut with; ``rows[i]`` is track i's index among the
+    sequence tracks.  None for any other list."""
+    start, stop = w.start, w.start + w.n
+    for cut, seq_tracks, rows in w.__dict__.get("_cuts", {}).values():
+        if cut is tracks and len(tracks) == len(rows) and all(
+                t.observations == _cut_observations(seq_tracks[row], start, stop)
+                for t, row in zip(tracks, rows)):
             return seq_tracks, rows
     return None
 

@@ -19,7 +19,6 @@ from scenelogic.geometry import Transform2
 from scenelogic.tracking import (
     CategoryMismatch,
     MissingGroundTruthIds,
-    _consolidate_attributes,
     build_graph,
     edge_weight,
     iou,
@@ -322,31 +321,3 @@ def test_window_attributes_are_voted_over_the_window_frames():
         assert inferred.attributes == oracle.attributes
         colors.append(inferred.attributes["color"])
     assert colors == ["red"] * 5 + ["blue"] * 4  # a 2-2 tie goes to the first seen
-
-
-def ref_consolidate_attributes(observations):
-    """Each attribute's most frequent value, the first seen winning a tie,
-    by counting every observation's votes."""
-    votes = {}
-    for _, o in sorted(observations.items()):
-        for key, value in (o.attributes or {}).items():
-            counts = votes.setdefault(key, {})
-            counts[value] = counts.get(value, 0) + 1
-    return {key: max(counts, key=counts.get) for key, counts in votes.items()}
-
-
-def test_attribute_votes_equal_the_counting_reference():
-    rng = np.random.default_rng(9)
-    palette = [None, {}, {"color": "red"}, {"color": "blue"}, {"type": "suv", "color": "red"},
-               {"color": "red", "type": "suv"}, {"color": 1}, {"color": 1.0}, {"color": True}]
-    for case in range(400):
-        n = int(rng.integers(1, 8))
-        same = case % 3 == 0  # one set of attributes throughout
-        picks = [int(rng.integers(len(palette)))] * n if same else rng.integers(len(palette), size=n)
-        positions = rng.permutation(12)[:n].tolist()
-        observations = {pos: replace(obs(0, 0, 10, 10), attributes=palette[k])
-                        for pos, k in zip(positions, picks)}
-        got = _consolidate_attributes(observations)
-        want = ref_consolidate_attributes(observations)
-        assert got == want and list(got) == list(want)
-        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
