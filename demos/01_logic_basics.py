@@ -1,15 +1,17 @@
 """
-Logic basics: terms, unification, and clause form
-=================================================
+Logic basics: terms, rules, and unification
+===========================================
 
 The knowledge engine represents everything as first-order literals over
-constants (vehicle01, White) and variables (x, y).  This script walks
-through the value types and the two core operations every other layer
-builds on: unification and CNF conversion.
+constants (vehicle01, White) and variables (x, y).  Rules are Datalog: a
+conjunction of possibly negated literals implies one positive literal.  This
+script walks through the value types, how rule text becomes a head and a
+body, and the two operations every other layer builds on: unification and
+substitution.
 """
 
-from scenelogic import Const, Literal, Var, apply, to_cnf, unify
-from scenelogic.logicpad import format_statement, parse_fol_expr
+from scenelogic import Const, Literal, Var, apply, unify
+from scenelogic.logicpad import ParseError, parse_conjunction, parse_rule
 
 x, y = Var("x"), Var("y")
 
@@ -21,15 +23,33 @@ subst = unify(pattern, fact)
 print("unifier:", {str(k): str(v) for k, v in subst.items()})
 print("applied:", apply(subst, pattern))
 
-# Statements are written in a small text syntax; function equality like
+# Rule text parses straight into a head and a body; function equality like
 # ColOf(x) = White normalizes to the relation ColOfRel(x, White).
-statement = parse_fol_expr(
-    "forall x: (Vehicle(x) & !SpeedUp(x) & !SpeedDown(x)) -> ConstantSpeed(x)"
+rule = parse_rule(
+    "white_constant_speed",
+    "forall x: (Vehicle(x) & ColOf(x) = White & !SpeedUp(x) & !SpeedDown(x)) -> ConstantSpeed(x)",
 )
-print("\nstatement:", format_statement(statement))
+print("\nrule:   ", rule)
+print("head:   ", rule.head)
+for lit in rule.body:
+    print("body:   ", lit)
 
-for clause in to_cnf(statement):
-    print("clause:   ", clause)
+# Grounding the rule for one object is a substitution over head and body.
+ground = {x: Const("vehicle01")}
+print("\nground: ", apply(ground, rule.head), "<-",
+      " & ".join(str(apply(ground, lit)) for lit in rule.body))
 
-# Tautologies vanish during conversion.
-print("\ntautology clauses:", to_cnf(parse_fol_expr("forall x: Moves(x) -> Moves(x)")))
+# A query is a conjunction of literals; unifying a conjunct with a fact
+# binds the query's variables.
+conjuncts = parse_conjunction("Vehicle(x) & Moves(x)")
+print("\nquery:  ", " & ".join(map(str, conjuncts)))
+binding = unify(conjuncts[0], Literal("Vehicle", (Const("vehicle01"),)))
+print("binding:", {str(k): str(v) for k, v in binding.items()})
+
+# Anything that is not a rule shape is rejected where it appears.
+for text in ("forall x: (Moves(x) | Appears(x)) -> Seen(x)",
+             "forall x: Moves(x) -> !Stopped(x)"):
+    try:
+        parse_rule("bad", text)
+    except ParseError as e:
+        print("\nrejected:", e)

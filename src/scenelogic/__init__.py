@@ -6,8 +6,8 @@ resulting facts and verdicts export as retrieval context for external
 language models.
 """
 
-from .fol import And, Clause, Const, Implies, Literal, Not, Or, Statement, Var, apply, to_cnf, unify, unify_terms
-from .logicpad import RuleSet, default_ruleset, load_rule_file, parse_fol_expr, parse_rule_file
+from .fol import Const, Literal, Var, apply, unify, unify_terms
+from .logicpad import RuleSet, default_ruleset, load_rule_file, parse_rule_file
 from .inference import Answer, FactSet, ProofTrace, Query, answer_query, check_trace, resolve, saturate
 from .geometry import CameraIntrinsics, Kinematics, Transform2, back_project, estimate_origin, kinematics, to_bev
 from .scene import FrameObservation, ObjectObservation, SceneWindow, Sequence, build_window, load_annotation, windows

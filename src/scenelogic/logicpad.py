@@ -1,15 +1,19 @@
 """LogicPad rule files: the YAML document declaring predicates, functions,
 derived rules, question vocabulary, and sentence templates.
 
-The textual FOL syntax used inside rule files (and by the query parsers) is:
+The text syntax used inside rule files (and by the query parsers) is
+Datalog with stratified negation:
 
     forall x, y: (DistanceDecreases(x, y) & !Appears(x)) -> GettingCloser(x, y)
     ColOf(x) = White          function equality, stored as ColOfRel(x, White)
     !Moves(x)                 negation
+    (x != y)                  term equality
 
-Variables are single lowercase letters or ``?name``; everything else in
-argument position is a constant.  Function terms such as ``P(f(x))`` are
-rejected: a declared function appears only in its equality form.
+A rule is ``[forall vars:]* conj -> literal`` whose head is positive and not
+an equality; a query is a ``conj``, literals joined by ``&``.  Variables are
+single lowercase letters or ``?name``; everything else in argument position
+is a constant.  Function terms such as ``P(f(x))`` are rejected: a declared
+function appears only in its equality form.
 """
 
 from __future__ import annotations
@@ -20,22 +24,11 @@ from importlib import resources
 
 import yaml
 
-from .fol import (
-    FORALL,
-    EXISTS,
-    And,
-    Const,
-    Formula,
-    Implies,
-    Literal,
-    Not,
-    Or,
-    Statement,
-    Term,
-    Var,
-)
+from .fol import Const, Literal, Term, Var
 
 FUNC_REL_SUFFIX = "Rel"
+FORALL = "forall"
+EXISTS = "exists"
 
 
 class ParseError(ValueError):
@@ -64,7 +57,7 @@ class NotStratifiable(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / parser for the shared FOL expression syntax
+# Tokenizer / parser for the shared rule and query syntax
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -111,12 +104,14 @@ def _is_var_name(name: str) -> bool:
 class _Parser:
     """Recursive descent over the token list.
 
-    Precedence, loosest first: ``->`` (right associative), ``|``, ``&``,
-    unary ``!``.
+    Rule text is ``[forall vars:]* conj -> literal``, which may also be
+    wrapped whole in parentheses; query text is ``conj``.  A ``conj`` is
+    literals joined by ``&``; each literal may be negated any number of
+    times and wrapped in parentheses.  Anything else raises a ParseError at
+    the token where it appears.
     """
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -128,95 +123,114 @@ class _Parser:
         self.i += 1
         return t
 
+    def reject(self, t: _Token, message: str):
+        if t.text == "|":
+            message = "'|' is not supported: rule bodies and queries are conjunctions"
+        elif t.kind == "arrow":
+            message = "'->' appears once in a rule, between its body and its head"
+        raise ParseError(t.pos, message)
+
     def expect(self, text: str) -> _Token:
         t = self.next()
         if t.text != text:
-            raise ParseError(t.pos, f"expected {text!r}, found {t.text or 'end of input'!r}")
+            self.reject(t, f"expected {text!r}, found {t.text or 'end of input'!r}")
         return t
 
-    def parse_statement(self) -> Statement:
-        quantifiers: list[tuple[str, Var]] = []
+    def end(self) -> None:
+        t = self.peek()
+        if t.kind != "end":
+            self.reject(t, f"unexpected trailing input {t.text!r}")
+
+    def rule(self) -> tuple[tuple[Literal, ...], Literal]:
         while self.peek().kind == "name" and self.peek().text in (FORALL, EXISTS):
-            kind = self.next().text
+            if self.peek().text == EXISTS:
+                raise ParseError(self.peek().pos, "only universal quantifiers are allowed")
+            self.next()
             while True:
                 t = self.next()
-                if t.kind == "qvar":
-                    quantifiers.append((kind, Var(t.text[1:])))
-                elif t.kind == "name" and _is_var_name(t.text):
-                    quantifiers.append((kind, Var(t.text)))
-                else:
+                if t.kind != "qvar" and not (t.kind == "name" and _is_var_name(t.text)):
                     raise ParseError(t.pos, f"expected a variable, found {t.text!r}")
-                if self.peek().text == ",":
-                    self.next()
-                    continue
-                break
+                if self.peek().text != ",":
+                    break
+                self.next()
             self.expect(":")
-        body = self.parse_expr()
-        end = self.next()
-        if end.kind != "end":
-            raise ParseError(end.pos, f"unexpected trailing input {end.text!r}")
-        return Statement(tuple(quantifiers), body)
+        body, head = self.conj(top=True)
+        if head is None:
+            self.reject(self.peek(), f"expected '->', found {self.peek().text or 'end of input'!r}")
+        self.end()
+        return body, head
 
-    def parse_expr(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "arrow":
-            self.next()
-            right = self.parse_expr()
-            return Implies(left, right)
-        return left
+    def query(self) -> tuple[Literal, ...]:
+        t = self.peek()
+        if t.kind == "name" and t.text in (FORALL, EXISTS):
+            raise ParseError(t.pos, "queries are implicitly existential; drop the quantifier")
+        body, _ = self.conj(top=False)
+        self.end()
+        return body
 
-    def parse_or(self) -> Formula:
-        parts = [self.parse_and()]
-        while self.peek().text == "|":
-            self.next()
-            parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and(self) -> Formula:
-        parts = [self.parse_unary()]
+    def conj(self, top: bool) -> tuple[tuple[Literal, ...], Literal | None]:
+        """Literals joined by ``&``, and when ``top`` the ``-> head`` of a
+        rule.  The head is None for a plain conjunction."""
+        body, head = self.unit(top)
+        if head is not None:  # a whole rule in parentheses
+            return body, head
         while self.peek().text == "&":
             self.next()
-            parts.append(self.parse_unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+            body += self.unit(False)[0]
+        if self.peek().kind == "arrow" and top:
+            self.next()
+            head = self.head()
+        return body, head
 
-    def parse_unary(self) -> Formula:
+    def unit(self, top: bool) -> tuple[tuple[Literal, ...], Literal | None]:
         t = self.peek()
         if t.text == "!":
             self.next()
-            inner = self.parse_unary()
-            if isinstance(inner, Literal):
-                return inner.negate()
-            return Not(inner)
+            inner, _ = self.unit(False)
+            if len(inner) != 1:
+                raise ParseError(t.pos, "'!' applies to one literal, not to a conjunction")
+            return (inner[0].negate(),), None
         if t.text == "(":
             self.next()
-            inner = self.parse_expr()
+            inner = self.conj(top)
             self.expect(")")
-            # Parenthesized atom may still be the left side of an equality.
-            if isinstance(inner, Literal) and self.peek().text == "=":
+            if self.peek().text == "=":
                 raise ParseError(self.peek().pos, "equality must be written inside the parentheses")
             return inner
-        return self.parse_atom()
+        return (self.atom(),), None
 
-    def parse_atom(self) -> Formula:
+    def head(self) -> Literal:
+        t = self.peek()
+        lits, _ = self.unit(False)
+        if len(lits) != 1 or lits[0].negated:
+            raise ParseError(t.pos, "the head must be one positive literal")
+        if lits[0].pred == "=":
+            raise ParseError(t.pos, "the head cannot be an equality: '=' compares terms "
+                                    "and derives nothing")
+        if self.peek().text == "&":
+            raise ParseError(self.peek().pos, "the head must be one positive literal")
+        return lits[0]
+
+    def atom(self) -> Literal:
         if self.peek().kind in ("name", "qvar") and self._equality_follows(self.i + 1):
-            left = self.parse_term()
+            left = self.term()
             negated = self.next().text == "!"
             if negated:
                 self.expect("=")
-            return Literal("=", (left, self.parse_term()), negated)
+            return Literal("=", (left, self.term()), negated)
         t = self.next()
         if t.kind != "name":
             raise ParseError(t.pos, f"expected a predicate, found {t.text or 'end of input'!r}")
         name = t.text
         self.expect("(")
-        args = [self.parse_term()]
+        args = [self.term()]
         while self.peek().text == ",":
             self.next()
-            args.append(self.parse_term())
+            args.append(self.term())
         self.expect(")")
         if self.peek().text == "=":
             self.next()
-            value = self.parse_term()
+            value = self.term()
             # Function equality normalizes to the function's relation form.
             return Literal(name + FUNC_REL_SUFFIX, tuple(args) + (value,))
         return Literal(name, tuple(args))
@@ -226,7 +240,7 @@ class _Parser:
         t = self.tokens[i]
         return t.text == "=" or (t.text == "!" and self.tokens[i + 1].text == "=")
 
-    def parse_term(self) -> Term:
+    def term(self) -> Term:
         t = self.next()
         if t.kind == "qvar":
             return Var(t.text[1:])
@@ -241,62 +255,35 @@ class _Parser:
         return Const(t.text)
 
 
-def parse_fol_expr(text: str) -> Statement:
-    """Parse a statement in the shared FOL syntax."""
-    return _Parser(text).parse_statement()
+def parse_rule(name: str, text: str) -> RuleDecl:
+    """Parse rule text ``[forall vars:]* conj -> literal``; errors name the rule."""
+    try:
+        body, head = _Parser(text).rule()
+    except ParseError as e:
+        raise ParseError(e.position, e.message, f"rule {name!r}") from e
+    return RuleDecl(name, head, body)
+
+
+def parse_conjunction(text: str) -> tuple[Literal, ...]:
+    """Parse query text, a conjunction of literals, into its conjuncts."""
+    return _Parser(text).query()
 
 
 # ---------------------------------------------------------------------------
-# Printing (round-trips through parse_fol_expr)
+# Printing (round-trips through the parser)
 # ---------------------------------------------------------------------------
 
 def format_literal(lit: Literal, functions: tuple[str, ...] = ()) -> str:
-    """Render a literal; function relations print in their equality form."""
+    """Render a literal so that it parses back; function relations print in
+    their equality form, parenthesized like term equality."""
+    if lit.pred == "=":
+        return str(lit)
     sign = "!" if lit.negated else ""
     base = lit.pred.removesuffix(FUNC_REL_SUFFIX)
     if lit.pred.endswith(FUNC_REL_SUFFIX) and base in functions and len(lit.args) >= 2:
         head = ", ".join(str(a) for a in lit.args[:-1])
-        return f"{sign}{base}({head}) = {lit.args[-1]}"
+        return f"{sign}({base}({head}) = {lit.args[-1]})"
     return f"{sign}{lit.pred}({', '.join(str(a) for a in lit.args)})"
-
-
-def format_formula(f: Formula, functions: tuple[str, ...] = ()) -> str:
-    if isinstance(f, Literal):
-        return format_literal(f, functions)
-    if isinstance(f, And):
-        return " & ".join(_wrap(p, functions) for p in f.parts)
-    if isinstance(f, Or):
-        return " | ".join(_wrap(p, functions) for p in f.parts)
-    if isinstance(f, Not):
-        return f"!({format_formula(f.part, functions)})"
-    if isinstance(f, Implies):
-        return f"({format_formula(f.left, functions)}) -> {_wrap(f.right, functions)}"
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _wrap(f: Formula, functions: tuple[str, ...]) -> str:
-    s = format_formula(f, functions)
-    if isinstance(f, Literal) and not (f.pred.endswith(FUNC_REL_SUFFIX)
-                                       and f.pred.removesuffix(FUNC_REL_SUFFIX) in functions):
-        return s
-    if isinstance(f, Literal):
-        return f"({s})" if not f.negated else f"!({s[1:]})"
-    return f"({s})"
-
-
-def format_statement(st: Statement, functions: tuple[str, ...] = ()) -> str:
-    body = format_formula(st.body, functions)
-    if not st.quantifiers:
-        return body
-    groups: list[str] = []
-    current_kind = None
-    for kind, v in st.quantifiers:
-        if kind != current_kind:
-            groups.append(f"{kind} {v}")
-            current_kind = kind
-        else:
-            groups[-1] += f", {v}"
-    return f"{' '.join(groups)}: {body}"
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +300,20 @@ class PredicateDecl:
 
 @dataclass(frozen=True)
 class RuleDecl:
-    """A universally quantified implication whose head is one positive literal
-    and whose body is a conjunction of possibly negated literals."""
+    """A Datalog rule: one positive literal, the head, derived wherever the
+    body, a conjunction of possibly negated literals, holds."""
 
     name: str
-    statement: Statement
     head: Literal
     body: tuple[Literal, ...]
-    provenance: str = ""
 
     def __str__(self):
-        return f"{self.name}: {format_statement(self.statement)}"
+        """The rule as text that ``parse_rule`` reads back to this rule."""
+        names = dict.fromkeys(a for lit in (*self.body, self.head)
+                              for a in lit.args if isinstance(a, Var))
+        prefix = f"forall {', '.join(map(str, names))}: " if names else ""
+        body = " & ".join(map(format_literal, self.body))
+        return f"{prefix}({body}) -> {format_literal(self.head)}"
 
 
 @dataclass(frozen=True)
@@ -370,39 +360,10 @@ class RuleSet:
         return max(self.strata.values(), default=0)
 
 
-def flatten_conjunction(f: Formula, what: str) -> list[Literal]:
-    """The literals of a conjunction of possibly negated literals; anything
-    else is a ParseError saying ``what`` must be such a conjunction."""
-    if isinstance(f, Literal):
-        return [f]
-    if isinstance(f, And):
-        return [lit for p in f.parts for lit in flatten_conjunction(p, what)]
-    if isinstance(f, Not) and isinstance(f.part, Literal):
-        return [f.part.negate()]
-    raise ParseError(0, f"{what} must be a conjunction of literals")
-
-
-def _rule_shape(name: str, st: Statement, provenance: str) -> RuleDecl:
-    for kind, _ in st.quantifiers:
-        if kind != FORALL:
-            raise ParseError(0, f"rule {name!r}: only universal quantifiers are allowed")
-    body_f = st.body
-    if not isinstance(body_f, Implies):
-        raise ParseError(0, f"rule {name!r}: expected an implication")
-    head = body_f.right
-    if not isinstance(head, Literal) or head.negated:
-        raise ParseError(0, f"rule {name!r}: head must be a single positive literal")
-
-    body = tuple(flatten_conjunction(body_f.left, f"rule {name!r}: body"))
-    return RuleDecl(name, st, head, body, provenance)
-
-
 def _check_usage(rules: tuple[RuleDecl, ...], decls: dict) -> None:
     for r in rules:
         for lit in (r.head, *r.body):
             if lit.pred == "=":
-                if len(lit.args) != 2:
-                    raise ArityMismatch(f"rule {r.name!r}: = takes two arguments")
                 continue
             d = decls.get(lit.pred)
             if d is None:
@@ -459,18 +420,18 @@ def _field(row: dict, key: str, entry: str):
     return row[key]
 
 
-def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
+def parse_rule_file(text: str) -> RuleSet:
     """Parse a LogicPad YAML document into a RuleSet."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
-        line = mark.line + 1 if mark else 0
-        raise ParseError(line, f"invalid YAML: {e}") from e
+        where = f"line {mark.line + 1}" if mark else ""
+        raise ParseError(None, f"invalid YAML: {e}", where) from e
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):
-        raise ParseError(0, "rule file must be a YAML mapping")
+        raise ParseError(None, f"must be a YAML mapping, not {doc!r}", "rule file")
 
     decls: list[PredicateDecl] = []
     seen: set[str] = set()
@@ -478,7 +439,7 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
         name = _field(row, "name", where)
         entry = f"predicate {name!r}"
         if name in seen:
-            raise ParseError(0, f"duplicate predicate declaration {name!r}")
+            raise ParseError(None, "duplicate declaration", entry)
         seen.add(name)
         kind = row.get("source", "atomic")
         if kind not in ("atomic", "derived"):
@@ -498,13 +459,7 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
     rules: list[RuleDecl] = []
     for idx, (_, row) in enumerate(_entries(doc, "rules")):
         name = row.get("name", f"rule{idx}")
-        entry = f"rule {name!r}"
-        text = _field(row, "fol", entry)
-        try:
-            st = parse_fol_expr(text)
-        except ParseError as e:
-            raise ParseError(e.position, e.message, entry) from e
-        rules.append(_rule_shape(name, st, provenance=f"{source}:rules[{idx}]"))
+        rules.append(parse_rule(name, _field(row, "fol", f"rule {name!r}")))
 
     decl_map = {d.name: d for d in decls}
     _check_usage(tuple(rules), decl_map)
@@ -525,10 +480,10 @@ def parse_rule_file(text: str, source: str = "<string>") -> RuleSet:
 
 def load_rule_file(path) -> RuleSet:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_rule_file(f.read(), source=str(path))
+        return parse_rule_file(f.read())
 
 
 def default_ruleset() -> RuleSet:
     """The built-in rule file covering the full predicate catalog."""
     text = resources.files("scenelogic").joinpath("rules/default.yaml").read_text("utf-8")
-    return parse_rule_file(text, source="builtin:default.yaml")
+    return parse_rule_file(text)

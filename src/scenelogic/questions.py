@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .fol import Const, Literal, Var
-from .logicpad import ParseError, RuleSet, flatten_conjunction, format_literal, parse_fol_expr
+from .logicpad import RuleSet, format_literal, parse_conjunction
 from .inference import Answer, Query, check_query
 
 
@@ -235,10 +235,7 @@ def parse_nl_question(text: str, rules: RuleSet) -> Query:
 
 def parse_fol_query(text: str, rules: RuleSet) -> Query:
     """Parse a conjunction of literals in the shared FOL syntax."""
-    st = parse_fol_expr(text)
-    if st.quantifiers:
-        raise ParseError(0, "queries are implicitly existential; drop the quantifier")
-    q = Query(tuple(flatten_conjunction(st.body, "a query")))
+    q = Query(parse_conjunction(text))
     check_query(q, rules)
     return q
 
@@ -246,13 +243,7 @@ def parse_fol_query(text: str, rules: RuleSet) -> Query:
 def print_query(q: Query, rules: RuleSet) -> str:
     """Render a query in the shared syntax; function relations print in
     their equality form, parenthesized."""
-    parts = []
-    for lit in q.conjuncts:
-        s = format_literal(lit, rules.functions)
-        if " = " in s:
-            s = f"!({s[1:]})" if lit.negated else f"({s})"
-        parts.append(s)
-    return " & ".join(parts)
+    return " & ".join(format_literal(lit, rules.functions) for lit in q.conjuncts)
 
 
 # ---------------------------------------------------------------------------

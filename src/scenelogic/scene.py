@@ -138,6 +138,8 @@ class SceneWindow:
     start: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.frames:
+            raise ValueError("sequence has no frames")
         if len(self.origin_chain) != len(self.frames) - 1:
             raise ValueError("origin chain must have one transform per frame pair")
         if self.sequence is None:

@@ -23,15 +23,20 @@ the compiled engine in ``scenelogic.inference`` is checked against.
 - ``distance_trends_per_window``: the distance trends of a window's track
   pairs computed from that window's points alone, instead of read from a
   per-sequence pair table.
+- ``parse_rule_by_formula`` and ``parse_query_by_formula``: rule and query
+  text parsed into general ``And``/``Or``/``Not``/``Implies`` formula trees
+  under a quantifier prefix, which are then checked for Horn shape and
+  flattened; the reference for ``logicpad``'s Datalog parser.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from scenelogic.fol import Const, Literal, Substitution, Var, apply, to_cnf, unify
+from scenelogic.fol import Const, Literal, Substitution, Term, Var, apply, unify
 from scenelogic.inference import (
     DEFAULT_DEPTH_BOUND,
     Answer,
@@ -41,7 +46,15 @@ from scenelogic.inference import (
     Query,
     TraceStep,
 )
-from scenelogic.logicpad import RuleDecl, RuleSet
+from scenelogic.logicpad import (
+    FUNC_REL_SUFFIX,
+    ParseError,
+    RuleDecl,
+    RuleSet,
+    _is_var_name,
+    _tokenize,
+    _Token,
+)
 from scenelogic.scene import BoxArrays, SceneWindow, bev_of, box_arrays
 from scenelogic.tracking import (
     AssociationGraph,
@@ -274,26 +287,35 @@ def _propositional_refute(clauses: list[frozenset], goal: Literal,
     return False
 
 
+def horn_clause(rule: RuleDecl) -> frozenset | None:
+    """The rule's clause: its head and the negation of each body literal,
+    without duplicates; None when the clause is a tautology."""
+    lits = frozenset([rule.head, *(b.negate() for b in rule.body)])
+    return None if any(l.negate() in lits for l in lits) else lits
+
+
 def _ground_rule_clauses(rules: RuleSet, stratum_rules: list[RuleDecl],
                          domain: tuple[Const, ...]) -> list[frozenset]:
     grounded: list[frozenset] = []
     for rule in stratum_rules:
-        for clause in to_cnf(rule.statement):
-            cvars = sorted({v for l in clause.literals for a in l.args
-                            for v in ([a] if isinstance(a, Var) else [])},
-                           key=lambda v: v.name)
-            for combo in product(domain, repeat=len(cvars)):
-                sub = dict(zip(cvars, combo))
-                lits = set()
-                tautology = False
-                for lit in clause.literals:
-                    g = apply(sub, lit)
-                    if g.negate() in lits:
-                        tautology = True
-                        break
-                    lits.add(g)
-                if not tautology:
-                    grounded.append(frozenset(lits))
+        clause = horn_clause(rule)
+        if clause is None:
+            continue
+        cvars = sorted({v for l in clause for a in l.args
+                        for v in ([a] if isinstance(a, Var) else [])},
+                       key=lambda v: v.name)
+        for combo in product(domain, repeat=len(cvars)):
+            sub = dict(zip(cvars, combo))
+            lits = set()
+            tautology = False
+            for lit in clause:
+                g = apply(sub, lit)
+                if g.negate() in lits:
+                    tautology = True
+                    break
+                lits.add(g)
+            if not tautology:
+                grounded.append(frozenset(lits))
     return grounded
 
 
@@ -541,3 +563,216 @@ def distance_trends_per_window(bev: list[dict], n: int):
     first = d[pair, both.argmax(axis=1)]
     last = d[pair, latest[:, -1]]
     return ia.tolist(), ib.tolist(), steps, dec, inc, first, last
+
+
+# ---------------------------------------------------------------------------
+# Rule and query text through general formula trees
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class And:
+    parts: tuple["Formula", ...]
+
+
+@dataclass(frozen=True)
+class Or:
+    parts: tuple["Formula", ...]
+
+
+@dataclass(frozen=True)
+class Not:
+    part: "Formula"
+
+
+@dataclass(frozen=True)
+class Implies:
+    left: "Formula"
+    right: "Formula"
+
+
+Formula = Literal | And | Or | Not | Implies
+
+FORALL = "forall"
+EXISTS = "exists"
+
+
+@dataclass(frozen=True)
+class Statement:
+    """A quantified formula.  ``quantifiers`` is an ordered prefix of
+    (kind, variable) pairs with kind in {"forall", "exists"}."""
+
+    quantifiers: tuple[tuple[str, Var], ...]
+    body: Formula
+
+
+class _FormulaParser:
+    """Recursive descent over the token list.
+
+    Precedence, loosest first: ``->`` (right associative), ``|``, ``&``,
+    unary ``!``.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        t = self.tokens[self.i]
+        self.i += 1
+        return t
+
+    def expect(self, text: str) -> _Token:
+        t = self.next()
+        if t.text != text:
+            raise ParseError(t.pos, f"expected {text!r}, found {t.text or 'end of input'!r}")
+        return t
+
+    def parse_statement(self) -> Statement:
+        quantifiers: list[tuple[str, Var]] = []
+        while self.peek().kind == "name" and self.peek().text in (FORALL, EXISTS):
+            kind = self.next().text
+            while True:
+                t = self.next()
+                if t.kind == "qvar":
+                    quantifiers.append((kind, Var(t.text[1:])))
+                elif t.kind == "name" and _is_var_name(t.text):
+                    quantifiers.append((kind, Var(t.text)))
+                else:
+                    raise ParseError(t.pos, f"expected a variable, found {t.text!r}")
+                if self.peek().text == ",":
+                    self.next()
+                    continue
+                break
+            self.expect(":")
+        body = self.parse_expr()
+        end = self.next()
+        if end.kind != "end":
+            raise ParseError(end.pos, f"unexpected trailing input {end.text!r}")
+        return Statement(tuple(quantifiers), body)
+
+    def parse_expr(self) -> Formula:
+        left = self.parse_or()
+        if self.peek().kind == "arrow":
+            self.next()
+            right = self.parse_expr()
+            return Implies(left, right)
+        return left
+
+    def parse_or(self) -> Formula:
+        parts = [self.parse_and()]
+        while self.peek().text == "|":
+            self.next()
+            parts.append(self.parse_and())
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
+
+    def parse_and(self) -> Formula:
+        parts = [self.parse_unary()]
+        while self.peek().text == "&":
+            self.next()
+            parts.append(self.parse_unary())
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+    def parse_unary(self) -> Formula:
+        t = self.peek()
+        if t.text == "!":
+            self.next()
+            inner = self.parse_unary()
+            if isinstance(inner, Literal):
+                return inner.negate()
+            return Not(inner)
+        if t.text == "(":
+            self.next()
+            inner = self.parse_expr()
+            self.expect(")")
+            # Parenthesized atom may still be the left side of an equality.
+            if isinstance(inner, Literal) and self.peek().text == "=":
+                raise ParseError(self.peek().pos, "equality must be written inside the parentheses")
+            return inner
+        return self.parse_atom()
+
+    def parse_atom(self) -> Formula:
+        if self.peek().kind in ("name", "qvar") and self._equality_follows(self.i + 1):
+            left = self.parse_term()
+            negated = self.next().text == "!"
+            if negated:
+                self.expect("=")
+            return Literal("=", (left, self.parse_term()), negated)
+        t = self.next()
+        if t.kind != "name":
+            raise ParseError(t.pos, f"expected a predicate, found {t.text or 'end of input'!r}")
+        name = t.text
+        self.expect("(")
+        args = [self.parse_term()]
+        while self.peek().text == ",":
+            self.next()
+            args.append(self.parse_term())
+        self.expect(")")
+        if self.peek().text == "=":
+            self.next()
+            value = self.parse_term()
+            # Function equality normalizes to the function's relation form.
+            return Literal(name + FUNC_REL_SUFFIX, tuple(args) + (value,))
+        return Literal(name, tuple(args))
+
+    def _equality_follows(self, i: int) -> bool:
+        """Whether the tokens from ``i`` on start with ``=`` or ``!=``."""
+        t = self.tokens[i]
+        return t.text == "=" or (t.text == "!" and self.tokens[i + 1].text == "=")
+
+    def parse_term(self) -> Term:
+        t = self.next()
+        if t.kind == "qvar":
+            return Var(t.text[1:])
+        if t.kind != "name":
+            raise ParseError(t.pos, f"expected a term, found {t.text or 'end of input'!r}")
+        if self.peek().text == "(":
+            raise ParseError(t.pos, f"arguments are constants or variables; write the "
+                                    f"function {t.text} as {t.text}(...) = value and "
+                                    f"declare it under functions:")
+        if _is_var_name(t.text):
+            return Var(t.text)
+        return Const(t.text)
+
+
+def flatten_conjunction(f: Formula, what: str) -> list[Literal]:
+    """The literals of a conjunction of possibly negated literals; anything
+    else is a ParseError saying ``what`` must be such a conjunction."""
+    if isinstance(f, Literal):
+        return [f]
+    if isinstance(f, And):
+        return [lit for p in f.parts for lit in flatten_conjunction(p, what)]
+    if isinstance(f, Not) and isinstance(f.part, Literal):
+        return [f.part.negate()]
+    raise ParseError(0, f"{what} must be a conjunction of literals")
+
+
+def _rule_shape(name: str, st: Statement) -> RuleDecl:
+    for kind, _ in st.quantifiers:
+        if kind != FORALL:
+            raise ParseError(0, f"rule {name!r}: only universal quantifiers are allowed")
+    body_f = st.body
+    if not isinstance(body_f, Implies):
+        raise ParseError(0, f"rule {name!r}: expected an implication")
+    head = body_f.right
+    if not isinstance(head, Literal) or head.negated:
+        raise ParseError(0, f"rule {name!r}: head must be a single positive literal")
+
+    body = tuple(flatten_conjunction(body_f.left, f"rule {name!r}: body"))
+    return RuleDecl(name, head, body)
+
+
+def parse_rule_by_formula(name: str, text: str) -> RuleDecl:
+    """Rule text as a quantified formula tree, then checked for Horn shape."""
+    return _rule_shape(name, _FormulaParser(text).parse_statement())
+
+
+def parse_query_by_formula(text: str) -> tuple[Literal, ...]:
+    """Query text as a formula tree, then flattened to its conjuncts."""
+    st = _FormulaParser(text).parse_statement()
+    if st.quantifiers:
+        raise ParseError(0, "queries are implicitly existential; drop the quantifier")
+    return tuple(flatten_conjunction(st.body, "a query"))

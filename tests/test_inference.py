@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from scenelogic.fol import And, Const, Implies, Literal, Statement, Var
+from scenelogic.fol import Const, Literal, Var
 from scenelogic.inference import (
     DepthExceeded,
     FactSet,
@@ -30,6 +30,7 @@ from oracles import (
     OracleTooLarge,
     brute_force_answer,
     brute_force_models,
+    horn_clause,
     naive_saturate,
     resolve_by_refutation,
 )
@@ -223,12 +224,7 @@ def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6, max_f
                 q = rng.choice([r for r in arities if levels[r] <= levels[p]])
                 neg = levels[q] < levels[p] and rng.random() < 0.4
                 body.append(atom(q, neg))
-            head = atom(p, False)
-            st = Statement(
-                tuple(("forall", v) for v in variables),
-                Implies(And(tuple(body)) if len(body) > 1 else body[0], head),
-            )
-            rule_decls.append(RuleDecl(f"{p}_r{k}", st, head, tuple(body)))
+            rule_decls.append(RuleDecl(f"{p}_r{k}", atom(p, False), tuple(body)))
 
     strata = stratify(decls, tuple(rule_decls))
     rs = RuleSet(decls, (), tuple(rule_decls), strata)
@@ -445,6 +441,16 @@ def test_resolution_mode_differential_on_random_kbs():
                 assert got == expected, f"{d.name}{args} expected {expected}"
                 checked += 1
     assert checked > 100
+
+
+def test_horn_clause_of_a_rule():
+    # The head, and each body literal negated; duplicates merge.
+    rule = RuleDecl("r", Literal("Stand", (x,)), (
+        Literal("Pedestrian", (x,)), Literal("Moves", (x,), True), Literal("Pedestrian", (x,))))
+    assert horn_clause(rule) == frozenset({
+        Literal("Stand", (x,)), Literal("Pedestrian", (x,), True), Literal("Moves", (x,))})
+    # A rule whose head is in its body is a tautology and has no clause.
+    assert horn_clause(RuleDecl("t", Literal("Moves", (x,)), (Literal("Moves", (x,)),))) is None
 
 
 def test_resolution_mode_rejects_open_queries(rules):

@@ -17,7 +17,14 @@ from scenelogic.evaluation import process_window
 from scenelogic.geometry import CameraIntrinsics
 from scenelogic.scenarios import InvalidSpec, ScenarioSpec, generate_scenario
 from scenelogic.questions import answer_to_text, parse_fol_query
-from scenelogic.scene import STATIC_CATEGORIES, ObjectObservation, save_annotation, windows
+from scenelogic.scene import (
+    STATIC_CATEGORIES,
+    ObjectObservation,
+    Sequence,
+    build_window,
+    save_annotation,
+    windows,
+)
 
 from conftest import linear_track, make_sequence
 
@@ -70,8 +77,7 @@ def _category_flip(doc):
 
 
 @pytest.mark.parametrize("break_doc,code,message", [
-    (lambda doc: doc.update(frames=[]), 3,
-     "ingest: origin chain must have one transform per frame pair"),
+    (lambda doc: doc.update(frames=[]), 3, "ingest: sequence has no frames"),
     (_without_anchors, 3, "ingest: frames 2-3: 0 static correspondences, need 2"),
     (_category_flip, 4, "track: vehicle01: Vehicle vs Pedestrian across frames"),
 ])
@@ -110,7 +116,10 @@ def test_function_term_in_a_fol_question_exits_at_question(tmp_path, capsys):
     ('{name: oops, fol: "forall x: (Moves(x) & ) -> Gone(x)"}',
      "rule 'oops': at position 22: expected a predicate, found ')'"),
     ("{name: oops}", "rule 'oops': missing key 'fol'"),
-], ids=["function-term", "syntax", "missing-fol"])
+    ('{name: oops, fol: "forall x, y: (Moves(x)) -> (x = y)"}',
+     "rule 'oops': at position 27: the head cannot be an equality: '=' compares terms "
+     "and derives nothing"),
+], ids=["function-term", "syntax", "missing-fol", "equality-head"])
 def test_rule_file_errors_exit_at_config(tmp_path, capsys, rule, message):
     path = _static_scene(tmp_path)
     rules = tmp_path / "rules.yaml"
@@ -222,6 +231,14 @@ def test_window_length_below_one_is_rejected(tmp_path, capsys):
     default = capsys.readouterr().out
     assert cli_main(["ingest", str(path), "--window", "0"]) == 0
     assert capsys.readouterr().out == default
+
+
+def test_a_sequence_without_frames_says_so():
+    empty = Sequence(CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 10.0), ())
+    with pytest.raises(ValueError, match="^sequence has no frames$"):
+        windows(empty)
+    with pytest.raises(ValueError, match="^sequence has no frames$"):
+        build_window((), empty.intrinsics)
 
 
 def test_import_does_not_load_scipy_optimize():

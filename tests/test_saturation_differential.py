@@ -5,7 +5,7 @@ on recursive programs.  Random programs are checked in test_inference.py."""
 import pytest
 
 from scenelogic.evaluation import process_sequence
-from scenelogic.fol import And, Const, Implies, Literal, Statement, Var
+from scenelogic.fol import Const, Literal, Var
 from scenelogic.inference import DepthExceeded, FactSet, saturate
 from scenelogic.logicpad import PredicateDecl, RuleDecl, RuleSet, stratify
 from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
@@ -61,9 +61,7 @@ def _closure_program():
              PredicateDecl("OneWay", 2, "derived"))
 
     def rule(name, body, head):
-        st = Statement(tuple(("forall", v) for v in (x, y, z)),
-                       Implies(And(tuple(body)) if len(body) > 1 else body[0], head))
-        return RuleDecl(name, st, head, tuple(body))
+        return RuleDecl(name, head, tuple(body))
 
     rules = (
         rule("step", [Literal("Edge", (x, y))], Literal("Path", (x, y))),
