@@ -1,9 +1,12 @@
-"""FOL core: unification and substitution."""
+"""FOL core: unification, substitution, and the clausal form of a rule."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenelogic.fol import Const, Literal, Var, apply, unify
+from scenelogic.logicpad import RuleDecl, parse_rule
+
+from oracles import horn_clause
 
 x, y = Var("x"), Var("y")
 v01 = Const("vehicle01")
@@ -51,6 +54,35 @@ def test_apply_is_single_pass():
     # Replacements are simultaneous, never re-substituted.
     s = {x: y, y: Const("a")}
     assert apply(s, lit("P", x, y)) == lit("P", y, Const("a"))
+
+
+# ---------------------------------------------------------------------------
+# Clausal form of a rule (the resolution oracle's input)
+# ---------------------------------------------------------------------------
+
+def test_cnf_rewrites_implication():
+    rule = parse_rule("r", "forall x, y: DistanceDecreases(x, y) -> GettingCloser(x, y)")
+    assert horn_clause(rule) == frozenset(
+        {lit("DistanceDecreases", x, y, neg=True), lit("GettingCloser", x, y)}
+    )
+
+
+def test_cnf_drops_tautology():
+    assert horn_clause(parse_rule("r", "forall x: Moves(x) -> Moves(x)")) is None
+
+
+def test_cnf_conjunction_body():
+    rule = parse_rule("r", "forall x: (Vehicle(x) & SpeedUp(x)) -> Accelerate(x)")
+    assert horn_clause(rule) == frozenset(
+        {lit("Vehicle", x, neg=True), lit("SpeedUp", x, neg=True), lit("Accelerate", x)}
+    )
+
+
+def test_clause_of_drops_duplicates_and_tautologies():
+    dup = RuleDecl("d", lit("P", x), (lit("Q", x), lit("Q", x)))
+    assert horn_clause(dup) == frozenset({lit("P", x), lit("Q", x, neg=True)})
+    taut = RuleDecl("t", lit("P", x), (lit("Q", x), lit("P", x)))
+    assert horn_clause(taut) is None
 
 
 # ---------------------------------------------------------------------------
