@@ -4,30 +4,63 @@ The logic is function-free: a term is a constant or a variable.  A function
 such as ``ColOf(x) = White`` lives in the knowledge base as the relation
 ``ColOfRel(x, White)``, so the rules are Datalog with stratified negation.
 
-Everything here is an immutable value.  Substitutions are plain dicts
-mapping Var to Term; ``unify`` keeps them in solved (idempotent) form.
+Everything here is an immutable value.  Terms are interned, so equal terms
+are one object, and a literal is a tuple: both hash and compare in C.
+Substitutions are plain dicts mapping Var to Term; ``unify`` keeps them in
+solved (idempotent) form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class _Name:
+    """A term named by a string, interned: there is one live object per
+    class and name, so equality and hashing are ``object``'s own, by
+    identity.  Each class keeps its live objects in a weak table, so a name
+    that nothing refers to any more leaves it."""
+
+    __slots__ = ("name", "__weakref__")
+
+    def __init_subclass__(cls):
+        cls._live = weakref.WeakValueDictionary()
+
+    def __new__(cls, name: str):
+        term = cls._live.get(name)
+        if term is None:
+            term = object.__new__(cls)
+            object.__setattr__(term, "name", name)
+            term = cls._live.setdefault(name, term)
+        return term
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return type(self), (self.name,)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(name={self.name!r})"
+
+
+class Const(_Name):
+    __slots__ = ()
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Name):
+    __slots__ = ()
 
     def __str__(self):
         # Single lowercase letters print bare; longer names need the marker.
@@ -43,8 +76,7 @@ Term = Const | Var
 # Literals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """A predicate applied to terms, possibly negated.
 
     The reserved predicate ``=`` is binary equality over terms.
@@ -63,21 +95,13 @@ class Literal:
         return Literal(self.pred, self.args) if self.negated else self
 
     def is_ground(self) -> bool:
-        return not term_vars_many(self.args)
+        return Var not in map(type, self.args)
 
     def __str__(self):
         sign = "!" if self.negated else ""
         if self.pred == "=" and len(self.args) == 2:
             return f"{sign}({self.args[0]} = {self.args[1]})"
-        return f"{sign}{self.pred}({', '.join(str(a) for a in self.args)})"
-
-
-# ---------------------------------------------------------------------------
-# Variables of a thing
-# ---------------------------------------------------------------------------
-
-def term_vars_many(ts) -> set[Var]:
-    return {t for t in ts if isinstance(t, Var)}
+        return f"{sign}{self.pred}({', '.join(map(str, self.args))})"
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +112,18 @@ Substitution = dict  # Var -> Term
 
 
 def apply_term(s: Substitution, t: Term) -> Term:
-    """Simultaneous single-pass substitution: replacements are not re-substituted."""
-    return s.get(t, t) if isinstance(t, Var) else t
+    """Simultaneous single-pass substitution: replacements are not
+    re-substituted.  A constant is never a key, as no constant equals a
+    variable."""
+    return s.get(t, t)
 
 
 def apply(s: Substitution, x):
     """Apply a substitution to a Term or a Literal."""
-    if isinstance(x, (Const, Var)):
-        return apply_term(s, x)
     if isinstance(x, Literal):
-        return Literal(x.pred, tuple(apply_term(s, a) for a in x.args), x.negated)
+        return Literal(x.pred, tuple(map(s.get, x.args, x.args)), x.negated)
+    if isinstance(x, (Const, Var)):
+        return s.get(x, x)
     raise TypeError(f"cannot substitute into {x!r}")
 
 

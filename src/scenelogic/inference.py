@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .fol import Const, Literal, Substitution, Var, apply, unify
@@ -135,8 +135,11 @@ class FactSet:
         return tuple(sorted({a for f in self.facts for a in f.args}, key=lambda c: c.name))
 
 
+_name = attrgetter("name")
+
+
 def _fact_key(lit: Literal):
-    return (lit.pred, tuple(map(str, lit.args)))
+    return (lit.pred, tuple(map(_name, lit.args)))
 
 
 def _build_index(facts) -> dict:
@@ -529,7 +532,8 @@ def resolve(base: FactSet, rules: RuleSet, q: Query,
 
 def check_trace(t: ProofTrace, base: FactSet, rules: RuleSet) -> bool:
     """True when every step instantiates its named rule from premises that
-    were available at that point."""
+    were available at that point, and its equalities hold under the step's
+    substitution."""
     by_name = {r.name: r for r in rules.rules}
     available = set(base.facts)
     all_facts = available | {s.derived for s in t.steps}
@@ -551,9 +555,14 @@ def check_trace(t: ProofTrace, base: FactSet, rules: RuleSet) -> bool:
         sub = unify(rule.head, step.derived, sub)
         if sub is None:
             return False
-        for neg in (l for l in rule.body if l.negated and l.pred != "="):
-            atom = apply(sub, neg.atom)
-            if atom.is_ground() and atom in all_facts:
-                return False
+        for lit in rule.body:
+            if lit.pred == "=":
+                ground = apply(sub, lit)
+                if not ground.is_ground() or (ground.args[0] == ground.args[1]) == lit.negated:
+                    return False
+            elif lit.negated:
+                atom = apply(sub, lit.atom)
+                if atom.is_ground() and atom in all_facts:
+                    return False
         available.add(step.derived)
     return True

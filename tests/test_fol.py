@@ -1,5 +1,13 @@
-"""FOL core: unification, substitution, and the clausal form of a rule."""
+"""FOL core: interned terms, unification, substitution, and the clausal form
+of a rule."""
 
+import copy
+import gc
+import pickle
+import sys
+import weakref
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +23,81 @@ p01 = Const("pedestrian01")
 
 def lit(pred, *args, neg=False):
     return Literal(pred, tuple(args), neg)
+
+
+# ---------------------------------------------------------------------------
+# Terms and literals as values
+# ---------------------------------------------------------------------------
+
+def test_equal_terms_are_one_object_and_a_constant_is_no_variable():
+    assert Const("a") is Const("a") and Var("a") is Var("a")
+    assert Const("a") != Var("a")
+    table = {Const("a"): "constant", Var("a"): "variable"}
+    assert len(table) == 2
+    assert table[Const("a")] == "constant" and table[Var("a")] == "variable"
+
+
+def test_copies_and_pickles_return_the_interned_term():
+    for term in (Const("a"), Var("x"), Var("item")):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+    fact = lit("GettingCloser", v01, p01)
+    assert pickle.loads(pickle.dumps(fact)).args[0] is v01
+    assert copy.deepcopy(fact).args[1] is p01
+
+
+def test_terms_are_immutable_and_print_as_before():
+    for term in (v01, x):
+        with pytest.raises(AttributeError):
+            term.name = "other"
+        with pytest.raises(AttributeError):
+            term.extra = 1
+        with pytest.raises(AttributeError):
+            del term.name
+    assert v01.name == "vehicle01"
+    assert repr(v01) == "Const(name='vehicle01')" and repr(x) == "Var(name='x')"
+    assert repr(lit("P", v01, x, neg=True)) == (
+        "Literal(pred='P', args=(Const(name='vehicle01'), Var(name='x')), negated=True)")
+    assert str(lit("P", v01, x, Var("item"), neg=True)) == "!P(vehicle01, x, ?item)"
+
+
+def test_a_literal_is_a_tuple():
+    fact = lit("Moves", v01)
+    assert isinstance(fact, tuple) and len(fact) == 3
+    assert fact == ("Moves", (v01,), False)
+    assert Literal("Moves") == Literal("Moves", (), False)
+    assert fact.negate().atom is not fact and fact.negate().atom == fact
+
+
+def test_an_unreferenced_name_leaves_the_table():
+    term = Const("named_only_here")
+    gone = weakref.ref(term)
+    assert Const._live.get("named_only_here") is term
+    del term
+    gc.collect()
+    assert gone() is None
+    assert "named_only_here" not in Const._live
+
+
+def test_hashing_and_equality_run_no_python_frame():
+    a, v = Const("a"), Var("v")
+    fact, same, other = lit("P", a, v), lit("P", a, v), lit("P", v, a)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        hash(a), hash(v), hash(fact)
+        a == a, a != v, fact == same, fact != other
+        {fact: 1}[same]
+        {a: 1, v: 2}.get(v)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from scenelogic.logicpad import (
     RuleDecl,
     RuleSet,
     UnknownPredicate,
+    parse_rule_file,
     stratify,
 )
 
@@ -192,12 +193,40 @@ def test_trace_where_head_does_not_follow_fails(rules):
     assert not check_trace(bogus, base, rules)
 
 
+def test_trace_step_breaking_an_equality_fails():
+    rules = parse_rule_file(
+        "predicates:\n  - {name: A, arity: 1}\n  - {name: B, arity: 1}\n"
+        "  - {name: C, arity: 2, source: derived}\n"
+        'rules:\n  - {name: r, fol: "forall x, y: A(x) & B(y) & (x != y) -> C(x, y)"}\n')
+    a, b = Const("a"), Const("b")
+    base = FactSet.of([Literal("A", (a,)), Literal("B", (a,)), Literal("B", (b,))])
+    sat = saturate(base, rules)
+    assert [str(s) for s in sat.trace.steps] == ["C(a, b) <- r(A(a), B(b))"]
+    assert check_trace(sat.trace, base, rules)
+    forged = ProofTrace((TraceStep(Literal("C", (a, a)), "r",
+                                   (Literal("A", (a,)), Literal("B", (a,)))),))
+    assert not check_trace(forged, base, rules)
+
+
+def test_trace_step_with_an_equality_left_unground_fails():
+    # y occurs only in the equality, so no premise or head grounds it.
+    rules = parse_rule_file(
+        "predicates:\n  - {name: A, arity: 1}\n  - {name: C, arity: 1, source: derived}\n"
+        'rules:\n  - {name: r, fol: "forall x, y: A(x) & (x = y) -> C(x)"}\n')
+    a = Const("a")
+    step = TraceStep(Literal("C", (a,)), "r", (Literal("A", (a,)),))
+    assert not check_trace(ProofTrace((step,)), FactSet.of([Literal("A", (a,))]), rules)
+
+
 # ---------------------------------------------------------------------------
 # Random stratified rulesets for differential testing
 # ---------------------------------------------------------------------------
 
-def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6, max_facts=8):
-    """A random stratified program plus a random ground base."""
+def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6, max_facts=8,
+                            equality=0.0):
+    """A random stratified program plus a random ground base.  With
+    probability ``equality`` a rule body also gets an equality or inequality
+    over its positive atoms' variables and the constants."""
     n_preds = rng.randint(2, max_preds)
     arities = {f"P{i}": rng.randint(1, 2) for i in range(n_preds)}
     levels = {p: rng.choice((0, 0, 1, 2)) for p in arities}
@@ -224,6 +253,10 @@ def random_ruleset_and_base(rng: random.Random, max_consts=5, max_preds=6, max_f
                 q = rng.choice([r for r in arities if levels[r] <= levels[p]])
                 neg = levels[q] < levels[p] and rng.random() < 0.4
                 body.append(atom(q, neg))
+            if equality and rng.random() < equality:
+                bound = [a for l in body if not l.negated for a in l.args if isinstance(a, Var)]
+                u, v = (rng.choice(bound + consts) for _ in range(2))
+                body.append(Literal("=", (u, v), rng.random() < 0.5))
             rule_decls.append(RuleDecl(f"{p}_r{k}", atom(p, False), tuple(body)))
 
     strata = stratify(decls, tuple(rule_decls))
@@ -335,6 +368,20 @@ def test_answers_agree_with_brute_force_queries_on_random_kbs():
             seen["= on open"] += bool(equated & {Var("u"), Var("w")})
     assert n >= 300
     assert min(seen.values()) >= 10, seen
+
+
+def test_random_programs_with_equalities_check_out():
+    rng = random.Random(5150)
+    checked = 0
+    for _ in range(150):
+        rs, base = random_ruleset_and_base(rng, equality=0.6)
+        sat = saturate(base, rs)
+        assert sat.facts == brute_force_models(base, rs).facts
+        assert sat.trace.steps == naive_saturate(base, rs).trace.steps
+        assert check_trace(sat.trace, base, rs)
+        used = {r.name for r in rs.rules if any(l.pred == "=" for l in r.body)}
+        checked += sum(s.rule in used for s in sat.trace.steps)
+    assert checked > 50
 
 
 def test_single_fact_sweep_matches_brute_force(rules):

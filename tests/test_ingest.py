@@ -137,7 +137,11 @@ def test_rule_file_errors_exit_at_config(tmp_path, capsys, rule, message):
     ("predicates: [Moves]\n", "predicates[0]: must be a mapping, not 'Moves'"),
     ("predicates:\n  - {name: Moves, arity: one}\n",
      "predicate 'Moves': arity must be an integer, not 'one'"),
-], ids=["bare-rule", "bare-predicate", "word-arity"])
+    ('predicates:\n  - {name: Moves, arity: 1}\nrules:\n'
+     '  - {name: r, fol: "forall x: Moves(x) -> Moves(x)"}\n'
+     '  - {name: r, fol: "forall x: Moves(x) -> Moves(x)"}\n',
+     "rule 'r': duplicate rule name"),
+], ids=["bare-rule", "bare-predicate", "word-arity", "duplicate-rule"])
 def test_badly_shaped_rule_file_entries_exit_at_config(tmp_path, capsys, doc, message):
     path = _static_scene(tmp_path)
     rules = tmp_path / "rules.yaml"

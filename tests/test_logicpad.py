@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from scenelogic.fol import Const, Literal, Var
 from scenelogic.inference import FactSet, saturate
+from scenelogic import logicpad
 from scenelogic.logicpad import (
     ArityMismatch,
     NotStratifiable,
     ParseError,
+    RuleSet,
     UnknownPredicate,
     parse_conjunction,
     parse_rule,
@@ -303,6 +305,10 @@ def test_rule_errors_name_the_rule(row, message):
     assert str(exc.value) == message
 
 
+ABC = ("predicates:\n  - {name: A, arity: 1}\n  - {name: B, arity: 1}\n"
+       "  - {name: C, arity: 1, source: derived}\nrules:\n")
+
+
 @pytest.mark.parametrize("text,message", [
     ("predicates:\n  - {name: Moves}\n", "predicate 'Moves': missing key 'arity'"),
     ("predicates:\n  - {arity: 1}\n", "predicates[0]: missing key 'name'"),
@@ -323,13 +329,49 @@ def test_rule_errors_name_the_rule(row, message):
     ("- Moves\n", "rule file: must be a YAML mapping, not ['Moves']"),
     ("a: b: c\n", 'line 1: invalid YAML: mapping values are not allowed here\n'
                   '  in "<unicode string>", line 1, column 5:\n    a: b: c\n        ^'),
+    (ABC + '  - {name: r, fol: "forall x: A(x) -> C(x)"}\n'
+           '  - {name: r, fol: "forall x: B(x) -> C(x)"}\n', "rule 'r': duplicate rule name"),
+    (ABC + '  - {name: rule1, fol: "forall x: A(x) -> C(x)"}\n'
+           '  - {fol: "forall x: B(x) -> C(x)"}\n', "rule 'rule1': duplicate rule name"),
 ], ids=["missing-arity", "missing-name", "bad-source", "function-without-name",
         "bare-predicate", "word-arity", "fraction-arity", "bare-function", "bare-rule",
-        "section-not-a-list", "duplicate-predicate", "document-not-a-mapping", "invalid-yaml"])
+        "section-not-a-list", "duplicate-predicate", "document-not-a-mapping", "invalid-yaml",
+        "duplicate-rule", "default-name-taken"])
 def test_declaration_errors_name_the_entry(text, message):
     with pytest.raises(ParseError) as exc:
         parse_rule_file(text)
     assert str(exc.value) == message
+
+
+def _load_outcome(text: str):
+    """A rule document's RuleSet with the fields its equality leaves out,
+    or the error it raises."""
+    try:
+        rs = parse_rule_file(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return rs, rs.strata, rs.vocabulary, rs.templates
+
+
+def test_c_and_python_yaml_loaders_give_equal_rule_sets(monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML was built without libyaml")
+    assert logicpad._YAML_LOADER is yaml.CSafeLoader
+    default = resources.files("scenelogic").joinpath("rules/default.yaml").read_text("utf-8")
+    # Every string constant in the tests, and each one that reads as a rule
+    # entry appended to MINI's rules.
+    texts = [node.value for path in sorted(ROOT.glob("tests/*.py"))
+             for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    documents = [default, *texts, *(MINI + f"  - {t}\n" for t in texts if t.startswith("{"))]
+    by_c = [_load_outcome(d) for d in documents]
+    monkeypatch.setattr(logicpad, "_YAML_LOADER", yaml.SafeLoader)
+    assert [_load_outcome(d) for d in documents] == by_c
+    # The scan reaches the default file, rule documents and rejected ones.
+    loaded = [o for o in by_c if isinstance(o[0], RuleSet)]
+    assert len(loaded[0][0].rules) == 9
+    assert sum(len(o[0].rules) > 0 for o in loaded) >= 3
+    assert sum(o[0] == "ParseError" for o in by_c) >= 1000
 
 
 def test_default_carries_vocabulary_and_templates(rules):
