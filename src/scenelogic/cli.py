@@ -190,8 +190,9 @@ def _cmd_repl(args) -> int:
             return 0
         try:
             if line.startswith(":window"):
-                current = int(line.split()[1])
-                sat_for(current)
+                wid = int(line.split()[1])
+                sat_for(wid)
+                current = wid
                 print(f"window {current}")
                 continue
             wf, sat = sat_for(current)

@@ -109,7 +109,6 @@ class PipelineResult:
     answers: list[bool]
     report: EvalReport
     payloads: list[tuple[QAItem, ContextPayload]]
-    saturated: dict  # window_id -> FactSet
 
 
 @contextmanager
@@ -156,8 +155,7 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
                  cfg: CompilerConfig = CompilerConfig(),
                  tracker_cfg: TrackerConfig = TrackerConfig(),
                  n: int | None = None,
-                 export_context: str | None = None,
-                 translator=None) -> PipelineResult:
+                 export_context: str | None = None) -> PipelineResult:
     """Answer every question over its window and score against gold.
 
     ``sequences`` is one Sequence or a list of (sequence_key, Sequence);
@@ -190,7 +188,7 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
             raise StageError("question", f"window {item.window_id} not available")
         wf, sat = perwin[item.window_id]
         try:
-            q = parse_question(item.question, rules, translator)
+            q = parse_question(item.question, rules)
         except Exception as e:
             raise StageError("question", f"{item.question!r}: {e}") from e
         try:
@@ -212,9 +210,7 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
         # Gold answers come from generator kinematics, not human annotation.
         "qa_protocol": "synthetic gold from scenario generator",
     })
-    sat_by_window = {key: {wid: sat for wid, (_, sat) in per.items()}
-                     for key, per in processed.items()}
-    return PipelineResult(answers, report, payloads, sat_by_window)
+    return PipelineResult(answers, report, payloads)
 
 
 def run_scenario_dir(root, rules: RuleSet | None = None,

@@ -180,10 +180,11 @@ def _contains(bbox, pt) -> bool:
     return bbox[0] <= pt[0] <= bbox[2] and bbox[1] <= pt[1] <= bbox[3]
 
 
-def compile_window(w: SceneWindow, tracks: list[Trajectory],
-                   cfg: CompilerConfig = CompilerConfig(),
-                   rules: RuleSet | None = None) -> WindowFacts:
-    """Evaluate the atomic predicate catalog over the window's trajectories."""
+def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig,
+                   rules: RuleSet) -> WindowFacts:
+    """Evaluate the atomic predicate catalog over the window's trajectories.
+    Track categories must be atomic predicates of ``rules``, and attribute
+    values become constants through its vocabulary."""
     facts: list[Literal] = []
     provenance: dict = {}
 
@@ -193,13 +194,12 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
         if evidence:
             provenance[lit] = evidence
 
-    if rules is not None:
-        declared = {d.name for d in rules.atomic_predicates()}
-        for t in tracks:
-            if t.category not in declared:
-                raise UndeclaredCategory(
-                    f"{t.instance_id}: category {t.category!r} is not a declared atomic predicate"
-                )
+    declared = {d.name for d in rules.atomic_predicates()}
+    for t in tracks:
+        if t.category not in declared:
+            raise UndeclaredCategory(
+                f"{t.instance_id}: category {t.category!r} is not a declared atomic predicate"
+            )
 
     k = w.intrinsics
     width = cfg.image_width if cfg.image_width is not None else 2.0 * k.cx
@@ -243,11 +243,9 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
             emit("CloseToCamera", name, mean_depth_m=mean_depth)
 
         if "color" in t.attributes:
-            emit("ColOfRel", name, _vocab_constant(rules, "colors", t.attributes["color"])
-                 if rules else str(t.attributes["color"]))
+            emit("ColOfRel", name, _vocab_constant(rules, "colors", t.attributes["color"]))
         if "type" in t.attributes:
-            emit("TypeOfRel", name, _vocab_constant(rules, "types", t.attributes["type"])
-                 if rules else str(t.attributes["type"]))
+            emit("TypeOfRel", name, _vocab_constant(rules, "types", t.attributes["type"]))
 
     # Pairwise relations over frames where both instances are observed.
     (ia, ib, steps, dec, inc, first, last), by_row = _window_trends(w, tracks, bev)
@@ -283,6 +281,6 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory],
                 emit("On", a.instance_id, s.instance_id,
                      containment_frac=hits / len(common))
 
-    fact_set = FactSet(frozenset(facts), w.window_id)
+    fact_set = FactSet(frozenset(facts))
     return WindowFacts(w.window_id, fact_set, provenance, window=w, tracks=list(tracks))
 

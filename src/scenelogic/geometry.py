@@ -94,8 +94,7 @@ def to_bev(p) -> tuple[float, float]:
     return (p[0], p[2])
 
 
-def estimate_origin(static_prev, static_curr,
-                    translation_only: bool = False) -> Transform2:
+def estimate_origin(static_prev, static_curr) -> Transform2:
     """Least-squares rigid transform taking current-frame anchor positions
     onto the previous frame's, fixing a shared temporary origin.
 
@@ -116,14 +115,11 @@ def estimate_origin(static_prev, static_curr,
     dp = prev - cp
     dc = curr - cc
 
-    if translation_only:
-        theta = 0.0
-    else:
-        if float((dc ** 2).sum()) < 1e-18 or float((dp ** 2).sum()) < 1e-18:
-            raise DegenerateConfiguration("anchors are coincident; rotation unobservable")
-        num = float(dc[:, 0] @ dp[:, 1] - dc[:, 1] @ dp[:, 0])
-        den = float(dc[:, 0] @ dp[:, 0] + dc[:, 1] @ dp[:, 1])
-        theta = math.atan2(num, den)
+    if float((dc ** 2).sum()) < 1e-18 or float((dp ** 2).sum()) < 1e-18:
+        raise DegenerateConfiguration("anchors are coincident; rotation unobservable")
+    num = float(dc[:, 0] @ dp[:, 1] - dc[:, 1] @ dp[:, 0])
+    den = float(dc[:, 0] @ dp[:, 0] + dc[:, 1] @ dp[:, 1])
+    theta = math.atan2(num, den)
 
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])

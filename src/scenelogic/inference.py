@@ -4,7 +4,7 @@ Forward chaining computes the least fixpoint stratum by stratum under the
 closed-world reading of negation: a negated body atom holds when the positive
 atom is absent from the fully saturated lower strata.  A variable that no
 positive body atom binds ranges over the active domain, the constants of the
-base and of the rules.
+base and of the rules, in saturation and in trace checking alike.
 
 Each rule is compiled once per rule set into a plan over numbered variable
 slots, and a query's positive conjuncts compile the same way; both run
@@ -14,8 +14,10 @@ bindings: it rules a candidate out when any fact matches it.
 Saturation is semi-naive: the first round of a stratum matches every rule
 against all facts, and each later round fires only the rules with a positive
 body atom whose predicate gained facts in the round before, matching that
-atom against those new facts alone.  Rounds, trace steps and their order are
-those of naive evaluation, which re-matches every rule on every round.
+atom against those new facts alone.  Trace steps and their order are those
+of naive evaluation, which re-matches every rule on every round.  Derived
+atoms hold only the active domain's constants, so saturation always reaches
+its fixpoint: there is no round limit.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ from typing import Callable
 
 from .fol import Const, Literal, Substitution, Var, apply, unify
 from .logicpad import RuleDecl, RuleSet, UnknownPredicate
-
-DEFAULT_DEPTH_BOUND = 64
-
-
-class DepthExceeded(RuntimeError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +61,6 @@ class FactSet:
     first argument."""
 
     facts: frozenset[Literal]
-    window_id: int = 0
     trace: ProofTrace | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -76,17 +71,16 @@ class FactSet:
                 raise ValueError(f"non-ground fact: {f}")
 
     @staticmethod
-    def of(literals, window_id: int = 0) -> "FactSet":
-        return FactSet(frozenset(literals), window_id)
+    def of(literals) -> "FactSet":
+        return FactSet(frozenset(literals))
 
     @classmethod
-    def _trusted(cls, facts: frozenset, window_id: int, trace: ProofTrace,
-                 index: dict, unmerged: list) -> "FactSet":
+    def _trusted(cls, facts: frozenset, trace: ProofTrace, index: dict,
+                 unmerged: list) -> "FactSet":
         """A fact set of literals already known to be ground and positive,
         taking over ``index``, which holds all of them but ``unmerged``."""
         fs = object.__new__(cls)
-        fs.__dict__.update(facts=facts, window_id=window_id, trace=trace,
-                           _unmerged=(index, unmerged))
+        fs.__dict__.update(facts=facts, trace=trace, _unmerged=(index, unmerged))
         return fs
 
     def __contains__(self, lit: Literal) -> bool:
@@ -377,8 +371,7 @@ def _active_domain(base: FactSet, rules: RuleSet) -> tuple[Const, ...]:
     return tuple(sorted(consts, key=lambda c: c.name))
 
 
-def saturate(base: FactSet, rules: RuleSet,
-             depth_bound: int = DEFAULT_DEPTH_BOUND) -> FactSet:
+def saturate(base: FactSet, rules: RuleSet) -> FactSet:
     """Least fixpoint of the stratified rules over ``base``, with one trace
     step per derived fact."""
     known = {(f.pred, f.args) for f in base.facts}
@@ -391,7 +384,6 @@ def saturate(base: FactSet, rules: RuleSet,
         domain = _active_domain(base, rules)
 
     for stratum in plans:
-        rounds = 0
         delta_facts = None  # the previous round's facts; None in round one
         while True:
             if delta_facts is None:
@@ -428,16 +420,12 @@ def saturate(base: FactSet, rules: RuleSet,
                                                    plan.name, premises))
             if not fresh:
                 break
-            rounds += 1
-            if rounds > depth_bound:
-                raise DepthExceeded(f"no fixpoint within {depth_bound} rounds")
             steps.extend(fresh)
             delta_facts = [s.derived for s in fresh]
             pending.extend(delta_facts)
 
     facts = base.facts.union(s.derived for s in steps)
-    return FactSet._trusted(facts, base.window_id, ProofTrace(tuple(steps)),
-                            index, pending)
+    return FactSet._trusted(facts, ProofTrace(tuple(steps)), index, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +508,9 @@ def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:
     return Answer(bool(bindings), tuple(bindings), _answer_trace(q, bindings, sat))
 
 
-def resolve(base: FactSet, rules: RuleSet, q: Query,
-            depth_bound: int = DEFAULT_DEPTH_BOUND) -> Answer:
+def resolve(base: FactSet, rules: RuleSet, q: Query) -> Answer:
     """Enumerate all satisfying ground bindings of the query."""
-    return answer_query(saturate(base, rules, depth_bound), rules, q)
+    return answer_query(saturate(base, rules), rules, q)
 
 
 # ---------------------------------------------------------------------------
@@ -532,11 +519,13 @@ def resolve(base: FactSet, rules: RuleSet, q: Query,
 
 def check_trace(t: ProofTrace, base: FactSet, rules: RuleSet) -> bool:
     """True when every step instantiates its named rule from premises that
-    were available at that point, and its equalities hold under the step's
-    substitution."""
+    were available at that point, and some values of the variables that
+    only its negated atoms and equalities read, drawn from the active
+    domain, make every negated atom absent and every equality hold."""
     by_name = {r.name: r for r in rules.rules}
     available = set(base.facts)
     all_facts = available | {s.derived for s in t.steps}
+    domain = _active_domain(base, rules)
     for step in t.steps:
         rule = by_name.get(step.rule)
         if rule is None:
@@ -555,14 +544,17 @@ def check_trace(t: ProofTrace, base: FactSet, rules: RuleSet) -> bool:
         sub = unify(rule.head, step.derived, sub)
         if sub is None:
             return False
-        for lit in rule.body:
-            if lit.pred == "=":
-                ground = apply(sub, lit)
-                if not ground.is_ground() or (ground.args[0] == ground.args[1]) == lit.negated:
-                    return False
-            elif lit.negated:
-                atom = apply(sub, lit.atom)
-                if atom.is_ground() and atom in all_facts:
-                    return False
+        checks = [apply(sub, l) for l in rule.body if l.negated or l.pred == "="]
+        free = list(dict.fromkeys(a for l in checks for a in l.args if isinstance(a, Var)))
+        if not any(all(_holds(apply(dict(zip(free, combo)), l), all_facts) for l in checks)
+                   for combo in product(domain, repeat=len(free))):
+            return False
         available.add(step.derived)
     return True
+
+
+def _holds(check: Literal, facts: set) -> bool:
+    """A ground negated atom or equality under the closed-world reading."""
+    if check.pred == "=":
+        return (check.args[0] == check.args[1]) != check.negated
+    return check.atom not in facts

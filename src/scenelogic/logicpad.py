@@ -420,15 +420,33 @@ def _field(row: dict, key: str, entry: str):
     return row[key]
 
 
+def _name(name, entry: str) -> str:
+    if not isinstance(name, str) or not name:
+        raise ParseError(None, f"name must be a non-empty string, not {name!r}", entry)
+    return name
+
+
 # PyYAML's C loader, when it was built with libyaml, reads a rule file
 # several times faster than the Python one.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+if hasattr(yaml, "CSafeLoader"):
+    class _CLoader(yaml.CSafeLoader):
+        def resolve(self, kind, value, implicit):
+            # Only an empty scalar under a bare '!' tag comes here implicit
+            # in neither style.  The C loader reads it as '' where the
+            # Python loader reads None or rejects the document.
+            if implicit == (False, False):
+                raise yaml.YAMLError("bare '!' tag")
+            return super().resolve(kind, value, implicit)
+    _YAML_LOADER = _CLoader
+else:
+    _YAML_LOADER = yaml.SafeLoader
 
 
 def _load_yaml(text: str):
     """The YAML document in ``text``.  What the C loader does not read as a
-    mapping is read again by the Python loader: its errors point at the
-    column, and it reads a bare ``!`` as None where the C loader reads ''."""
+    mapping, or reads with a bare ``!`` tag, is read again by the Python
+    loader, so the result and the errors are the Python loader's; its errors
+    point at the column."""
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError:
@@ -452,7 +470,7 @@ def parse_rule_file(text: str) -> RuleSet:
     decls: list[PredicateDecl] = []
     seen: set[str] = set()
     for where, row in _entries(doc, "predicates"):
-        name = _field(row, "name", where)
+        name = _name(_field(row, "name", where), where)
         entry = f"predicate {name!r}"
         if name in seen:
             raise ParseError(None, "duplicate declaration", entry)
@@ -465,7 +483,8 @@ def parse_rule_file(text: str) -> RuleSet:
             raise ParseError(None, f"arity must be an integer, not {arity!r}", entry)
         decls.append(PredicateDecl(name, arity, kind, row.get("doc", "")))
 
-    functions = tuple(_field(row, "name", where) for where, row in _entries(doc, "functions"))
+    functions = tuple(_name(_field(row, "name", where), where)
+                      for where, row in _entries(doc, "functions"))
     for fname in functions:
         rel = fname + FUNC_REL_SUFFIX
         if rel not in seen:
@@ -473,8 +492,8 @@ def parse_rule_file(text: str) -> RuleSet:
             decls.append(PredicateDecl(rel, 2, "atomic", f"relation form of function {fname}"))
 
     rules: list[RuleDecl] = []
-    for idx, (_, row) in enumerate(_entries(doc, "rules")):
-        name = row.get("name", f"rule{idx}")
+    for idx, (where, row) in enumerate(_entries(doc, "rules")):
+        name = _name(row.get("name", f"rule{idx}"), where)
         if any(r.name == name for r in rules):
             raise ParseError(None, "duplicate rule name", f"rule {name!r}")
         rules.append(parse_rule(name, _field(row, "fol", f"rule {name!r}")))

@@ -39,11 +39,6 @@ class ObjectDescriptor:
     vtype: str | None = None  # constant, e.g. "Car"
     position: str | None = None  # predicate name, e.g. "AtCenter"
 
-    def referential(self) -> bool:
-        """Whether the descriptor can single out one object (some
-        discriminating field beyond its bare category)."""
-        return bool(self.color or self.vtype or self.position)
-
     def conjuncts(self, var: Var) -> list[Literal]:
         out = []
         if self.vtype:

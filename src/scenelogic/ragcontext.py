@@ -58,10 +58,9 @@ def template_table(rules: RuleSet) -> TemplateTable:
     return tbl
 
 
-def export_templates(facts, tbl: TemplateTable) -> list[str]:
+def export_templates(facts: FactSet, tbl: TemplateTable) -> list[str]:
     """One sentence per fact, ordered by predicate then arguments."""
-    fact_set = facts if isinstance(facts, FactSet) else facts.facts
-    return [tbl.render(f) for f in fact_set.sorted()]
+    return [tbl.render(f) for f in facts.sorted()]
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def _support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
     return [found[i] for i in sorted(found)]
 
 
-def build_context(q: Query, a: Answer, facts, tbl: TemplateTable,
+def build_context(q: Query, a: Answer, facts: FactSet, tbl: TemplateTable,
                   rules: RuleSet, mode: str = WITH_INFERENCE,
                   question_text: str | None = None) -> ContextPayload:
     """Assemble the retrieval block handed to a language model.
@@ -109,17 +108,16 @@ def build_context(q: Query, a: Answer, facts, tbl: TemplateTable,
     Sections appear in the fixed order FACTS / VERDICT / SUPPORT; the
     facts_only mode emits the FACTS section alone.
     """
-    base = facts.facts if not isinstance(facts, FactSet) else facts
     question = question_text if question_text is not None else print_query(q, rules)
 
     if mode == FACTS_ONLY:
-        sentences = export_templates(base, tbl)
+        sentences = export_templates(facts, tbl)
         body = "FACTS\n" + "\n".join(sentences) + "\n"
         return ContextPayload(question, body, mode)
     if mode != WITH_INFERENCE:
         raise ValueError(f"unknown context mode {mode!r}")
 
-    sentences = [tbl.render(f) for f in _support_facts(q, a, base)]
+    sentences = [tbl.render(f) for f in _support_facts(q, a, facts)]
     lines = ["FACTS"]
     lines.extend(sentences)
     lines.append("")

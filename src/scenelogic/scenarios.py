@@ -114,7 +114,7 @@ def _mask(track, visible_frames):
     return [p if i in visible_frames else None for i, p in enumerate(track)]
 
 
-def _anchors(times, n: int) -> list[_WorldObject]:
+def _anchors(times) -> list[_WorldObject]:
     static = lambda x, z: [(x, z) for _ in times]
     return [
         _WorldObject("Building", 6.0, 8.0, -2.0, static(-8.0, 30.0)),
@@ -138,8 +138,7 @@ def _pedestrian(track, color) -> _WorldObject:
 
 
 def _build_world(spec: ScenarioSpec, rng: random.Random):
-    """Lay out the scene for the requested kind.  Returns (objects, ego_speed,
-    primary_index, secondary_index)."""
+    """Lay out the scene for the requested kind.  Returns (objects, ego_speed)."""
     n = spec.n_frames
     fps = spec.intrinsics.fps
     times = [i / fps for i in range(n)]
@@ -205,8 +204,8 @@ def _build_world(spec: ScenarioSpec, rng: random.Random):
             colors[(i) % len(colors)], types[i % len(types)],
         ))
 
-    objs.extend(_anchors(times, n))
-    return objs, ego, 0, 1
+    objs.extend(_anchors(times))
+    return objs, ego
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +557,7 @@ def generate_scenario(spec: ScenarioSpec,
     """Deterministically generate one annotated window with gold facts and
     grammar-parseable QA items."""
     rng = random.Random(spec.seed)
-    objs, ego_speed, _, _ = _build_world(spec, rng)
+    objs, ego_speed = _build_world(spec, rng)
     sequence = _assemble(spec, objs, ego_speed)
     atomic = _gold_atomic(spec, objs, cfg)
     derived = _gold_derived(atomic)

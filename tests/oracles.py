@@ -38,9 +38,7 @@ import numpy as np
 
 from scenelogic.fol import Const, Literal, Substitution, Term, Var, apply, unify
 from scenelogic.inference import (
-    DEFAULT_DEPTH_BOUND,
     Answer,
-    DepthExceeded,
     FactSet,
     ProofTrace,
     Query,
@@ -147,8 +145,7 @@ def _match_body(rule: RuleDecl, facts: set, index: dict,
     yield from walk(0, {}, ())
 
 
-def naive_saturate(base: FactSet, rules: RuleSet,
-                   depth_bound: int = DEFAULT_DEPTH_BOUND) -> FactSet:
+def naive_saturate(base: FactSet, rules: RuleSet) -> FactSet:
     """Least fixpoint by naive evaluation: every round re-matches every rule
     of the stratum against all facts known at the round's start."""
     known = set(base.facts)
@@ -158,7 +155,6 @@ def naive_saturate(base: FactSet, rules: RuleSet,
     domain = _active_domain(base, rules)
 
     for stratum_rules in rules.rules_by_stratum():
-        rounds = 0
         while True:
             fresh: list[TraceStep] = []
             for rule in stratum_rules:
@@ -169,14 +165,11 @@ def naive_saturate(base: FactSet, rules: RuleSet,
                         fresh.append(TraceStep(head, rule.name, premises))
             if not fresh:
                 break
-            rounds += 1
-            if rounds > depth_bound:
-                raise DepthExceeded(f"no fixpoint within {depth_bound} rounds")
             steps.extend(fresh)
             current = frozenset(known)
             current_index = _index(current)
 
-    return FactSet(frozenset(known), base.window_id, trace=ProofTrace(tuple(steps)))
+    return FactSet(frozenset(known), trace=ProofTrace(tuple(steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +214,7 @@ def brute_force_models(base: FactSet, rules: RuleSet,
                             added = True
             if not added:
                 break
-    return FactSet(frozenset(facts), base.window_id)
+    return FactSet(frozenset(facts))
 
 
 def brute_force_answer(model: FactSet, q: Query) -> Answer:
@@ -282,7 +275,7 @@ def _propositional_refute(clauses: list[frozenset], goal: Literal,
                     seen.add(fr)
                     sos.append(fr)
                     if len(seen) > max_clauses:
-                        raise DepthExceeded("resolution clause budget exhausted")
+                        raise OracleTooLarge("resolution clause budget exhausted")
         usable.append(given)
     return False
 

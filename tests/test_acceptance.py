@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from scenelogic.evaluation import run_pipeline
-from scenelogic.facts import compile_window
+from scenelogic.facts import CompilerConfig, compile_window
 from scenelogic.fol import Const, Literal
 from scenelogic.geometry import CameraIntrinsics, back_project, estimate_origin
 from scenelogic.inference import saturate
@@ -161,7 +161,7 @@ def test_criterion_rule_table_unit_suite(rules):
     for rule_name, objects, target, expect_fire in _rule_cases():
         seq = make_sequence(objects)
         w = build_window(seq.frames, seq.intrinsics)
-        wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+        wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
         sat = saturate(wf.facts, rules)
         fired = target in sat
         if fired == expect_fire:
@@ -260,7 +260,7 @@ def test_criterion_rag_export(rules, suite):
     detail = ""
     for sc in scenarios[:6]:
         w = windows(sc.sequence, 10)[0]
-        wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+        wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
         sentences = export_templates(wf.facts, tbl)
         if len(sentences) != len(wf.facts):
             ok, detail = False, "export is not a bijection"

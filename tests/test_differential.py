@@ -232,7 +232,7 @@ def test_distance_facts_equal_scalar_reference_on_generated_scenes(kind, rules):
         assert (facts, provenance) == ref_distance_facts(w, tracks, cfg)
 
 
-def test_distance_facts_equal_scalar_reference_on_random_tracks():
+def test_distance_facts_equal_scalar_reference_on_random_tracks(rules):
     """Random visibility leaves pairs with gaps, one or no common frames;
     positions on a coarse grid give equal consecutive distances."""
     rng = np.random.default_rng(3)
@@ -252,7 +252,7 @@ def test_distance_facts_equal_scalar_reference_on_random_tracks():
                     "Vehicle", (cx, cy), (cx - 5, cy - 5, cx + 5, cy + 5),
                     float(rng.integers(2, 6)))
             tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
-        facts, provenance = distance_part(compile_window(window, tracks, cfg))
+        facts, provenance = distance_part(compile_window(window, tracks, cfg, rules))
         assert (facts, provenance) == ref_distance_facts(window, tracks, cfg)
         emitted += len(facts)
     assert emitted > 0
@@ -273,7 +273,7 @@ def assert_same_trends(got, want):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_pair_table_equals_per_window_trends_on_generated_scenes(kind):
+def test_pair_table_equals_per_window_trends_on_generated_scenes(kind, rules):
     sc = generate_scenario(ScenarioSpec(kind, seed=21, n_frames=16, object_count=5))
     for w in windows(sc.sequence, 10):
         tracks = link_window(w, "inferred")
@@ -285,15 +285,15 @@ def test_pair_table_equals_per_window_trends_on_generated_scenes(kind):
         # A copy of the list is not the cut: it gets a table of its own.
         copy = list(tracks)
         assert tracking.cut_source(w, copy) is None
-        assert compiled(w, tracks) == compiled(w, copy)
+        assert compiled(w, tracks, rules) == compiled(w, copy, rules)
         # Nor is the cut once a track in it is edited.
         edited = next(t for t in tracks if len(t.observations) > 2)
         del edited.observations[max(edited.observations)]
         assert tracking.cut_source(w, tracks) is None
-        assert compiled(w, tracks) == compiled(w, list(tracks))
+        assert compiled(w, tracks, rules) == compiled(w, list(tracks), rules)
 
 
-def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch):
+def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch, rules):
     """Random sequence tracks with gaps, cut to windows of random length at
     every start: the trends read from the sequence's table equal those of
     the window's own points, and the distance facts and provenance equal
@@ -328,9 +328,9 @@ def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch):
             own, _ = oracles.track_points_per_observation(w, tracks)
             assert_same_trends(rows_to_window(facts._trends(table, start, start + m), rows),
                                oracles.distance_trends_per_window(own, m))
-            got = distance_part(compile_window(w, tracks, cfg))
+            got = distance_part(compile_window(w, tracks, cfg, rules))
             assert got == ref_distance_facts(w, tracks, cfg)
-            assert got == distance_part(compile_window(w, list(tracks), cfg))
+            assert got == distance_part(compile_window(w, list(tracks), cfg, rules))
             emitted += len(got[0])
     assert emitted > 0
 
@@ -407,8 +407,8 @@ def track_rows(tracks):
             for t in tracks]
 
 
-def compiled(w, tracks):
-    wf = compile_window(w, tracks)
+def compiled(w, tracks, rules):
+    wf = compile_window(w, tracks, CompilerConfig(), rules)
     return wf.facts, wf.provenance
 
 
@@ -450,7 +450,7 @@ def test_links_follow_alpha_on_shared_frames():
                 track_rows(link_window(alone, "inferred", cfg))
 
 
-def test_points_follow_the_intrinsics_on_shared_frames():
+def test_points_follow_the_intrinsics_on_shared_frames(rules):
     seq = generate_scenario(ScenarioSpec("crossing", seed=4)).sequence
     k = seq.intrinsics
     other = replace(k, fx=k.fx * 1.25, cx=k.cx + 7.0)
@@ -463,12 +463,12 @@ def test_points_follow_the_intrinsics_on_shared_frames():
             tracks, alone_tracks = link_window(w, mode), link_window(alone, mode)
             assert facts._track_points(w, tracks) == \
                 oracles.track_points_per_observation(alone, alone_tracks)
-            assert compiled(w, tracks) == compiled(alone, alone_tracks)
-        results.append(compiled(w, tracks)[1])
+            assert compiled(w, tracks, rules) == compiled(alone, alone_tracks, rules)
+        results.append(compiled(w, tracks, rules)[1])
     assert results[0] != results[1]  # the intrinsics move the points
 
 
-def test_a_frame_links_afresh_after_another_predecessor():
+def test_a_frame_links_afresh_after_another_predecessor(rules):
     seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=10)).sequence
     frames = seq.frames
     link_window(build_window(frames, seq.intrinsics), "inferred")  # fills the frames' caches
@@ -482,7 +482,7 @@ def test_a_frame_links_afresh_after_another_predecessor():
     alone = build_window((without_an_agent(fresh[0]),) + fresh[1:], seq.intrinsics)
     tracks, alone_tracks = link_window(w, "inferred"), link_window(alone, "inferred")
     assert track_rows(tracks) == track_rows(alone_tracks)
-    assert compiled(w, tracks) == compiled(alone, alone_tracks)
+    assert compiled(w, tracks, rules) == compiled(alone, alone_tracks, rules)
     assert track_rows(tracks) != track_rows(link_window(build_window(frames, seq.intrinsics)))
 
 
@@ -572,7 +572,7 @@ def test_kinematics_equal_array_reference():
             ref_kinematics(positions, k.fps)
 
 
-def test_mean_evidence_equals_per_list_means():
+def test_mean_evidence_equals_per_list_means(rules):
     """compile_window takes both per-track means in one 2-D call; each must
     equal np.mean of its own list, for lists long enough to be summed
     pairwise."""
@@ -591,7 +591,7 @@ def test_mean_evidence_equals_per_list_means():
                     "Vehicle", (cx, cy), (cx - 5, cy - 5, cx + 5, cy + 5),
                     float(rng.uniform(0.5, 80.0) * 10.0 ** int(rng.integers(-2, 3))))
             tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
-        provenance = compile_window(window, tracks).provenance
+        provenance = compile_window(window, tracks, CompilerConfig(), rules).provenance
         for t in tracks:
             observed = [o for _, o in t.frames_sorted()]
             name = (Const(t.instance_id),)

@@ -134,7 +134,7 @@ def test_never_both_speedup_and_speeddown(rules):
     for kind in KINDS:
         sc = generate_scenario(ScenarioSpec(kind, seed=23))
         w = windows(sc.sequence, 10)[0]
-        wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+        wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
         names = {str(f.args[0]) for f in wf.facts}
         for name in names:
             assert not (lit("SpeedUp", name) in wf.facts
@@ -154,7 +154,7 @@ def test_oracle_compile_reproduces_generator_gold_exactly(rules):
         for seed in (0, 5):
             sc = generate_scenario(ScenarioSpec(kind, seed))
             w = windows(sc.sequence, 10)[0]
-            wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+            wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
             assert wf.facts.facts == sc.gold_atomic, (
                 kind, seed,
                 sorted(str(f) for f in wf.facts.facts ^ sc.gold_atomic),
@@ -188,7 +188,7 @@ def _static_world(n):
 
 def _window_facts(seq, rules):
     """Compiled facts of every stride-1 ten-frame window, by window id."""
-    return [compile_window(w, link_window(w, "oracle"), rules=rules)
+    return [compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
             for w in windows(seq, 10)]
 
 

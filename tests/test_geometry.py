@@ -129,14 +129,6 @@ def test_coincident_anchors_degenerate():
         estimate_origin([(1.0, 1.0), (1.0, 1.0)], [(2.0, 2.0), (2.0, 2.0)])
 
 
-def test_translation_only_mode():
-    prev = ANCHORS[:4]
-    curr = [(x - 0.5, z - 2.0) for x, z in prev]
-    tf = estimate_origin(prev, curr, translation_only=True)
-    assert tf.rotation_rad == 0.0
-    assert tf.translation_m == pytest.approx((0.5, 2.0), abs=1e-12)
-
-
 def test_chain_composition_keeps_static_point_fixed():
     # Camera translating 0.2 m forward per frame with slight rotation.
     theta_step, t_step = 0.01, (0.05, 0.2)

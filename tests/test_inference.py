@@ -7,7 +7,6 @@ import pytest
 
 from scenelogic.fol import Const, Literal, Var
 from scenelogic.inference import (
-    DepthExceeded,
     FactSet,
     ProofTrace,
     Query,
@@ -73,12 +72,6 @@ def test_saturate_records_one_step_per_derived_fact(rules):
     derived = sat.facts - base.facts
     assert {s.derived for s in sat.trace.steps} == derived
     assert len(sat.trace.steps) == len(derived)
-
-
-def test_depth_bound_guards_runaway_rulesets(rules):
-    base = facts(lit("Vehicle", "vehicle01"))
-    with pytest.raises(DepthExceeded):
-        saturate(base, rules, depth_bound=0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +202,39 @@ def test_trace_step_breaking_an_equality_fails():
 
 
 def test_trace_step_with_an_equality_left_unground_fails():
-    # y occurs only in the equality, so no premise or head grounds it.
+    # y occurs only in the inequality, so no premise or head grounds it: it
+    # ranges over the active domain {a}, where no value differs from x = a.
     rules = parse_rule_file(
         "predicates:\n  - {name: A, arity: 1}\n  - {name: C, arity: 1, source: derived}\n"
-        'rules:\n  - {name: r, fol: "forall x, y: A(x) & (x = y) -> C(x)"}\n')
+        'rules:\n  - {name: r, fol: "forall x, y: A(x) & (x != y) -> C(x)"}\n')
     a = Const("a")
+    base = FactSet.of([Literal("A", (a,))])
+    assert saturate(base, rules).trace.steps == ()
     step = TraceStep(Literal("C", (a,)), "r", (Literal("A", (a,)),))
-    assert not check_trace(ProofTrace((step,)), FactSet.of([Literal("A", (a,))]), rules)
+    assert not check_trace(ProofTrace((step,)), base, rules)
+
+
+@pytest.mark.parametrize("fol,base,derived", [
+    # The forged step: y can only be a, and B(a, a) holds.
+    ("A(x) & !B(x, y) -> C(x)", [("A", "a"), ("B", "a", "a")], []),
+    # y = b makes B(a, y) absent; nothing holds of b, so y = a works for it.
+    ("A(x) & !B(x, y) -> C(x)", [("A", "a"), ("A", "b"), ("B", "a", "a")], ["a", "b"]),
+    # A constant of the rules is in the domain too: y = bb.
+    ("A(x) & !B(x, y) & (y = bb) -> C(x)", [("A", "a"), ("B", "a", "a")], ["a"]),
+    ("A(x) & (x = y) -> C(x)", [("A", "a")], ["a"]),
+], ids=["forged", "some-value", "rule-constant", "equality"])
+def test_variables_only_under_negation_range_over_the_active_domain(fol, base, derived):
+    rules = parse_rule_file(
+        "predicates:\n  - {name: A, arity: 1}\n  - {name: B, arity: 2}\n"
+        "  - {name: C, arity: 1, source: derived}\n"
+        f'rules:\n  - {{name: r, fol: "forall x, y: {fol}"}}\n')
+    base = facts(*(lit(*f) for f in base))
+    sat = saturate(base, rules)
+    assert [s.derived for s in sat.trace.steps] == [lit("C", c) for c in derived]
+    assert check_trace(sat.trace, base, rules)
+    # A C(a) step checks out exactly when saturation derives C(a).
+    step = TraceStep(lit("C", "a"), "r", (lit("A", "a"),))
+    assert check_trace(ProofTrace((step,)), base, rules) == ("a" in derived)
 
 
 # ---------------------------------------------------------------------------
@@ -428,21 +447,21 @@ def test_brute_force_of_empty_base_is_empty(rules):
 def test_exactly_the_approaching_object_binds(rules):
     # Parked vehicle, one pedestrian walking toward it: the only thing the
     # vehicle is getting closer to is that pedestrian.
-    from scenelogic.facts import compile_window
+    from scenelogic.facts import CompilerConfig, compile_window
     from scenelogic.scenarios import ScenarioSpec, generate_scenario
     from scenelogic.scene import windows
     from scenelogic.tracking import link_window
 
     sc = generate_scenario(ScenarioSpec("approach", seed=6))
     w = windows(sc.sequence, 10)[0]
-    wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+    wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
     a = resolve(wf.facts, rules, Query((lit("GettingCloser", "vehicle01", y),)))
     assert a.truth
     assert [str(s[y]) for s in a.bindings] == ["pedestrian01"]
 
 
 def test_every_derived_fact_has_a_checkable_trace(rules):
-    from scenelogic.facts import compile_window
+    from scenelogic.facts import CompilerConfig, compile_window
     from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
     from scenelogic.scene import windows
     from scenelogic.tracking import link_window
@@ -450,7 +469,7 @@ def test_every_derived_fact_has_a_checkable_trace(rules):
     for kind in KINDS:
         sc = generate_scenario(ScenarioSpec(kind, seed=31))
         w = windows(sc.sequence, 10)[0]
-        wf = compile_window(w, link_window(w, "oracle"), rules=rules)
+        wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
         sat = saturate(wf.facts, rules)
         assert {s.derived for s in sat.trace.steps} == sat.facts - wf.facts.facts
         assert check_trace(sat.trace, wf.facts, rules), kind

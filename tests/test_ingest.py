@@ -16,7 +16,9 @@ from scenelogic.cli import main as cli_main
 from scenelogic.evaluation import process_window
 from scenelogic.geometry import CameraIntrinsics
 from scenelogic.scenarios import InvalidSpec, ScenarioSpec, generate_scenario
-from scenelogic.questions import answer_to_text, parse_fol_query
+from scenelogic.inference import answer_query
+from scenelogic.logicpad import ParseError
+from scenelogic.questions import answer_to_text, parse_fol_query, parse_nl_question
 from scenelogic.scene import (
     STATIC_CATEGORIES,
     ObjectObservation,
@@ -141,7 +143,14 @@ def test_rule_file_errors_exit_at_config(tmp_path, capsys, rule, message):
      '  - {name: r, fol: "forall x: Moves(x) -> Moves(x)"}\n'
      '  - {name: r, fol: "forall x: Moves(x) -> Moves(x)"}\n',
      "rule 'r': duplicate rule name"),
-], ids=["bare-rule", "bare-predicate", "word-arity", "duplicate-rule"])
+    ("predicates: [{name: 7, arity: 1}]\n",
+     "predicates[0]: name must be a non-empty string, not 7"),
+    ("functions: [{name: 3}]\n", "functions[0]: name must be a non-empty string, not 3"),
+    ('predicates:\n  - {name: Moves, arity: 1}\nrules:\n'
+     '  - {name: "", fol: "forall x: Moves(x) -> Moves(x)"}\n',
+     "rules[0]: name must be a non-empty string, not ''"),
+], ids=["bare-rule", "bare-predicate", "word-arity", "duplicate-rule", "number-predicate",
+        "number-function", "empty-rule-name"])
 def test_badly_shaped_rule_file_entries_exit_at_config(tmp_path, capsys, doc, message):
     path = _static_scene(tmp_path)
     rules = tmp_path / "rules.yaml"
@@ -182,6 +191,54 @@ def test_repl_stages_config_errors_and_unknown_windows(tmp_path, capsys, monkeyp
     monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
     assert cli_main(["repl", str(path)]) == 0
     assert "error: question: window 99 not available\n" in capsys.readouterr().out
+
+
+def _feed(monkeypatch, lines):
+    """Answer ``input`` with ``lines``, then with end of file."""
+    lines = iter(lines)
+
+    def fake_input(prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", fake_input)
+
+
+@pytest.mark.parametrize("last", [[":quit"], []], ids=["quit", "eof"])
+def test_repl_session(tmp_path, capsys, monkeypatch, rules, last):
+    seq = generate_scenario(ScenarioSpec("static", seed=3, n_frames=12)).sequence
+    path = tmp_path / "annotation.json"
+    save_annotation(seq, path)
+    _feed(monkeypatch, ["Is there a pedestrian?", ":fol Vehicle(x)", "", ":facts",
+                        ":window 2", ":window 99", ":fol Vehicle(x) &",
+                        "Is the white car moving?", *last, ":fol Vehicle(x)"])
+    assert cli_main(["repl", str(path)]) == 0
+
+    per = {w.window_id: process_window(w, rules) for w in windows(seq)}
+
+    def answer(wid, text, fol=False):
+        q = (parse_fol_query if fol else parse_nl_question)(text, rules)
+        return answer_to_text(answer_query(per[wid][1], rules, q), q)
+
+    with pytest.raises(ParseError) as exc:
+        parse_fol_query("Vehicle(x) &", rules)
+    want = [
+        "3 window(s); current window 0. :facts lists facts, :window K switches, "
+        ":fol <query> asks in FOL, :quit exits.",
+        answer(0, "Is there a pedestrian?"),
+        answer(0, "Vehicle(x)", fol=True),
+        *(str(f) for f in per[0][0].facts),
+        "window 2",
+        "error: question: window 99 not available",
+        f"error: {exc.value}",
+        answer(2, "Is the white car moving?"),
+    ]
+    if not last:  # no :quit, so the last line is answered before end of file
+        want.append(answer(2, "Vehicle(x)", fol=True))
+    out = capsys.readouterr().out
+    assert out == "\n".join(want) + "\n"
 
 
 INTRINSICS = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, fps=10.0)

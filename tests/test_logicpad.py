@@ -343,6 +343,39 @@ def test_declaration_errors_name_the_entry(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+@pytest.mark.parametrize("text,message", [
+    ("predicates: [{name: 7, arity: 1}]\n",
+     "predicates[0]: name must be a non-empty string, not 7"),
+    ("predicates: [{name: '', arity: 1}]\n",
+     "predicates[0]: name must be a non-empty string, not ''"),
+    ("functions: [{name: 3}]\n", "functions[0]: name must be a non-empty string, not 3"),
+    (ABC + "  - {name: '', fol: \"forall x: A(x) -> C(x)\"}\n",
+     "rules[0]: name must be a non-empty string, not ''"),
+    (ABC + "  - {name: [r], fol: \"forall x: A(x) -> C(x)\"}\n",
+     "rules[0]: name must be a non-empty string, not ['r']"),
+    (ABC + "  - name: !\n    fol: \"forall x: A(x) -> C(x)\"\n",
+     "rules[0]: name must be a non-empty string, not None"),
+    # The Python loader rejects a bare tag before a flow mapping's ':'.
+    ('rules: [{name: !, fol: "forall x: A(x) -> C(x)"}]\n',
+     "line 1: invalid YAML: while parsing a flow mapping"),
+], ids=["number-predicate", "empty-predicate", "number-function", "empty-rule",
+        "list-rule", "bare-tag-rule", "bare-tag-in-flow-rule"])
+def test_entry_names_are_non_empty_strings(monkeypatch, loader, text, message):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML was built without libyaml")
+    if loader == "SafeLoader":
+        monkeypatch.setattr(logicpad, "_YAML_LOADER", yaml.SafeLoader)
+    with pytest.raises(ParseError) as exc:
+        parse_rule_file(text)
+    assert str(exc.value).splitlines()[0] == message
+
+
+def test_a_bare_tag_reads_as_the_python_loader_reads_it():
+    text = "predicates:\n  - name: A\n    arity: 1\n    doc: !\n"
+    assert parse_rule_file(text).declarations[0].doc is None
+
+
 def _load_outcome(text: str):
     """A rule document's RuleSet with the fields its equality leaves out,
     or the error it raises."""
@@ -356,7 +389,7 @@ def _load_outcome(text: str):
 def test_c_and_python_yaml_loaders_give_equal_rule_sets(monkeypatch):
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML was built without libyaml")
-    assert logicpad._YAML_LOADER is yaml.CSafeLoader
+    assert issubclass(logicpad._YAML_LOADER, yaml.CSafeLoader)
     default = resources.files("scenelogic").joinpath("rules/default.yaml").read_text("utf-8")
     # Every string constant in the tests, and each one that reads as a rule
     # entry appended to MINI's rules.

@@ -6,7 +6,7 @@ import pytest
 
 from scenelogic.evaluation import process_sequence
 from scenelogic.fol import Const, Literal, Var
-from scenelogic.inference import DepthExceeded, FactSet, saturate
+from scenelogic.inference import FactSet, saturate
 from scenelogic.logicpad import PredicateDecl, RuleDecl, RuleSet, stratify
 from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
 
@@ -76,7 +76,7 @@ def _closure_program():
 
 def _chain(n: int) -> FactSet:
     return FactSet.of([Literal("Edge", (Const(f"n{i:02d}"), Const(f"n{i + 1:02d}")))
-                       for i in range(n)], window_id=3)
+                       for i in range(n)])
 
 
 def test_transitive_closure_matches_naive_rounds_and_steps():
@@ -85,16 +85,18 @@ def test_transitive_closure_matches_naive_rounds_and_steps():
         sat = saturate(_chain(n), rs)
         _assert_same_as_naive(sat, _chain(n), rs, n)
         assert len([f for f in sat.facts if f.pred == "Path"]) == n * (n + 1) // 2
-        assert sat.window_id == 3
 
 
-def test_depth_bound_counts_the_same_rounds_as_naive():
-    rs = _closure_program()
-    base = _chain(8)
-    # Paths of length 1, then up to 2, 4 and 8: four rounds in Path's
-    # stratum, and one in OneWay's.
-    naive_saturate(base, rs, depth_bound=4)
-    saturate(base, rs, depth_bound=4)
-    for engine in (naive_saturate, saturate):
-        with pytest.raises(DepthExceeded):
-            engine(base, rs, depth_bound=3)
+def test_linear_recursion_runs_as_many_rounds_as_the_chain_is_long():
+    # Left-linear closure adds one edge per round: 70 rounds in Path's
+    # stratum, with no round limit to stop it.
+    x, y, z = Var("x"), Var("y"), Var("z")
+    decls = (PredicateDecl("Edge", 2, "atomic"), PredicateDecl("Path", 2, "derived"))
+    rules = (RuleDecl("step", Literal("Path", (x, y)), (Literal("Edge", (x, y)),)),
+             RuleDecl("extend", Literal("Path", (x, z)),
+                      (Literal("Edge", (x, y)), Literal("Path", (y, z)))))
+    rs = RuleSet(decls, (), rules, stratify(decls, rules))
+    base = _chain(70)
+    sat = saturate(base, rs)
+    _assert_same_as_naive(sat, base, rs, 70)
+    assert len([f for f in sat.facts if f.pred == "Path"]) == 2485
