@@ -100,9 +100,13 @@ def _prepare(args):
                 doc = yaml.safe_load(fh) or {}
         cfg = CompilerConfig(**doc.get("compiler", {}))
         tracker = TrackerConfig(**doc.get("tracker", {}))
+        window = doc.get("window")
+        # A bool is an int to isinstance, but no length.
+        if window is not None and (isinstance(window, bool) or not isinstance(window, int)):
+            raise ValueError(f"window must be an integer, got {window!r}")
         rules = load_rule_file(args.rules) if args.rules else default_ruleset()
     # A window of 0 or none selects the default length.
-    return cfg, tracker, args.window or doc.get("window") or None, rules
+    return cfg, tracker, args.window or window or None, rules
 
 
 def _windows(path, window):
@@ -190,7 +194,10 @@ def _cmd_repl(args) -> int:
             return 0
         try:
             if line.startswith(":window"):
-                wid = int(line.split()[1])
+                try:
+                    (wid,) = map(int, line.split()[1:])
+                except ValueError:
+                    raise ValueError("usage: :window K") from None
                 sat_for(wid)
                 current = wid
                 print(f"window {current}")

@@ -10,11 +10,11 @@ from itertools import chain
 import numpy as np
 
 from .fol import Const, Literal
-from .geometry import kinematics
+from .geometry import _norm
 from .inference import FactSet
 from .logicpad import RuleSet
 from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, Sequence, bev_of
-from .tracking import Trajectory, cut_source, presence
+from .tracking import Trajectory, cut_source
 
 
 class UndeclaredCategory(ValueError):
@@ -49,29 +49,28 @@ class WindowFacts:
     tracks: list[Trajectory] | None = None
 
 
-def _track_points(w: SceneWindow, tracks: list[Trajectory]):
-    """Every track observation's BEV point, in its own frame's coordinates
-    and in the window's (frame 0's), each as one dict per track from window
-    position to point.
-
-    Points are read from the frames' ``bev`` caches; an observation that is
-    not one of its frame's objects is back-projected.  The window mapping is
-    ``Transform2.transform``'s arithmetic with each frame's cosine and sine
-    taken once, so equal to it bit for bit.
-    """
+def _window_frames(w: SceneWindow):
+    """Each frame's BEV points (``FrameObservation.bev``) and the cosine,
+    sine and translation that map its coordinates into the window's (frame
+    0's), each cosine and sine taken once."""
     k = w.intrinsics
-    frames = [(f.bev(k), math.cos(c.rotation_rad), math.sin(c.rotation_rad),
-               *c.translation_m) for f, c in zip(w.frames, w.cumulative())]
-    own, window = [], []
-    for t in tracks:
-        own_t, window_t = {}, {}
-        for pos, obs in t.observations.items():
-            points, c, s, tx, tz = frames[pos]
-            x, z = own_t[pos] = points.get(id(obs)) or bev_of(obs, k)
-            window_t[pos] = (c * x - s * z + tx, s * x + c * z + tz)
-        own.append(own_t)
-        window.append(window_t)
-    return own, window
+    return [(f.bev(k), math.cos(c.rotation_rad), math.sin(c.rotation_rad), *c.translation_m)
+            for f, c in zip(w.frames, w.cumulative())]
+
+
+def _own_point(frame, obs, k) -> tuple[float, float]:
+    """``obs``'s BEV point in its own frame's coordinates, read from the
+    frame's ``bev`` cache; an observation that is not one of its frame's
+    objects is back-projected."""
+    return frame[0].get(id(obs)) or bev_of(obs, k)
+
+
+def _window_point(frame, own) -> tuple[float, float]:
+    """A frame's point ``own`` in the window's coordinates:
+    ``Transform2.transform``'s arithmetic, so equal to it bit for bit."""
+    _, c, s, tx, tz = frame
+    x, z = own
+    return (c * x - s * z + tx, s * x + c * z + tz)
 
 
 def _pair_table(points: list[dict], n: int):
@@ -138,34 +137,70 @@ def _sequence_table(seq: Sequence, k, tracks: list[Trajectory]):
     return entry[1]
 
 
-def _window_trends(w: SceneWindow, tracks: list[Trajectory], bev: list[dict]):
+def _window_trends(w: SceneWindow, tracks: list[Trajectory], frames):
     """``_trends`` of the window's track pairs, and the tracks by the table
     rows the pairs name.  A cut that ``link_window`` returned reads its
     sequence's table; any other track list gets a table of its own over
-    the window's frames, from its points ``bev``."""
+    the window's frames, from its observations' own points (``frames``
+    as ``_window_frames`` gives them)."""
     source = cut_source(w, tracks)
     if source is None:
-        return _trends(_pair_table(bev, w.n), 0, w.n), tracks
+        k = w.intrinsics
+        own = [{pos: _own_point(frames[pos], obs, k) for pos, obs in t.observations.items()}
+               for t in tracks]
+        return _trends(_pair_table(own, w.n), 0, w.n), tracks
     seq_tracks, rows = source
     table = _sequence_table(w.sequence, w.intrinsics, seq_tracks)
     return _trends(table, w.start, w.start + w.n), dict(zip(rows, tracks))
 
 
-def _dense_positions(keyed: dict[int, tuple[float, float]]) -> list[tuple[float, float]]:
-    """Fill interior occlusion gaps by linear interpolation."""
-    keys = sorted(keyed)
+def _motion(t: Trajectory, keys: list[int], frames, k) -> tuple[float, float]:
+    """``t``'s net displacement and the change from its first step's speed
+    to its last's, as ``kinematics`` computes them over the track's window
+    points with each interior gap filled by linear interpolation between
+    the observed positions around it.  Those read only the points at
+    positions first, first+1, last-1 and last, so only the observations
+    they need are mapped.  ``keys`` are t's positions, sorted, two or
+    more."""
     first, last = keys[0], keys[-1]
-    dense = []
-    for p in range(first, last + 1):
-        if p in keyed:
-            dense.append(keyed[p])
-        else:
-            lo = max(k for k in keys if k < p)
-            hi = min(k for k in keys if k > p)
-            f = (p - lo) / (hi - lo)
-            a, b = keyed[lo], keyed[hi]
-            dense.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
-    return dense
+    mapped = {p: _window_point(frames[p], _own_point(frames[p], t.observations[p], k))
+              for p in {first, keys[1], keys[-2], last}}
+    a, d = mapped[first], mapped[last]
+    b = _interpolated(mapped, first + 1, first, keys[1])
+    c = _interpolated(mapped, last - 1, keys[-2], last)
+    return (_norm(d[0] - a[0], d[1] - a[1]),
+            _norm(d[0] - c[0], d[1] - c[1]) * k.fps - _norm(b[0] - a[0], b[1] - a[1]) * k.fps)
+
+
+def _interpolated(mapped: dict, p: int, lo: int, hi: int) -> tuple[float, float]:
+    """The point at position ``p``: its own if observed, else linearly
+    interpolated between the observed positions ``lo < p < hi``."""
+    if p in mapped:
+        return mapped[p]
+    f = (p - lo) / (hi - lo)
+    a, b = mapped[lo], mapped[hi]
+    return (a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1]))
+
+
+def _means(tracks: list[Trajectory], keys: list[list[int]]) -> list[tuple[float, float]]:
+    """Each track's mean centroid x and mean depth over its observations in
+    position order.  Tracks with equal observation counts share one
+    ``np.mean(..., axis=1)``: each row of a 2-D mean is summed exactly as
+    np.mean sums that row alone."""
+    by_count: dict[int, list[int]] = {}
+    for i, keys_t in enumerate(keys):
+        by_count.setdefault(len(keys_t), []).append(i)
+    out: list = [None] * len(tracks)
+    for members in by_count.values():
+        rows = []
+        for i in members:
+            observed = [tracks[i].observations[p] for p in keys[i]]
+            rows.append([o.centroid_px[0] for o in observed])
+            rows.append([o.depth_m for o in observed])
+        means = np.mean(rows, axis=1).tolist()
+        for j, i in enumerate(members):
+            out[i] = (means[2 * j], means[2 * j + 1])
+    return out
 
 
 def _vocab_constant(rules: RuleSet, section: str, value: str) -> str:
@@ -204,34 +239,27 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
     k = w.intrinsics
     width = cfg.image_width if cfg.image_width is not None else 2.0 * k.cx
 
-    bev, positions = _track_points(w, tracks)
-
-    for t, window_points in zip(tracks, positions):
+    frames = _window_frames(w)
+    keys = [sorted(t.observations) for t in tracks]
+    for t, keys_t, (mean_x, mean_depth) in zip(tracks, keys, _means(tracks, keys)):
         name = t.instance_id
         emit(t.category, name)
 
-        flags = presence(t, w.n)
-        if flags.appears:
-            emit("Appears", name, first_frame=flags.first_frame)
-        if flags.disappears:
-            emit("Disappears", name, last_frame=flags.last_frame)
+        first, last = keys_t[0], keys_t[-1]
+        if first > 0:
+            emit("Appears", name, first_frame=first)
+        if last < w.n - 1:
+            emit("Disappears", name, last_frame=last)
 
-        dense = _dense_positions(window_points)
-        if len(dense) >= 2:
-            kin = kinematics(dense, k)
-            if kin.displacement_total > cfg.eps_move:
-                emit("Moves", name, displacement_m=kin.displacement_total)
-            delta = kin.velocity[-1] - kin.velocity[0]
+        if last > first:
+            displacement, delta = _motion(t, keys_t, frames, k)
+            if displacement > cfg.eps_move:
+                emit("Moves", name, displacement_m=displacement)
             if delta > cfg.eps_speed:
                 emit("SpeedUp", name, velocity_delta=delta)
             elif -delta > cfg.eps_speed:
                 emit("SpeedDown", name, velocity_delta=delta)
 
-        # One call for both means: each row of a 2-D mean is summed exactly
-        # as np.mean sums that row alone.
-        observed = [obs for _, obs in t.frames_sorted()]
-        mean_x, mean_depth = np.mean([[o.centroid_px[0] for o in observed],
-                                      [o.depth_m for o in observed]], axis=1).tolist()
         if mean_x < width * cfg.left_frac:
             emit("AtLeft", name, mean_centroid_x=mean_x)
         elif mean_x > width * cfg.right_frac:
@@ -248,7 +276,7 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
             emit("TypeOfRel", name, _vocab_constant(rules, "types", t.attributes["type"]))
 
     # Pairwise relations over frames where both instances are observed.
-    (ia, ib, steps, dec, inc, first, last), by_row = _window_trends(w, tracks, bev)
+    (ia, ib, steps, dec, inc, first, last), by_row = _window_trends(w, tracks, frames)
     decreases = (dec / steps >= cfg.trend_frac) & (first - last > cfg.eps_move)
     increases = (inc / steps >= cfg.trend_frac) & (last - first > cfg.eps_move)
     first, last = first.tolist(), last.tolist()

@@ -19,7 +19,14 @@ the compiled engine in ``scenelogic.inference`` is checked against.
   live tracks' boxes, every point back-projected and mapped on its own)
   instead of read from the per-frame caches.  ``cut_tracks`` cuts tracks
   to a run of frames; run over a whole sequence and cut, the per-window
-  tracker is the reference for the once-per-sequence tracker.
+  tracker is the reference for the once-per-sequence tracker.  Both vote
+  attributes with ``consolidate_attributes_per_observation``, which counts
+  every observation's attributes one by one.
+- ``track_kinematics_per_observation`` and ``track_facts_per_observation``:
+  each track's kinematics and unary facts from every observation's window
+  point, the interior gaps filled densely and the means taken one
+  ``np.mean`` per list, instead of from the few points and the grouped
+  means that ``compile_window`` reads.
 - ``distance_trends_per_window``: the distance trends of a window's track
   pairs computed from that window's points alone, instead of read from a
   per-sequence pair table.
@@ -36,7 +43,9 @@ from itertools import product
 
 import numpy as np
 
+from scenelogic.facts import CompilerConfig
 from scenelogic.fol import Const, Literal, Substitution, Term, Var, apply, unify
+from scenelogic.geometry import Kinematics, kinematics
 from scenelogic.inference import (
     Answer,
     FactSet,
@@ -59,10 +68,10 @@ from scenelogic.tracking import (
     TrackerConfig,
     Trajectory,
     _assign_ids,
-    _consolidate_attributes,
     _LiveTrack,
     _weights,
     match_frames,
+    presence,
 )
 
 
@@ -494,10 +503,21 @@ def link_inferred_per_window(w: SceneWindow, cfg: TrackerConfig = TrackerConfig(
 
     tracks = [
         Trajectory("", t.category, t.observations,
-                   _consolidate_attributes(t.observations))
+                   consolidate_attributes_per_observation(t.observations))
         for t in done
     ]
     return _assign_ids(tracks)
+
+
+def consolidate_attributes_per_observation(observations) -> dict:
+    """Each attribute's most frequent value, the one seen first winning a
+    tie, counting each observation's attributes in position order."""
+    votes: dict[str, dict] = {}
+    for _, obs in sorted(observations.items()):
+        for key, value in (obs.attributes or {}).items():
+            counts = votes.setdefault(key, {})
+            counts[value] = counts.get(value, 0) + 1
+    return {key: max(counts, key=counts.get) for key, counts in votes.items()}
 
 
 def track_points_per_observation(w: SceneWindow, tracks: list[Trajectory]):
@@ -510,6 +530,72 @@ def track_points_per_observation(w: SceneWindow, tracks: list[Trajectory]):
     return own, [{pos: cums[pos].transform(p) for pos, p in pts.items()} for pts in own]
 
 
+def dense_positions(keyed: dict[int, tuple[float, float]]) -> list[tuple[float, float]]:
+    """The points from the first key to the last, each interior gap filled
+    by linear interpolation between the keys around it."""
+    keys = sorted(keyed)
+    dense = []
+    for p in range(keys[0], keys[-1] + 1):
+        if p in keyed:
+            dense.append(keyed[p])
+        else:
+            lo = max(k for k in keys if k < p)
+            hi = min(k for k in keys if k > p)
+            f = (p - lo) / (hi - lo)
+            a, b = keyed[lo], keyed[hi]
+            dense.append((a[0] + f * (b[0] - a[0]), a[1] + f * (b[1] - a[1])))
+    return dense
+
+
+def track_kinematics_per_observation(w: SceneWindow,
+                                     tracks: list[Trajectory]) -> list[Kinematics | None]:
+    """``kinematics`` of each track's dense window points; None for a track
+    seen in one frame only."""
+    _, window = track_points_per_observation(w, tracks)
+    return [kinematics(dense_positions(keyed), w.intrinsics) if len(keyed) >= 2 else None
+            for keyed in window]
+
+
+def track_facts_per_observation(w: SceneWindow, tracks: list[Trajectory],
+                                cfg: CompilerConfig) -> list[tuple[Literal, dict | None]]:
+    """The one-argument facts ``compile_window`` emits for each track, with
+    their evidence, in emission order."""
+    width = cfg.image_width if cfg.image_width is not None else 2.0 * w.intrinsics.cx
+    out = []
+
+    def emit(pred, name, **evidence):
+        out.append((Literal(pred, (Const(name),)), evidence or None))
+
+    for t, kin in zip(tracks, track_kinematics_per_observation(w, tracks)):
+        name = t.instance_id
+        emit(t.category, name)
+        flags = presence(t, w.n)
+        if flags.appears:
+            emit("Appears", name, first_frame=flags.first_frame)
+        if flags.disappears:
+            emit("Disappears", name, last_frame=flags.last_frame)
+        if kin is not None:
+            if kin.displacement_total > cfg.eps_move:
+                emit("Moves", name, displacement_m=kin.displacement_total)
+            delta = kin.velocity[-1] - kin.velocity[0]
+            if delta > cfg.eps_speed:
+                emit("SpeedUp", name, velocity_delta=delta)
+            elif -delta > cfg.eps_speed:
+                emit("SpeedDown", name, velocity_delta=delta)
+        observed = [obs for _, obs in t.frames_sorted()]
+        mean_x = float(np.mean([o.centroid_px[0] for o in observed]))
+        mean_depth = float(np.mean([o.depth_m for o in observed]))
+        if mean_x < width * cfg.left_frac:
+            emit("AtLeft", name, mean_centroid_x=mean_x)
+        elif mean_x > width * cfg.right_frac:
+            emit("AtRight", name, mean_centroid_x=mean_x)
+        else:
+            emit("AtCenter", name, mean_centroid_x=mean_x)
+        if mean_depth < cfg.close_depth:
+            emit("CloseToCamera", name, mean_depth_m=mean_depth)
+    return out
+
+
 def cut_tracks(tracks: list[Trajectory], start: int, n: int) -> list[Trajectory]:
     """``tracks`` restricted to positions ``start..start+n-1`` and rebased
     to 0, attributes voted over the observations kept; tracks with none
@@ -520,7 +606,7 @@ def cut_tracks(tracks: list[Trajectory], start: int, n: int) -> list[Trajectory]
                         if start <= pos < start + n}
         if observations:
             out.append(Trajectory(t.instance_id, t.category, observations,
-                                  _consolidate_attributes(observations)))
+                                  consolidate_attributes_per_observation(observations)))
     return sorted(out, key=lambda t: t.instance_id)
 
 

@@ -2,12 +2,15 @@
 
 Association weights are computed over whole arrays; origin chains,
 inferred tracks and pairwise distance trends once per sequence; BEV points
-once per frame; kinematics with scalars.  Each test here keeps the per-pair
-(or per-window, or array) computation as a reference and requires exactly
+once per frame; kinematics with scalars; each track's facts from the few
+points and the grouped means they read, its attributes from counts of equal
+attribute sets.  Each test here keeps the per-pair (or per-window, or
+array, or per-observation) computation as a reference and requires exactly
 equal results.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -407,6 +410,17 @@ def track_rows(tracks):
             for t in tracks]
 
 
+def compile_points(w, tracks):
+    """Every observation's own-frame and window-frame point from the
+    helpers ``compile_window`` reads them through, in the shape of
+    ``oracles.track_points_per_observation``."""
+    frames = facts._window_frames(w)
+    own = [{pos: facts._own_point(frames[pos], obs, w.intrinsics)
+            for pos, obs in t.observations.items()} for t in tracks]
+    return own, [{pos: facts._window_point(frames[pos], p) for pos, p in points.items()}
+                 for points in own]
+
+
 def compiled(w, tracks, rules):
     wf = compile_window(w, tracks, CompilerConfig(), rules)
     return wf.facts, wf.provenance
@@ -461,7 +475,7 @@ def test_points_follow_the_intrinsics_on_shared_frames(rules):
         alone = build_window(reloaded(seq.frames), intrinsics)
         for mode in ("oracle", "inferred"):
             tracks, alone_tracks = link_window(w, mode), link_window(alone, mode)
-            assert facts._track_points(w, tracks) == \
+            assert compile_points(w, tracks) == \
                 oracles.track_points_per_observation(alone, alone_tracks)
             assert compiled(w, tracks, rules) == compiled(alone, alone_tracks, rules)
         results.append(compiled(w, tracks, rules)[1])
@@ -514,8 +528,7 @@ def test_shared_links_and_points_equal_per_window_work(scene):
         want = oracles.cut_tracks(linked, w.start, w.n)
         tracks = link_window(w, "inferred")
         assert track_rows(tracks) == track_rows(want)
-        assert facts._track_points(w, tracks) == \
-            oracles.track_points_per_observation(w, tracks)
+        assert compile_points(w, tracks) == oracles.track_points_per_observation(w, tracks)
     if scene != "appear":
         assert sum(ghost for *_, ghost in visits) > 0
 
@@ -573,9 +586,9 @@ def test_kinematics_equal_array_reference():
 
 
 def test_mean_evidence_equals_per_list_means(rules):
-    """compile_window takes both per-track means in one 2-D call; each must
-    equal np.mean of its own list, for lists long enough to be summed
-    pairwise."""
+    """compile_window takes the means of all tracks of one length in one
+    2-D call; each must equal np.mean of its own list, for lists long
+    enough to be summed pairwise."""
     rng = np.random.default_rng(12)
     n = 24
     window = SceneWindow(tuple(FrameObservation(i, ()) for i in range(n)), INTR, 0,
@@ -601,3 +614,148 @@ def test_mean_evidence_equals_per_list_means(rules):
             depth = float(np.mean([o.depth_m for o in observed]))
             if depth < CompilerConfig().close_depth:
                 assert provenance[Literal("CloseToCamera", name)] == {"mean_depth_m": depth}
+
+
+# ---------------------------------------------------------------------------
+# (f) Per-track facts from the positions they read
+# ---------------------------------------------------------------------------
+
+def random_chain(rng, n):
+    return tuple(Transform2(float(rng.uniform(-0.4, 0.4)),
+                            (float(rng.normal(0, 2)), float(rng.normal(0, 2))))
+                 for _ in range(n - 1))
+
+
+def random_observation(rng):
+    cx, cy = rng.uniform(20, 1260), rng.uniform(20, 700)
+    return ObjectObservation("Vehicle", (cx, cy), (cx - 10, cy - 10, cx + 10, cy + 10),
+                             float(rng.uniform(0.5, 60.0)))
+
+
+def random_gap_tracks(rng, n, inside: bool):
+    """A window of ``n`` frames under a random origin chain and tracks whose
+    spans are 2, 3 or more frames, with interior gaps of random lengths.
+    With ``inside`` the observations are their frames' objects; otherwise
+    the frames hold other objects and the tracks fresh copies."""
+    per_frame = [[random_observation(rng) for _ in range(int(rng.integers(0, 2)))]
+                 for _ in range(n)]
+    tracks = []
+    for t in range(int(rng.integers(1, 6))):
+        span = int(rng.choice([2, 3, int(rng.integers(4, n + 1))]))
+        first = int(rng.integers(0, n - span + 1))
+        interior = range(first + 1, first + span - 1)
+        keep = rng.random(len(interior)) < rng.choice([0.0, 0.3, 0.7])
+        seen = [first, *(p for p, k in zip(interior, keep) if k), first + span - 1]
+        observations = {}
+        for pos in rng.permutation(seen).tolist():
+            obs = random_observation(rng)
+            if inside:
+                per_frame[pos].append(obs)
+            else:
+                per_frame[pos].append(replace(obs))
+            observations[pos] = obs
+        tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
+    k = replace(INTR, fps=float(rng.choice([5.0, 10.0, 29.97])))
+    frames = tuple(FrameObservation(i, tuple(objects)) for i, objects in enumerate(per_frame))
+    return SceneWindow(frames, k, 0, random_chain(rng, n)), tracks
+
+
+@pytest.mark.parametrize("inside", [True, False], ids=["frame-objects", "outside-frames"])
+def test_track_facts_equal_dense_kinematics_on_random_gaps(rules, inside):
+    """Each track's displacement and speed change equal kinematics over its
+    densely interpolated window points, bit for bit, and so do its facts
+    and their evidence; observations outside their frames are
+    back-projected, and the distance facts of such a list equal the
+    per-pair loop's."""
+    rng = np.random.default_rng(13 if inside else 14)
+    cfg = CompilerConfig(eps_move=0.5, eps_speed=0.5)
+    n = 12
+    spans, gaps, emitted = set(), set(), set()
+    for _ in range(150):
+        w, tracks = random_gap_tracks(rng, n, inside)
+        frames = facts._window_frames(w)
+        for t, kin in zip(tracks, oracles.track_kinematics_per_observation(w, tracks)):
+            keys = sorted(t.observations)
+            spans.add(min(keys[-1] - keys[0] + 1, 4))
+            gaps.update(b - a - 1 for a, b in zip(keys, keys[1:]) if b - a > 1)
+            got = facts._motion(t, keys, frames, w.intrinsics)
+            want = (kin.displacement_total, kin.velocity[-1] - kin.velocity[0])
+            assert repr(got) == repr(want)
+        wf = compile_window(w, tracks, cfg, rules)
+        want = oracles.track_facts_per_observation(w, tracks, cfg)
+        assert {f for f in wf.facts if len(f.args) == 1} == {f for f, _ in want}
+        assert repr([(f, ev) for f, ev in wf.provenance.items() if len(f.args) == 1]) == \
+            repr([(f, ev) for f, ev in want if ev is not None])
+        assert distance_part(wf) == ref_distance_facts(w, tracks, cfg)
+        emitted.update(f.pred for f, _ in want)
+    assert spans == {2, 3, 4}
+    assert gaps == set(range(1, n - 1))
+    assert {"Moves", "SpeedUp", "SpeedDown", "Appears", "Disappears"} <= emitted
+
+
+def stand_in(**fields):
+    """An observation reduced to the fields a helper reads."""
+    return SimpleNamespace(**fields)
+
+
+def random_mean_track(rng, length):
+    scale = 10.0 ** int(rng.integers(-2, 4))
+    if rng.random() < 0.2:  # integer pixels and depths
+        xs, depths = rng.integers(0, 1280, length).tolist(), rng.integers(1, 90, length).tolist()
+    else:
+        xs = (rng.uniform(0, 1280, length) * scale).tolist()
+        depths = (rng.uniform(0.1, 90, length) * scale).tolist()
+    positions = sorted(rng.choice(3 * length, length, replace=False).tolist())
+    return Trajectory("t", "Vehicle", {p: stand_in(centroid_px=(x, 0.0), depth_m=d)
+                                       for p, x, d in zip(positions, xs, depths)})
+
+
+def test_grouped_means_equal_per_track_means():
+    """Tracks of equal length share one 2-D mean; each track's means equal
+    np.mean of its own lists, for row lengths 1-40 in groups of 1-70
+    tracks and in mixed lists."""
+    rng = np.random.default_rng(15)
+    cases = [[length] * g for length in range(1, 41)
+             for g in (1, int(rng.integers(2, 70)), 70)]
+    cases += [rng.integers(1, 41, int(rng.integers(1, 70))).tolist() for _ in range(100)]
+    for lengths in cases:
+        tracks = [random_mean_track(rng, length) for length in lengths]
+        keys = [sorted(t.observations) for t in tracks]
+        want = []
+        for t, keys_t in zip(tracks, keys):
+            observed = [t.observations[p] for p in keys_t]
+            want.append((float(np.mean([o.centroid_px[0] for o in observed])),
+                         float(np.mean([o.depth_m for o in observed]))))
+        assert repr(facts._means(tracks, keys)) == repr(want)
+
+
+def random_attributes(rng):
+    draw = rng.random()
+    if draw < 0.1:
+        return None
+    if draw < 0.2:
+        return {}
+    keys = [k for k in ("color", "type", "size") if rng.random() < 0.7]
+    values = {"color": ["red", "blue", "white"], "type": ["car", "bus"], "size": [1, 1.0, True, 2]}
+    return {k: values[k][int(rng.integers(len(values[k])))]
+            for k in rng.permutation(keys).tolist()}
+
+
+def test_grouped_votes_equal_per_observation_votes():
+    """Counting equal attribute sets together gives each attribute the
+    value, and the result the key order, that counting observation by
+    observation gives: with ties, missing keys, None or empty attributes,
+    equal sets in differing key orders, and equal values of other types."""
+    rng = np.random.default_rng(16)
+    for _ in range(3000):
+        pool = [random_attributes(rng) for _ in range(int(rng.integers(1, 5)))]
+        n = int(rng.integers(1, 13))
+        observations = {}
+        for pos in rng.permutation(n).tolist():
+            attributes = pool[int(rng.integers(len(pool)))]
+            if attributes and rng.random() < 0.3:  # an equal set in another order
+                attributes = dict(reversed(list(attributes.items())))
+            observations[pos] = stand_in(attributes=attributes)
+        got = tracking._consolidate_attributes(observations)
+        want = oracles.consolidate_attributes_per_observation(observations)
+        assert repr(list(got.items())) == repr(list(want.items()))

@@ -241,6 +241,20 @@ def test_repl_session(tmp_path, capsys, monkeypatch, rules, last):
     assert out == "\n".join(want) + "\n"
 
 
+def test_repl_window_without_a_number_prints_its_usage(tmp_path, capsys, monkeypatch, rules):
+    seq = generate_scenario(ScenarioSpec("static", seed=3, n_frames=12)).sequence
+    path = tmp_path / "annotation.json"
+    save_annotation(seq, path)
+    _feed(monkeypatch, [":window 2", ":window", ":window x", ":window 1 2", ":fol Vehicle(x)"])
+    assert cli_main(["repl", str(path)]) == 0
+    sat = process_window(windows(seq)[2], rules)[1]
+    q = parse_fol_query("Vehicle(x)", rules)
+    lines = capsys.readouterr().out.splitlines()[1:]
+    # The current window stays window 2.
+    assert lines == ["window 2", *["error: usage: :window K"] * 3,
+                     answer_to_text(answer_query(sat, rules, q), q)]
+
+
 INTRINSICS = dict(fx=500.0, fy=500.0, cx=320.0, cy=240.0, fps=10.0)
 
 
@@ -292,6 +306,21 @@ def test_window_length_below_one_is_rejected(tmp_path, capsys):
     default = capsys.readouterr().out
     assert cli_main(["ingest", str(path), "--window", "0"]) == 0
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "true", "[10]"])
+def test_a_window_length_that_is_no_integer_fails_at_config(tmp_path, capsys, value):
+    path = _static_scene(tmp_path)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"window: {value}\n")
+    assert cli_main(["ingest", str(path), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: window must be an integer, got ") and err.count("\n") == 1
+    # 0 selects the default length, and a negative length fails at ingest.
+    config.write_text("window: 0\n")
+    assert cli_main(["ingest", str(path), "--config", str(config)]) == 0
+    config.write_text("window: -3\n")
+    assert cli_main(["ingest", str(path), "--config", str(config)]) == 3
 
 
 def test_a_sequence_without_frames_says_so():
