@@ -10,11 +10,11 @@ from itertools import chain
 import numpy as np
 
 from .fol import Const, Literal
-from .geometry import _norm
+from .geometry import distance
 from .inference import FactSet
 from .logicpad import RuleSet
 from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, Sequence, bev_of
-from .tracking import Trajectory, cut_source
+from .tracking import Trajectory, cut_source, presence
 
 
 class UndeclaredCategory(ValueError):
@@ -156,7 +156,7 @@ def _window_trends(w: SceneWindow, tracks: list[Trajectory], frames):
 
 def _motion(t: Trajectory, keys: list[int], frames, k) -> tuple[float, float]:
     """``t``'s net displacement and the change from its first step's speed
-    to its last's, as ``kinematics`` computes them over the track's window
+    to its last's, as ``kinematics`` gives them over the track's window
     points with each interior gap filled by linear interpolation between
     the observed positions around it.  Those read only the points at
     positions first, first+1, last-1 and last, so only the observations
@@ -165,11 +165,10 @@ def _motion(t: Trajectory, keys: list[int], frames, k) -> tuple[float, float]:
     first, last = keys[0], keys[-1]
     mapped = {p: _window_point(frames[p], _own_point(frames[p], t.observations[p], k))
               for p in {first, keys[1], keys[-2], last}}
-    a, d = mapped[first], mapped[last]
     b = _interpolated(mapped, first + 1, first, keys[1])
     c = _interpolated(mapped, last - 1, keys[-2], last)
-    return (_norm(d[0] - a[0], d[1] - a[1]),
-            _norm(d[0] - c[0], d[1] - c[1]) * k.fps - _norm(b[0] - a[0], b[1] - a[1]) * k.fps)
+    a, d = mapped[first], mapped[last]
+    return distance(a, d), distance(c, d) * k.fps - distance(a, b) * k.fps
 
 
 def _interpolated(mapped: dict, p: int, lo: int, hi: int) -> tuple[float, float]:
@@ -240,19 +239,19 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
     width = cfg.image_width if cfg.image_width is not None else 2.0 * k.cx
 
     frames = _window_frames(w)
-    keys = [sorted(t.observations) for t in tracks]
-    for t, keys_t, (mean_x, mean_depth) in zip(tracks, keys, _means(tracks, keys)):
+    keys_all = [sorted(t.observations) for t in tracks]
+    for t, keys, (mean_x, mean_depth) in zip(tracks, keys_all, _means(tracks, keys_all)):
         name = t.instance_id
         emit(t.category, name)
 
-        first, last = keys_t[0], keys_t[-1]
-        if first > 0:
-            emit("Appears", name, first_frame=first)
-        if last < w.n - 1:
-            emit("Disappears", name, last_frame=last)
+        flags = presence(t, w.n)
+        if flags.appears:
+            emit("Appears", name, first_frame=flags.first_frame)
+        if flags.disappears:
+            emit("Disappears", name, last_frame=flags.last_frame)
 
-        if last > first:
-            displacement, delta = _motion(t, keys_t, frames, k)
+        if len(keys) >= 2:
+            displacement, delta = _motion(t, keys, frames, k)
             if displacement > cfg.eps_move:
                 emit("Moves", name, displacement_m=displacement)
             if delta > cfg.eps_speed:

@@ -146,13 +146,14 @@ def kinematics(positions, k: CameraIntrinsics) -> Kinematics:
     pts = [(float(x), float(z)) for x, z in positions]
     if len(pts) < 2:
         raise TooFewSamples("kinematics needs at least 2 positions")
-    velocity = tuple(_norm(b[0] - a[0], b[1] - a[1]) * k.fps for a, b in zip(pts, pts[1:]))
+    velocity = tuple(distance(a, b) * k.fps for a, b in zip(pts, pts[1:]))
     accel = tuple((v1 - v0) * k.fps for v0, v1 in zip(velocity, velocity[1:]))
-    displacement = _norm(pts[-1][0] - pts[0][0], pts[-1][1] - pts[0][1])
-    return Kinematics(displacement, velocity, accel)
+    return Kinematics(distance(pts[0], pts[-1]), velocity, accel)
 
 
-def _norm(dx: float, dz: float) -> float:
+def distance(a, b) -> float:
+    """The distance from point ``a`` to point ``b``, both (X, Z)."""
+    dx, dz = b[0] - a[0], b[1] - a[1]
     # dx * dx, not dx ** 2: float power can differ from the product in the
     # last bit.
     return math.sqrt(dx * dx + dz * dz)

@@ -174,25 +174,12 @@ def presence(t: Trajectory, n: int) -> PresenceFlags:
 def _consolidate_attributes(observations) -> dict:
     """Each attribute's most frequent value, the one seen first winning a
     tie (``max`` keeps the first of equal keys, and dicts keep insertion
-    order).  Equal attribute sets are counted together, in the order they
-    are first seen: that puts each value into the counts where its first
-    observation would."""
-    seen: list[list] = []  # [attributes, how many observations carry them]
-    for _, obs in sorted(observations.items()):
-        attributes = obs.attributes
-        if not attributes:
-            continue
-        for entry in seen:
-            if entry[0] == attributes:
-                entry[1] += 1
-                break
-        else:
-            seen.append([attributes, 1])
+    order)."""
     votes: dict[str, dict] = {}
-    for attributes, n in seen:
-        for key, value in attributes.items():
+    for _, obs in sorted(observations.items()):
+        for key, value in (obs.attributes or {}).items():
             counts = votes.setdefault(key, {})
-            counts[value] = counts.get(value, 0) + n
+            counts[value] = counts.get(value, 0) + 1
     return {key: max(counts, key=counts.get) for key, counts in votes.items()}
 
 

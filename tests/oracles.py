@@ -19,14 +19,12 @@ the compiled engine in ``scenelogic.inference`` is checked against.
   live tracks' boxes, every point back-projected and mapped on its own)
   instead of read from the per-frame caches.  ``cut_tracks`` cuts tracks
   to a run of frames; run over a whole sequence and cut, the per-window
-  tracker is the reference for the once-per-sequence tracker.  Both vote
-  attributes with ``consolidate_attributes_per_observation``, which counts
-  every observation's attributes one by one.
+  tracker is the reference for the once-per-sequence tracker.
 - ``track_kinematics_per_observation`` and ``track_facts_per_observation``:
   each track's kinematics and unary facts from every observation's window
   point, the interior gaps filled densely and the means taken one
-  ``np.mean`` per list, instead of from the few points and the grouped
-  means that ``compile_window`` reads.
+  ``np.mean`` per list, instead of from the few points that
+  ``compile_window`` reads.
 - ``distance_trends_per_window``: the distance trends of a window's track
   pairs computed from that window's points alone, instead of read from a
   per-sequence pair table.
@@ -68,6 +66,7 @@ from scenelogic.tracking import (
     TrackerConfig,
     Trajectory,
     _assign_ids,
+    _consolidate_attributes,
     _LiveTrack,
     _weights,
     match_frames,
@@ -503,21 +502,10 @@ def link_inferred_per_window(w: SceneWindow, cfg: TrackerConfig = TrackerConfig(
 
     tracks = [
         Trajectory("", t.category, t.observations,
-                   consolidate_attributes_per_observation(t.observations))
+                   _consolidate_attributes(t.observations))
         for t in done
     ]
     return _assign_ids(tracks)
-
-
-def consolidate_attributes_per_observation(observations) -> dict:
-    """Each attribute's most frequent value, the one seen first winning a
-    tie, counting each observation's attributes in position order."""
-    votes: dict[str, dict] = {}
-    for _, obs in sorted(observations.items()):
-        for key, value in (obs.attributes or {}).items():
-            counts = votes.setdefault(key, {})
-            counts[value] = counts.get(value, 0) + 1
-    return {key: max(counts, key=counts.get) for key, counts in votes.items()}
 
 
 def track_points_per_observation(w: SceneWindow, tracks: list[Trajectory]):
@@ -606,7 +594,7 @@ def cut_tracks(tracks: list[Trajectory], start: int, n: int) -> list[Trajectory]
                         if start <= pos < start + n}
         if observations:
             out.append(Trajectory(t.instance_id, t.category, observations,
-                                  consolidate_attributes_per_observation(observations)))
+                                  _consolidate_attributes(observations)))
     return sorted(out, key=lambda t: t.instance_id)
 
 

@@ -3,10 +3,9 @@
 Association weights are computed over whole arrays; origin chains,
 inferred tracks and pairwise distance trends once per sequence; BEV points
 once per frame; kinematics with scalars; each track's facts from the few
-points and the grouped means they read, its attributes from counts of equal
-attribute sets.  Each test here keeps the per-pair (or per-window, or
-array, or per-observation) computation as a reference and requires exactly
-equal results.
+points and the grouped means they read.  Each test here keeps the per-pair
+(or per-window, or array, or per-observation) computation as a reference
+and requires exactly equal results.
 """
 
 from dataclasses import replace
@@ -727,35 +726,3 @@ def test_grouped_means_equal_per_track_means():
             want.append((float(np.mean([o.centroid_px[0] for o in observed])),
                          float(np.mean([o.depth_m for o in observed]))))
         assert repr(facts._means(tracks, keys)) == repr(want)
-
-
-def random_attributes(rng):
-    draw = rng.random()
-    if draw < 0.1:
-        return None
-    if draw < 0.2:
-        return {}
-    keys = [k for k in ("color", "type", "size") if rng.random() < 0.7]
-    values = {"color": ["red", "blue", "white"], "type": ["car", "bus"], "size": [1, 1.0, True, 2]}
-    return {k: values[k][int(rng.integers(len(values[k])))]
-            for k in rng.permutation(keys).tolist()}
-
-
-def test_grouped_votes_equal_per_observation_votes():
-    """Counting equal attribute sets together gives each attribute the
-    value, and the result the key order, that counting observation by
-    observation gives: with ties, missing keys, None or empty attributes,
-    equal sets in differing key orders, and equal values of other types."""
-    rng = np.random.default_rng(16)
-    for _ in range(3000):
-        pool = [random_attributes(rng) for _ in range(int(rng.integers(1, 5)))]
-        n = int(rng.integers(1, 13))
-        observations = {}
-        for pos in rng.permutation(n).tolist():
-            attributes = pool[int(rng.integers(len(pool)))]
-            if attributes and rng.random() < 0.3:  # an equal set in another order
-                attributes = dict(reversed(list(attributes.items())))
-            observations[pos] = stand_in(attributes=attributes)
-        got = tracking._consolidate_attributes(observations)
-        want = oracles.consolidate_attributes_per_observation(observations)
-        assert repr(list(got.items())) == repr(list(want.items()))
