@@ -81,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_gen(args) -> int:
     kinds = KINDS if args.kind == "all" else (args.kind,)
     with stage("gen"):
+        if args.count < 1:
+            raise ValueError(f"--count must be at least 1, got {args.count}")
         for kind in kinds:
             for j in range(args.count):
                 spec = ScenarioSpec(kind, args.seed + j)

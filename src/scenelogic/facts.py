@@ -33,11 +33,18 @@ class CompilerConfig:
     image_width: float | None = None  # None: twice the optical center x
 
     def __post_init__(self):
-        if min(self.eps_move, self.eps_speed, self.eps_contact,
-               self.close_depth, self.trend_frac) <= 0:
-            raise ValueError("thresholds must be positive")
-        if not self.left_frac < self.right_frac:
-            raise ValueError("left_frac must be below right_frac")
+        values = {k: v for k, v in vars(self).items() if v is not None}
+        if not all(map(math.isfinite, values.values())):
+            raise ValueError(f"compiler thresholds must be finite, got {values}")
+        if min(self.eps_move, self.eps_speed, self.eps_contact, self.close_depth) <= 0:
+            raise ValueError("eps_move, eps_speed, eps_contact and close_depth must be positive")
+        if not 0 < self.trend_frac <= 1:
+            raise ValueError(f"trend_frac must be in (0, 1], got {self.trend_frac}")
+        if not 0 <= self.left_frac < self.right_frac <= 1:
+            raise ValueError("left_frac and right_frac must satisfy 0 <= left_frac < "
+                             f"right_frac <= 1, got {self.left_frac} and {self.right_frac}")
+        if self.image_width is not None and self.image_width <= 0:
+            raise ValueError(f"image_width must be positive, got {self.image_width}")
 
 
 @dataclass

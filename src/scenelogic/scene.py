@@ -70,18 +70,9 @@ class FrameObservation:
     frame_index: int
     objects: tuple[ObjectObservation, ...]
 
-    def boxes(self) -> "BoxArrays":
-        """The objects' boxes as arrays, built once and shared by every
-        window that holds this frame."""
-        cache = self.__dict__.get("_boxes")
-        if cache is None:
-            cache = box_arrays(self.objects)
-            self.__dict__["_boxes"] = cache
-        return cache
-
     def bev(self, k: CameraIntrinsics) -> dict[int, tuple[float, float]]:
         """``bev_of`` of each object, keyed by the object's ``id``, computed
-        once per intrinsics and shared like ``boxes``."""
+        once per intrinsics."""
         cache = self.__dict__.setdefault("_bev", {})
         points = cache.get(k)
         if points is None:
@@ -99,19 +90,14 @@ class BoxArrays:
     categories: np.ndarray  # (n,) category names
 
 
-def with_areas(boxes: np.ndarray) -> np.ndarray:
-    """(4, ...) box coordinates x0, y0, x1, y1 as (5, ...), adding the areas."""
-    x0, y0, x1, y1 = boxes
-    return np.concatenate([boxes, ((x1 - x0) * (y1 - y0))[None]])
-
-
 def box_arrays(objects) -> BoxArrays:
     """The boxes of ``objects``.  An object without ``flow_px`` is carried by
     zero flow, so its carried box is its bbox."""
     bbox = np.array([o.bbox for o in objects], dtype=float).reshape(-1, 4).T
     dx, dy = np.array([o.flow_px or (0.0, 0.0) for o in objects], dtype=float).reshape(-1, 2).T
-    carried = bbox + np.array([dx, dy, dx, dy])
-    return BoxArrays(with_areas(np.stack([bbox, carried], axis=1)),
+    boxes = np.stack([bbox, bbox + np.array([dx, dy, dx, dy])], axis=1)
+    x0, y0, x1, y1 = boxes
+    return BoxArrays(np.concatenate([boxes, ((x1 - x0) * (y1 - y0))[None]]),
                      np.array([o.category for o in objects], dtype=str))
 
 

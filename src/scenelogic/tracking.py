@@ -15,12 +15,10 @@ import numpy as np
 
 from .scene import (
     BoxArrays,
-    FrameObservation,
     ObjectObservation,
     SceneWindow,
     Sequence,
     box_arrays,
-    with_areas,
 )
 
 
@@ -38,6 +36,17 @@ class TrackerConfig:
     w_min: float = 0.1  # edges below this weight are not matchable
     max_gap: int = 2  # occlusion frames bridged by hypothetical vertices
 
+    def __post_init__(self):
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        # A weight floor of 0 would match pairs across categories.
+        if not 0 < self.w_min <= 1:
+            raise ValueError(f"w_min must be in (0, 1], got {self.w_min}")
+        # A bool is an int to isinstance, but no frame count.
+        if isinstance(self.max_gap, bool) or not isinstance(self.max_gap, int) \
+                or self.max_gap < 0:
+            raise ValueError(f"max_gap must be an integer >= 0, got {self.max_gap!r}")
+
 
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection over union of every box in ``a`` (5, ..., n) with every
@@ -52,12 +61,6 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      where=inter > 0)
 
 
-def iou(a, b) -> float:
-    """Intersection over union of two (x0, y0, x1, y1) boxes."""
-    boxes = with_areas(np.array([a, b], dtype=float).T)
-    return float(_iou(boxes[:, :1], boxes[:, 1:])[0, 0])
-
-
 def _weights(left: BoxArrays, right: BoxArrays, alpha: float) -> np.ndarray:
     """Blend of flow-carried and raw IoU for every left-right pair, zero
     across categories."""
@@ -70,37 +73,6 @@ def _shift(bbox, d):
     return (bbox[0] + d[0], bbox[1] + d[1], bbox[2] + d[0], bbox[3] + d[1])
 
 
-def edge_weight(l: ObjectObservation, r: ObjectObservation,
-                alpha: float = TrackerConfig.alpha) -> float:
-    """Association weight in [0, 1] between observations of adjacent frames."""
-    if l.category != r.category:
-        raise CategoryMismatch(f"{l.category} vs {r.category}")
-    return float(build_graph([l], [r], alpha).weights[0, 0])
-
-
-@dataclass(frozen=True, eq=False)
-class AssociationGraph:
-    left: tuple[ObjectObservation, ...]
-    right: tuple[ObjectObservation, ...]
-    weights: np.ndarray  # (len(left), len(right)), zero across categories
-    skip_cost: float = TrackerConfig.w_min
-
-    @property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """(i, j, weight) for every same-category pair."""
-        return tuple((i, j, float(self.weights[i, j]))
-                     for i, l in enumerate(self.left)
-                     for j, r in enumerate(self.right) if l.category == r.category)
-
-
-def build_graph(left, right, alpha: float = TrackerConfig.alpha,
-                w_min: float = TrackerConfig.w_min) -> AssociationGraph:
-    """Dense weights between the observations of two frames."""
-    left, right = tuple(left), tuple(right)
-    return AssociationGraph(left, right,
-                            _weights(box_arrays(left), box_arrays(right), alpha), w_min)
-
-
 @dataclass(frozen=True)
 class MatchResult:
     assignments: tuple[tuple[int, int, float], ...]
@@ -108,21 +80,20 @@ class MatchResult:
     unmatched_right: tuple[int, ...]
 
 
-def match_frames(g: AssociationGraph) -> MatchResult:
-    """Maximum-weight assignment over the graph; pairs below the weight floor
-    stay unmatched."""
+def match_frames(weights: np.ndarray, w_min: float) -> MatchResult:
+    """Maximum-weight assignment of the rows of ``weights`` (n_left,
+    n_right) to its columns; pairs weighing less than ``w_min`` stay
+    unmatched."""
     # Imported here: scipy.optimize takes longer to import than the rest of
     # the package, and only inferred tracking needs it.
     from scipy.optimize import linear_sum_assignment
 
-    nl, nr = len(g.left), len(g.right)
-    if nl == 0 or nr == 0:
-        return MatchResult((), tuple(range(nl)), tuple(range(nr)))
-    rows, cols = linear_sum_assignment(g.weights, maximize=True)
+    nl, nr = weights.shape
+    rows, cols = linear_sum_assignment(weights, maximize=True)
     assignments = tuple(
         (i, j, w) for i, j, w in zip(rows.tolist(), cols.tolist(),
-                                     g.weights[rows, cols].tolist())
-        if w >= g.skip_cost)
+                                     weights[rows, cols].tolist())
+        if w >= w_min)
     matched_l = {i for i, _, _ in assignments}
     matched_r = {j for _, j, _ in assignments}
     return MatchResult(
@@ -267,23 +238,22 @@ class _LiveTrack:
 
 
 def _match_live(live: list[_LiveTrack], rows: list[int | None], real: np.ndarray,
-                frame: FrameObservation, cfg: TrackerConfig) -> MatchResult:
-    """Match the live tracks to ``frame``'s objects.  ``rows[i]`` is live
-    track i's row in ``real``, the previous frame's weights, or None for a
-    ghost, whose row is computed here.  Every entry is ``_weights``'s
-    elementwise kernel, so the matrix equals the one built from the live
-    tracks' boxes."""
+                boxes: BoxArrays, cfg: TrackerConfig) -> MatchResult:
+    """Match the live tracks to the frame whose objects' boxes are ``boxes``.
+    ``rows[i]`` is live track i's row in ``real``, the previous frame's
+    weights, or None for a ghost, whose row is computed here.  Every entry
+    is ``_weights``'s elementwise kernel, so the matrix equals the one built
+    from the live tracks' boxes."""
     ghosts = [i for i, r in enumerate(rows) if r is None]
     if ghosts:
-        weights = np.empty((len(rows), len(frame.objects)))
+        weights = np.empty((len(rows), real.shape[1]))
         observed = [i for i, r in enumerate(rows) if r is not None]
         weights[observed] = real[[rows[i] for i in observed]]
         weights[ghosts] = _weights(box_arrays([live[i].repr_obs for i in ghosts]),
-                                   frame.boxes(), cfg.alpha)
+                                   boxes, cfg.alpha)
     else:
         weights = real[rows]
-    return match_frames(AssociationGraph(tuple(t.repr_obs for t in live), frame.objects,
-                                         weights, cfg.w_min))
+    return match_frames(weights, cfg.w_min)
 
 
 def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
@@ -294,12 +264,13 @@ def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
     rows: list[int | None] = list(range(len(live)))
     # Every track in birth order: by frame, then by index within the frame.
     born = list(live)
+    boxes = box_arrays(frames[0].objects)
 
     for pos in range(1, len(frames)):
-        prev, frame = frames[pos - 1], frames[pos]
-        objects = frame.objects
-        real = _weights(prev.boxes(), frame.boxes(), cfg.alpha)
-        result = _match_live(live, rows, real, frame, cfg)
+        objects = frames[pos].objects
+        prev_boxes, boxes = boxes, box_arrays(objects)
+        real = _weights(prev_boxes, boxes, cfg.alpha)
+        result = _match_live(live, rows, real, boxes, cfg)
         for i, j, _ in result.assignments:
             live[i].record(pos, objects[j])
         survivors = []
@@ -319,7 +290,7 @@ def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
 
 def _sequence_tracks(seq: Sequence, cfg: TrackerConfig) -> list[Trajectory]:
     """The inferred tracks of the whole sequence, linked once per ``cfg`` and
-    cached on the sequence like a frame's boxes."""
+    cached on the sequence."""
     cache = seq.__dict__.setdefault("_tracks", {})
     tracks = cache.get(cfg)
     if tracks is None:

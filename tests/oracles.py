@@ -62,7 +62,6 @@ from scenelogic.logicpad import (
 )
 from scenelogic.scene import BoxArrays, SceneWindow, bev_of, box_arrays
 from scenelogic.tracking import (
-    AssociationGraph,
     TrackerConfig,
     Trajectory,
     _assign_ids,
@@ -477,9 +476,7 @@ def link_inferred_per_window(w: SceneWindow, cfg: TrackerConfig = TrackerConfig(
         if visits is not None:
             visits.append((w.frames[pos - 1], frame, tuple(id(t.repr_obs) for t in live),
                            any(t.misses for t in live)))
-        g = AssociationGraph(tuple(t.repr_obs for t in live), objects,
-                             _weights(live_boxes, box_arrays(objects), cfg.alpha), cfg.w_min)
-        result = match_frames(g)
+        result = match_frames(_weights(live_boxes, box_arrays(objects), cfg.alpha), cfg.w_min)
         for i, j, _ in result.assignments:
             live[i].record(pos, objects[j])
         survivors = []

@@ -31,14 +31,13 @@ from scenelogic.scene import (
     build_window,
     sequence_from_dict,
     sequence_to_dict,
+    box_arrays,
     windows,
 )
 from scenelogic.tracking import (
     TrackerConfig,
     Trajectory,
-    build_graph,
-    edge_weight,
-    iou,
+    _weights,
     link_window,
 )
 
@@ -154,27 +153,33 @@ def random_observations(rng, n, grid):
     return out
 
 
+def weights(left, right, alpha=TrackerConfig.alpha) -> np.ndarray:
+    return _weights(box_arrays(left), box_arrays(right), alpha)
+
+
 @pytest.mark.parametrize("grid", [False, True])
-def test_build_graph_weights_equal_scalar_reference(grid):
+def test_weights_equal_scalar_reference(grid):
     rng = np.random.default_rng(7)
     for case in range(150):
         left = random_observations(rng, int(rng.integers(0, 9)), grid)
         right = random_observations(rng, int(rng.integers(0, 9)), grid)
         alpha = (0.5, 0.0, 1.0, 0.3)[case % 4]
-        g = build_graph(left, right, alpha)
-        assert g.weights.shape == (len(left), len(right))
-        assert (g.weights == ref_weights(left, right, alpha)).all()
-        for i, j, weight in g.edges:
-            assert weight == ref_edge_weight(left[i], right[j], alpha)
-            assert edge_weight(left[i], right[j], alpha) == weight
-            assert iou(left[i].bbox, right[j].bbox) == ref_iou(left[i].bbox, right[j].bbox)
+        w = weights(left, right, alpha)
+        assert w.shape == (len(left), len(right))
+        assert (w == ref_weights(left, right, alpha)).all()
+        # With no weight on the flow-carried factor, a weight is the raw IoU.
+        raw = weights(left, right, 0.0)
+        for i, l in enumerate(left):
+            for j, r in enumerate(right):
+                want = ref_iou(l.bbox, r.bbox) if l.category == r.category else 0.0
+                assert raw[i, j] == want
 
 
 def test_empty_sides_give_empty_weights():
     some = random_observations(np.random.default_rng(1), 3, grid=False)
-    assert build_graph([], some).weights.shape == (0, 3)
-    assert build_graph(some, []).weights.shape == (3, 0)
-    assert build_graph([], []).weights.shape == (0, 0)
+    assert weights([], some).shape == (0, 3)
+    assert weights(some, []).shape == (3, 0)
+    assert weights([], []).shape == (0, 0)
 
 
 def occlusion_and_arrival(n=14):
@@ -192,28 +197,34 @@ def occlusion_and_arrival(n=14):
                                    "occlusion_and_arrival"])
 def test_tracker_graphs_equal_scalar_reference(scene, monkeypatch):
     """The tracker carries its live tracks' boxes from frame to frame,
-    ghosts included; every graph it matches must still weigh the tracks'
+    ghosts included; every matrix it matches must still weigh the tracks'
     current observations exactly as the scalar formula does."""
-    graphs = []
-    match = tracking.match_frames
+    solves = []  # [live tracks' observations, matched weights] per frame pair
+    match_live, match = tracking._match_live, tracking.match_frames
 
-    def recording(g):
-        graphs.append(g)
-        return match(g)
+    def recording_live(live, *args):
+        solves.append([tuple(t.repr_obs for t in live)])
+        return match_live(live, *args)
 
-    monkeypatch.setattr(tracking, "match_frames", recording)
+    def recording_match(weights, w_min):
+        solves[-1].append(weights)
+        return match(weights, w_min)
+
+    monkeypatch.setattr(tracking, "_match_live", recording_live)
+    monkeypatch.setattr(tracking, "match_frames", recording_match)
     if scene == "occlusion_and_arrival":
         seq = occlusion_and_arrival()
     else:
         seq = generate_scenario(ScenarioSpec(scene, seed=4, n_frames=14, object_count=4)).sequence
     for w in windows(seq, 10):
         link_window(w, "inferred")
-    assert graphs
+    # The sequence is linked once, so solve k matches frame k + 1.
+    assert len(solves) == len(seq.frames) - 1
     observed = {id(o) for f in seq.frames for o in f.objects}
     ghosts = 0
-    for g in graphs:
-        assert (g.weights == ref_weights(g.left, g.right, tracking.TrackerConfig.alpha)).all()
-        ghosts += sum(1 for o in g.left if id(o) not in observed)
+    for frame, (left, w) in zip(seq.frames[1:], solves):
+        assert (w == ref_weights(left, frame.objects, TrackerConfig.alpha)).all()
+        ghosts += sum(1 for o in left if id(o) not in observed)
     if scene in ("crossing", "occlusion_and_arrival"):
         assert ghosts > 0  # the occlusion gap is bridged by a ghost
 
@@ -539,20 +550,28 @@ def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeyp
     ghost_visits = sum(ghost for *_, ghost in visits)
     assert ghost_visits > 0
 
-    weighed, solves = [], []
-    weights, solve = tracking._weights, scipy.optimize.linear_sum_assignment
+    built, weighed, solves = [], [], []
+    solve = scipy.optimize.linear_sum_assignment
+    monkeypatch.setattr(tracking, "box_arrays",
+                        lambda objects: built.append((objects, box_arrays(objects)))
+                        or built[-1][1])
     monkeypatch.setattr(tracking, "_weights",
                         lambda left, right, alpha: weighed.append((left, right))
-                        or weights(left, right, alpha))
+                        or _weights(left, right, alpha))
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
                         lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     for w in windows(seq, 10):
         link_window(w, "inferred")
 
-    frame_of = {id(f.boxes()): i for i, f in enumerate(seq.frames)}
+    # A frame's boxes are the box_arrays built from its objects tuple; the
+    # ghost rows are built from lists of ghost observations.
+    position = {id(f.objects): i for i, f in enumerate(seq.frames)}
+    frame_of = {id(boxes): position[id(objects)] for objects, boxes in built
+                if id(objects) in position}
     real = sorted((frame_of[id(left)], frame_of[id(right)])
                   for left, right in weighed if id(left) in frame_of)
     pairs = [(i, i + 1) for i in range(len(seq.frames) - 1)]
+    assert sorted(frame_of.values()) == list(range(len(seq.frames)))  # each built once
     assert real == pairs
     assert len(weighed) - len(real) == ghost_visits  # one ghost-row kernel per visit
     assert len(solves) == len(pairs)

@@ -1,5 +1,7 @@
 """Fact compilation over windows and sliding windows."""
 
+import math
+
 import pytest
 
 from scenelogic.facts import CompilerConfig, UndeclaredCategory, compile_window
@@ -159,6 +161,29 @@ def test_oracle_compile_reproduces_generator_gold_exactly(rules):
                 kind, seed,
                 sorted(str(f) for f in wf.facts.facts ^ sc.gold_atomic),
             )
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"eps_move": math.nan}, "compiler thresholds must be finite"),
+    ({"close_depth": math.inf}, "compiler thresholds must be finite"),
+    ({"image_width": math.nan}, "compiler thresholds must be finite"),
+    ({"eps_speed": 0.0}, "eps_move, eps_speed, eps_contact and close_depth must be positive"),
+    ({"trend_frac": 0.0}, "trend_frac must be in (0, 1]"),
+    ({"trend_frac": 1.5}, "trend_frac must be in (0, 1]"),
+    ({"left_frac": -1}, "left_frac and right_frac must satisfy"),
+    ({"right_frac": 3}, "left_frac and right_frac must satisfy"),
+    ({"left_frac": 0.5, "right_frac": 0.5}, "left_frac and right_frac must satisfy"),
+    ({"image_width": 0}, "image_width must be positive"),
+    ({"image_width": -640.0}, "image_width must be positive"),
+])
+def test_compiler_config_rejects_values_out_of_range(kw, message):
+    with pytest.raises(ValueError) as e:
+        CompilerConfig(**kw)
+    assert str(e.value).startswith(message)
+
+
+def test_compiler_config_accepts_the_ends_of_its_ranges():
+    CompilerConfig(left_frac=0.0, right_frac=1.0, trend_frac=1.0, image_width=640.0)
 
 
 def test_undeclared_category_is_an_error(rules):

@@ -343,6 +343,32 @@ def test_cli_gen_unknown_kind_exits_at_gen(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("gen: unknown kind 'nosuch'")
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_gen_count_below_one_exits_at_gen(tmp_path, capsys, count):
+    out = tmp_path / "g"
+    assert cli_main(["gen", "--kind", "all", "--count", count, "--out", str(out)]) == 9
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"gen: --count must be at least 1, got {count}\n"
+    assert not out.exists()
+
+
+def test_cli_nan_threshold_fails_at_config_instead_of_answering(tmp_path, capsys):
+    out = tmp_path / "suite"
+    cli_main(["gen", "--kind", "crossing", "--seed", "3", "--out", str(out)])
+    ann = out / "crossing_0003" / "annotation.json"
+    question = ["--q", "Is the pedestrian moving?"]
+    capsys.readouterr()
+    assert cli_main(["query", str(ann), *question]) == 0
+    assert capsys.readouterr().out.startswith("Yes: pedestrian01 and pedestrian02")
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("compiler:\n  eps_move: .nan\n")
+    assert cli_main(["query", str(ann), "--config", str(cfg), *question]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config: compiler thresholds must be finite")
+
+
 def test_cli_context_export(tmp_path, capsys):
     out = tmp_path / "suite"
     cli_main(["gen", "--kind", "approach", "--seed", "3", "--out", str(out)])

@@ -323,6 +323,29 @@ def test_a_window_length_that_is_no_integer_fails_at_config(tmp_path, capsys, va
     assert cli_main(["ingest", str(path), "--config", str(config)]) == 3
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("tracker", "w_min: 0", "w_min must be in (0, 1], got 0"),
+    ("tracker", "alpha: 7", "alpha must be in [0, 1], got 7"),
+    ("tracker", "alpha: .nan", "alpha must be in [0, 1], got nan"),
+    ("tracker", "max_gap: -3", "max_gap must be an integer >= 0, got -3"),
+    ("tracker", "max_gap: 1.5", "max_gap must be an integer >= 0, got 1.5"),
+    ("compiler", "eps_move: .nan", "compiler thresholds must be finite"),
+    ("compiler", "close_depth: .inf", "compiler thresholds must be finite"),
+    ("compiler", "image_width: 0", "image_width must be positive, got 0"),
+    ("compiler", "left_frac: -1", "left_frac and right_frac must satisfy"),
+    ("compiler", "right_frac: 3", "left_frac and right_frac must satisfy"),
+])
+def test_a_config_value_out_of_range_fails_at_config(tmp_path, capsys, section, value, message):
+    path = _static_scene(tmp_path)
+    config = tmp_path / "cfg.yaml"
+    config.write_text(f"{section}:\n  {value}\n")
+    assert cli_main(["ingest", str(path), "--track-mode", "inferred",
+                     "--config", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config: {message}") and err.count("\n") == 1
+
+
 def test_a_sequence_without_frames_says_so():
     empty = Sequence(CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 10.0), ())
     with pytest.raises(ValueError, match="^sequence has no frames$"):

@@ -1,5 +1,6 @@
 """Bipartite association, occlusion bridging, and presence flags."""
 
+import math
 from dataclasses import replace
 from itertools import permutations
 
@@ -12,16 +13,16 @@ from scenelogic.scene import (
     ObjectObservation,
     SceneWindow,
     Sequence,
+    box_arrays,
     build_window,
     windows,
 )
 from scenelogic.geometry import Transform2
 from scenelogic.tracking import (
-    CategoryMismatch,
     MissingGroundTruthIds,
-    build_graph,
-    edge_weight,
-    iou,
+    TrackerConfig,
+    _link_inferred,
+    _weights,
     link_window,
     match_frames,
     presence,
@@ -46,53 +47,71 @@ def identity_window(frames):
 
 
 # ---------------------------------------------------------------------------
-# edge_weight
+# Association weights
 # ---------------------------------------------------------------------------
+
+def weights(left, right, alpha=TrackerConfig.alpha):
+    return _weights(box_arrays(left), box_arrays(right), alpha)
+
+
+def weight(a, b, alpha=TrackerConfig.alpha) -> float:
+    return float(weights([a], [b], alpha)[0, 0])
+
 
 def test_identical_boxes_zero_flow_weight_one():
     a = obs(0, 0, 10, 10, flow=(0.0, 0.0))
     b = obs(0, 0, 10, 10)
-    assert edge_weight(a, b) == 1.0
+    assert weight(a, b) == 1.0
 
 
 def test_disjoint_boxes_flow_lands_exactly():
     a = obs(0, 0, 10, 10, flow=(100.0, 0.0))
     b = obs(100, 0, 110, 10)
-    assert edge_weight(a, b) == pytest.approx(0.5)
+    assert weight(a, b) == pytest.approx(0.5)
 
 
 def test_disjoint_boxes_no_motion_weight_zero():
     a = obs(0, 0, 10, 10, flow=(0.0, 0.0))
     b = obs(100, 0, 110, 10)
-    assert edge_weight(a, b) == 0.0
+    assert weight(a, b) == 0.0
 
 
 def test_missing_flow_falls_back_to_raw_iou():
     a = obs(0, 0, 10, 10)
     b = obs(5, 0, 15, 10)
-    assert edge_weight(a, b) == pytest.approx(iou(a.bbox, b.bbox))
+    raw = weight(a, b, alpha=0.0)
+    assert raw == pytest.approx(50 / 150)
+    assert weight(a, b) == weight(a, b, alpha=1.0) == raw
 
 
-def test_category_mismatch_raises():
-    with pytest.raises(CategoryMismatch):
-        edge_weight(obs(0, 0, 10, 10), obs(0, 0, 10, 10, category="Pedestrian"))
+def test_weight_across_categories_is_zero():
+    assert weight(obs(0, 0, 10, 10), obs(0, 0, 10, 10, category="Pedestrian")) == 0.0
 
 
 # ---------------------------------------------------------------------------
 # match_frames
 # ---------------------------------------------------------------------------
 
+W_MIN = TrackerConfig.w_min
+
+
 def test_single_overlapping_pair_matches():
-    g = build_graph([obs(0, 0, 10, 10, flow=(1.0, 0.0))], [obs(1, 0, 11, 10)])
-    r = match_frames(g)
-    assert r.assignments[0][:2] == (0, 1 - 1)
+    r = match_frames(weights([obs(0, 0, 10, 10, flow=(1.0, 0.0))], [obs(1, 0, 11, 10)]),
+                     W_MIN)
+    assert r.assignments[0][:2] == (0, 0)
     assert r.unmatched_left == () and r.unmatched_right == ()
 
 
 def test_empty_right_side_leaves_all_unmatched():
-    g = build_graph([obs(0, 0, 10, 10)], [])
-    r = match_frames(g)
+    r = match_frames(weights([obs(0, 0, 10, 10)], []), W_MIN)
     assert r.assignments == () and r.unmatched_left == (0,)
+
+
+def test_empty_sides_leave_the_other_side_unmatched():
+    r = match_frames(np.zeros((0, 2)), W_MIN)
+    assert (r.assignments, r.unmatched_left, r.unmatched_right) == ((), (), (0, 1))
+    r = match_frames(np.zeros((0, 0)), W_MIN)
+    assert (r.assignments, r.unmatched_left, r.unmatched_right) == ((), (), ())
 
 
 def test_crossing_objects_disambiguated_by_flow():
@@ -102,7 +121,7 @@ def test_crossing_objects_disambiguated_by_flow():
     b0 = obs(140, 0, 170, 60, flow=(-18.0, 0.0))
     a1 = obs(115, 0, 145, 60)
     b1 = obs(122, 0, 152, 60)
-    r = match_frames(build_graph([a0, b0], [a1, b1]))
+    r = match_frames(weights([a0, b0], [a1, b1]), W_MIN)
     pairing = {i: j for i, j, _ in r.assignments}
     assert pairing == {0: 0, 1: 1}
 
@@ -114,20 +133,41 @@ def test_matching_is_optimal_against_permutation_search():
         left = [obs(x, 0, x + 20, 20, flow=(0.0, 0.0))
                 for x in rng.uniform(0, 120, nl)]
         right = [obs(x, 0, x + 20, 20) for x in rng.uniform(0, 120, nr)]
-        g = build_graph(left, right)
-        got = sum(w for _, _, w in match_frames(g).assignments)
+        w = weights(left, right)
+        got = sum(w_ij for _, _, w_ij in match_frames(w, W_MIN).assignments)
 
-        weights = np.zeros((nl, nr))
-        for i, j, w in g.edges:
-            weights[i, j] = w
         k = min(nl, nr)
         best = 0.0
         for rows in permutations(range(nl), k):
             for cols in permutations(range(nr), k):
-                total = sum(weights[i, j] for i, j in zip(rows, cols)
-                            if weights[i, j] >= g.skip_cost)
+                total = sum(w[i, j] for i, j in zip(rows, cols) if w[i, j] >= W_MIN)
                 best = max(best, total)
         assert got == pytest.approx(best)
+
+
+@pytest.mark.parametrize("kw", [
+    {"alpha": -0.1}, {"alpha": 7}, {"alpha": math.nan},
+    {"w_min": 0.0}, {"w_min": 1.5}, {"w_min": math.nan},
+    {"max_gap": -3}, {"max_gap": 1.5}, {"max_gap": True},
+])
+def test_tracker_config_rejects_values_out_of_range(kw):
+    with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be "):
+        TrackerConfig(**kw)
+
+
+def test_tracker_config_accepts_the_ends_of_its_ranges():
+    TrackerConfig(alpha=0, w_min=1, max_gap=0)
+    TrackerConfig(alpha=1.0, w_min=1e-9)
+
+
+def test_no_track_crosses_categories():
+    """A pedestrian in frame 0 and a vehicle in frame 1 weigh 0 to each
+    other, below every weight floor a config may hold."""
+    frames = (FrameObservation(0, (obs(0, 0, 10, 10, category="Pedestrian"),)),
+              FrameObservation(1, (obs(0, 0, 10, 10),)))
+    tracks = _link_inferred(frames, TrackerConfig(w_min=1e-9))
+    assert [(t.instance_id, t.category, sorted(t.observations)) for t in tracks] == [
+        ("pedestrian01", "Pedestrian", [0]), ("vehicle01", "Vehicle", [1])]
 
 
 # ---------------------------------------------------------------------------
