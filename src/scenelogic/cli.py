@@ -2,7 +2,8 @@
 
 Subcommands: gen, ingest, query, repl, eval.  A YAML config file supplies
 compiler/tracker thresholds and the window length; flags override it.
-Exit status is 0 on success, or a stage-specific nonzero code.
+Exit status is 0 on success, 1 when stdout is a pipe that closed early, or
+a stage-specific nonzero code.
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def _prepare(args):
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 doc = yaml.safe_load(fh) or {}
+        if not isinstance(doc, dict):
+            raise ValueError(f"the config file must be a mapping, got {doc!r}")
+        for section in ("compiler", "tracker"):
+            if not isinstance(doc.get(section, {}), dict):
+                raise ValueError(f"{section} must be a mapping, got {doc[section]!r}")
         cfg = CompilerConfig(**doc.get("compiler", {}))
         tracker = TrackerConfig(**doc.get("tracker", {}))
         window = doc.get("window")
@@ -252,10 +258,17 @@ def main(argv=None) -> int:
         "eval": _cmd_eval,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        # Flush here so that a reader that stopped early shows up below.
+        sys.stdout.flush()
+        return code
     except StageError as e:
         print(f"{e.stage}: {e.message}", file=sys.stderr)
         return EXIT_CODES[e.stage]
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

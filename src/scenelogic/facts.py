@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -33,7 +34,11 @@ class CompilerConfig:
     image_width: float | None = None  # None: twice the optical center x
 
     def __post_init__(self):
-        values = {k: v for k, v in vars(self).items() if v is not None}
+        values = {k: v for k, v in vars(self).items() if v is not None or k != "image_width"}
+        for k, v in values.items():
+            # A bool is an int to isinstance, but no threshold.
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise ValueError(f"{k} must be a number, got {v!r}")
         if not all(map(math.isfinite, values.values())):
             raise ValueError(f"compiler thresholds must be finite, got {values}")
         if min(self.eps_move, self.eps_speed, self.eps_contact, self.close_depth) <= 0:

@@ -11,13 +11,12 @@ slots, and a query's positive conjuncts compile the same way; both run
 through one join over the fact set's predicate/first-argument index.  A
 negated query conjunct is a one-step join from the positive conjuncts'
 bindings: it rules a candidate out when any fact matches it.
-Saturation is semi-naive: the first round of a stratum matches every rule
-against all facts, and each later round fires only the rules with a positive
-body atom whose predicate gained facts in the round before, matching that
-atom against those new facts alone.  Trace steps and their order are those
-of naive evaluation, which re-matches every rule on every round.  Derived
-atoms hold only the active domain's constants, so saturation always reaches
-its fixpoint: there is no round limit.
+Saturation runs in whole-rule rounds: a stratum's first round matches every
+rule against all facts, and a later round matches against all facts only the
+rules with a body predicate that gained facts in the round before.  The rest
+could only re-derive known facts, so trace steps and their order are those
+of naive evaluation.  Derived atoms hold only the active domain's constants,
+so saturation always reaches its fixpoint: there is no round limit.
 """
 
 from __future__ import annotations
@@ -276,28 +275,19 @@ def _grounder(args, table: _SlotTable) -> Callable[[list], tuple]:
     return itemgetter(*specs)
 
 
-def _join(steps: tuple, i: int, slots: list, index: dict,
-          premises: tuple = (), delta=None, seen: bool = False):
+def _join(steps: tuple, i: int, slots: list, index: dict, premises: tuple = ()):
     """Yield the premises of every match of ``steps[i:]``, in index order,
-    binding ``slots`` in place.  With ``delta = (index, last, ids)``, step
-    ``last`` reads only the facts in ``delta``'s index unless an earlier step
-    already matched one of them (their ids are ``ids``)."""
+    binding ``slots`` in place."""
     if i == len(steps):
         yield premises
         return
     pred, key, fit = steps[i]
-    source, track = index, False
-    if delta is not None and not seen:
-        if i == delta[1]:
-            source = delta[0]
-        track = i < delta[1]
-    by_first = source.get(pred)
+    by_first = index.get(pred)
     if not by_first:
         return
     for fact in by_first.get(None if key is None else slots[key], ()):
         if _fits(fact.args, fit, slots):
-            yield from _join(steps, i + 1, slots, index, premises + (fact,), delta,
-                             seen or (track and id(fact) in delta[2]))
+            yield from _join(steps, i + 1, slots, index, premises + (fact,))
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +374,14 @@ def saturate(base: FactSet, rules: RuleSet) -> FactSet:
         domain = _active_domain(base, rules)
 
     for stratum in plans:
-        delta_facts = None  # the previous round's facts; None in round one
-        while True:
-            if delta_facts is None:
-                firing = [(plan, -1) for plan in stratum]
-            else:
-                delta_preds = {f.pred for f in delta_facts}
-                firing = [(plan, max(i for i, (p, _, _) in enumerate(plan.steps)
-                                     if p in delta_preds))
-                          for plan in stratum if plan.preds & delta_preds]
-            if not firing:
-                break
-            if pending:
-                _merge_into(index, pending)
-                pending = []
-            if delta_facts is not None:
-                delta_index = _build_index(delta_facts)
-                delta_ids = {id(f) for f in delta_facts}
+        firing = stratum
+        while firing:
+            _merge_into(index, pending)
+            pending = []
             fresh: list[TraceStep] = []
-            for plan, last in firing:
-                delta = (delta_index, last, delta_ids) if last >= 0 else None
+            for plan in firing:
                 slots = list(plan.init)
-                for premises in _join(plan.steps, 0, slots, index, (), delta):
+                for premises in _join(plan.steps, 0, slots, index):
                     if plan.checks and not _passes(plan.checks, slots, known):
                         continue
                     for combo in product(domain, repeat=len(plan.free)):
@@ -418,11 +394,10 @@ def saturate(base: FactSet, rules: RuleSet) -> FactSet:
                             known.add((plan.head_pred, args))
                             fresh.append(TraceStep(Literal(plan.head_pred, args),
                                                    plan.name, premises))
-            if not fresh:
-                break
             steps.extend(fresh)
-            delta_facts = [s.derived for s in fresh]
-            pending.extend(delta_facts)
+            pending.extend(s.derived for s in fresh)
+            gained = {s.derived.pred for s in fresh}
+            firing = [plan for plan in stratum if plan.preds & gained]
 
     facts = base.facts.union(s.derived for s in steps)
     return FactSet._trusted(facts, ProofTrace(tuple(steps)), index, pending)

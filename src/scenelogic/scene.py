@@ -139,14 +139,10 @@ class SceneWindow:
 
     def cumulative(self) -> tuple[Transform2, ...]:
         """Transform mapping each frame's coordinates into frame 0's."""
-        cache = self.__dict__.get("_cumulative")
-        if cache is None:
-            cums = [Transform2.identity()]
-            for link in self.origin_chain:
-                cums.append(cums[-1].compose(link))
-            cache = tuple(cums)
-            self.__dict__["_cumulative"] = cache
-        return cache
+        cums = [Transform2.identity()]
+        for link in self.origin_chain:
+            cums.append(cums[-1].compose(link))
+        return tuple(cums)
 
 
 def bev_of(obs: ObjectObservation, k: CameraIntrinsics) -> tuple[float, float]:

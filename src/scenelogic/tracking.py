@@ -10,6 +10,7 @@ sequence's tracks cut to its frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -37,12 +38,16 @@ class TrackerConfig:
     max_gap: int = 2  # occlusion frames bridged by hypothetical vertices
 
     def __post_init__(self):
+        # A bool is an int to isinstance, but no weight or frame count.
+        for name in ("alpha", "w_min"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 <= self.alpha <= 1:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         # A weight floor of 0 would match pairs across categories.
         if not 0 < self.w_min <= 1:
             raise ValueError(f"w_min must be in (0, 1], got {self.w_min}")
-        # A bool is an int to isinstance, but no frame count.
         if isinstance(self.max_gap, bool) or not isinstance(self.max_gap, int) \
                 or self.max_gap < 0:
             raise ValueError(f"max_gap must be an integer >= 0, got {self.max_gap!r}")

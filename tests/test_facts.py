@@ -175,6 +175,10 @@ def test_oracle_compile_reproduces_generator_gold_exactly(rules):
     ({"left_frac": 0.5, "right_frac": 0.5}, "left_frac and right_frac must satisfy"),
     ({"image_width": 0}, "image_width must be positive"),
     ({"image_width": -640.0}, "image_width must be positive"),
+    ({"eps_move": "x"}, "eps_move must be a number, got 'x'"),
+    ({"trend_frac": True}, "trend_frac must be a number, got True"),
+    ({"close_depth": None}, "close_depth must be a number, got None"),
+    ({"image_width": "640"}, "image_width must be a number, got '640'"),
 ])
 def test_compiler_config_rejects_values_out_of_range(kw, message):
     with pytest.raises(ValueError) as e:

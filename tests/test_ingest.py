@@ -334,6 +334,12 @@ def test_a_window_length_that_is_no_integer_fails_at_config(tmp_path, capsys, va
     ("compiler", "image_width: 0", "image_width must be positive, got 0"),
     ("compiler", "left_frac: -1", "left_frac and right_frac must satisfy"),
     ("compiler", "right_frac: 3", "left_frac and right_frac must satisfy"),
+    ("tracker", 'alpha: "0.5"', "alpha must be a number, got '0.5'"),
+    ("tracker", "alpha: true", "alpha must be a number, got True"),
+    ("compiler", "eps_move: x", "eps_move must be a number, got 'x'"),
+    ("compiler", "trend_frac: true", "trend_frac must be a number, got True"),
+    ("compiler", "5", "compiler must be a mapping, got 5"),
+    ("tracker", "[0.5]", "tracker must be a mapping, got [0.5]"),
 ])
 def test_a_config_value_out_of_range_fails_at_config(tmp_path, capsys, section, value, message):
     path = _static_scene(tmp_path)
@@ -344,6 +350,35 @@ def test_a_config_value_out_of_range_fails_at_config(tmp_path, capsys, section, 
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"config: {message}") and err.count("\n") == 1
+
+
+def test_a_config_file_that_is_no_mapping_fails_at_config(tmp_path, capsys):
+    path = _static_scene(tmp_path)
+    config = tmp_path / "cfg.yaml"
+    config.write_text("- window: 10\n")
+    assert cli_main(["ingest", str(path), "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "config: the config file must be a mapping, got [{'window': 10}]\n")
+
+
+def test_output_into_a_reader_that_stops_early_exits_1_without_a_traceback(tmp_path):
+    # Forty frames of twenty objects dump more facts than a pipe buffers.
+    path = tmp_path / "long.json"
+    spec = ScenarioSpec("crossing", seed=3, n_frames=40, object_count=20)
+    save_annotation(generate_scenario(spec).sequence, path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenelogic.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scenelogic.cli", "ingest", str(path), "--dump-facts"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+    assert first == [b"AtCenter(road01)\n", b"AtCenter(vehicle01)\n"]
 
 
 def test_a_sequence_without_frames_says_so():

@@ -149,6 +149,7 @@ def test_matching_is_optimal_against_permutation_search():
     {"alpha": -0.1}, {"alpha": 7}, {"alpha": math.nan},
     {"w_min": 0.0}, {"w_min": 1.5}, {"w_min": math.nan},
     {"max_gap": -3}, {"max_gap": 1.5}, {"max_gap": True},
+    {"alpha": "0.5"}, {"alpha": True}, {"w_min": None}, {"w_min": False},
 ])
 def test_tracker_config_rejects_values_out_of_range(kw):
     with pytest.raises(ValueError, match=f"^{next(iter(kw))} must be "):
