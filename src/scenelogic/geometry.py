@@ -102,31 +102,82 @@ def estimate_origin(static_prev, static_curr) -> Transform2:
     DegenerateConfiguration when the anchors are all coincident (rotation
     unobservable).
     """
-    prev = np.asarray(static_prev, dtype=float)
-    curr = np.asarray(static_curr, dtype=float)
+    return estimate_origins([(static_prev, static_curr)])[0]
+
+
+def estimate_origins(pairs) -> list[Transform2]:
+    """``estimate_origin`` of each ``(static_prev, static_curr)`` pair, in
+    one stacked numpy pass per anchor count.
+
+    Each transform is bit-identical to one estimated alone: every reduction
+    and product runs along the same axis with the same memory layout, and
+    the angle's trigonometry is ``math``'s, per pair.  If any pair fails, the
+    first one that does raises what it would raise alone.
+    """
+    pairs = list(pairs)
+    results: list = [None] * len(pairs)
+    groups: dict[int, list[int]] = {}
+    for i, (static_prev, _) in enumerate(pairs):
+        groups.setdefault(len(static_prev), []).append(i)
+    todo = list(groups.values())
+    while todo:
+        idx = todo.pop()
+        m = len(idx)
+        try:
+            both = np.array([[pairs[i][0] for i in idx], [pairs[i][1] for i in idx]],
+                            dtype=float)
+        except (TypeError, ValueError):
+            both = None
+        if both is None or both.ndim != 4 or both.shape[2] < 2 or both.shape[3] != 2:
+            # Some pair is malformed: estimate each on its own.
+            if m > 1:
+                todo.extend([i] for i in idx)
+            else:
+                results[idx[0]] = _anchor_error(*pairs[idx[0]])
+            continue
+
+        prev, curr = both  # (m, n, 2) each
+        cp, cc = centre = both.mean(axis=2)
+        dp, dc = d = both - centre[:, :, None]
+        degenerate = ((d ** 2).reshape(2, m, -1).sum(axis=2) < 1e-18).any(axis=0).tolist()
+        # dots[k, i, j] = dc[k, :, i] @ dp[k, :, j]: each a (1, n) by (n, 1)
+        # product of strided columns, as the per-pair column dot products are
+        cols_c, cols_p = dc.transpose(0, 2, 1), dp.transpose(0, 2, 1)
+        dots = np.matmul(cols_c[:, :, None, None, :], cols_p[:, None, :, :, None])[..., 0, 0]
+        num = (dots[:, 0, 1] - dots[:, 1, 0]).tolist()
+        den = (dots[:, 0, 0] + dots[:, 1, 1]).tolist()
+        theta = list(map(math.atan2, num, den))
+        rot = np.array([[[c, -s], [s, c]]
+                        for c, s in zip(map(math.cos, theta), map(math.sin, theta))])
+        t = cp - np.matmul(rot, cc[:, :, None])[:, :, 0]
+        mapped = np.matmul(curr, rot.transpose(0, 2, 1)) + t[:, None]
+        residual = np.sqrt(((mapped - prev) ** 2).sum(axis=2).mean(axis=1)).tolist()
+        for i, bad, angle, shift, rms in zip(idx, degenerate, theta, t.tolist(), residual):
+            if bad:
+                results[i] = DegenerateConfiguration(
+                    "anchors are coincident; rotation unobservable")
+                continue
+            try:
+                results[i] = Transform2(_wrap_angle(angle), tuple(shift), rms)
+            except ValueError as e:  # a NaN anchor makes a NaN angle
+                results[i] = e
+
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
+def _anchor_error(static_prev, static_curr) -> Exception:
+    """What one pair whose anchors cannot be stacked raises."""
+    try:
+        prev = np.asarray(static_prev, dtype=float)
+        curr = np.asarray(static_curr, dtype=float)
+    except (TypeError, ValueError) as e:
+        return e
     if prev.ndim != 2 or prev.shape != curr.shape or prev.shape[1] != 2:
-        raise ValueError("anchor lists must be equal-length sequences of (X, Z) pairs")
-    n = prev.shape[0]
-    if n < 2:
-        raise InsufficientAnchors(f"need at least 2 anchor correspondences, got {n}")
-
-    cp = prev.mean(axis=0)
-    cc = curr.mean(axis=0)
-    dp = prev - cp
-    dc = curr - cc
-
-    if float((dc ** 2).sum()) < 1e-18 or float((dp ** 2).sum()) < 1e-18:
-        raise DegenerateConfiguration("anchors are coincident; rotation unobservable")
-    num = float(dc[:, 0] @ dp[:, 1] - dc[:, 1] @ dp[:, 0])
-    den = float(dc[:, 0] @ dp[:, 0] + dc[:, 1] @ dp[:, 1])
-    theta = math.atan2(num, den)
-
-    c, s = math.cos(theta), math.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    t = cp - rot @ cc
-    mapped = curr @ rot.T + t
-    residual = float(np.sqrt(np.mean(np.sum((mapped - prev) ** 2, axis=1))))
-    return Transform2(_wrap_angle(theta), (float(t[0]), float(t[1])), residual)
+        return ValueError("anchor lists must be equal-length sequences of (X, Z) pairs")
+    return InsufficientAnchors(f"need at least 2 anchor correspondences, got {prev.shape[0]}")
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ so saturation always reaches its fixpoint: there is no round limit.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -147,12 +148,19 @@ def _build_index(facts) -> dict:
 
 def _merge_into(index: dict, facts: list[Literal]) -> None:
     """Add ``facts`` to ``index`` in index order.  Lists are replaced, never
-    extended, so an index copied shallowly from a fact set leaves it intact."""
+    extended, so an index copied shallowly from a fact set leaves it intact.
+    Each new fact is inserted into a copy of the old list, which is already
+    in index order, so ``_fact_key`` runs only on the elements probed."""
     for pred, by_first in _build_index(facts).items():
         merged = dict(index.get(pred, {}))
         for key, new in by_first.items():
             old = merged.get(key)
-            merged[key] = new if old is None else sorted(old + new, key=_fact_key)
+            if old is None:
+                merged[key] = new
+                continue
+            merged[key] = old = old.copy()
+            for f in new:
+                insort(old, f, key=_fact_key)
         index[pred] = merged
 
 

@@ -4,11 +4,18 @@ The annotation file is a JSON document per sequence:
 
     {"intrinsics": {"fx", "fy", "cx", "cy", "fps"},
      "frames": [{"index": int,
-                 "objects": [{"category", "gt_instance"?, "centroid_px",
-                              "bbox", "depth_m", "flow_px"?, "attributes"?}]}]}
+                 "objects": [{"category": str, "gt_instance"?: str,
+                              "centroid_px": [x, y], "bbox": [x0, y0, x1, y1],
+                              "depth_m": number, "flow_px"?: [dx, dy],
+                              "attributes"?: {name: value}}]}]}
 
-Pixels and meters only.  A window is N consecutive frames plus the chain of
-frame-pair transforms that pins every frame to the shared temporary origin.
+Every coordinate is a finite number (true and false are not numbers), the
+bbox contains the centroid and the depth is positive.  A missing field, or
+one of the wrong type, fails at ingest with its name.  Pixels and meters
+only.
+
+A window is N consecutive frames plus the chain of frame-pair transforms
+that pins every frame to the shared temporary origin.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +32,7 @@ from .geometry import (
     InsufficientAnchors,
     Transform2,
     back_project,
-    estimate_origin,
+    estimate_origins,
     to_bev,
 )
 
@@ -42,9 +50,10 @@ STATIC_CATEGORIES = frozenset({
 # Surfaces that can carry other objects for On(x, y).
 SURFACE_CATEGORIES = frozenset({"Road", "Sidewalk", "LaneMarking"})
 
+_INF = math.inf
 
-@dataclass(frozen=True)
-class ObjectObservation:
+
+class _ObservationFields(NamedTuple):
     category: str
     centroid_px: tuple[float, float]
     bbox: tuple[float, float, float, float]
@@ -53,16 +62,79 @@ class ObjectObservation:
     flow_px: tuple[float, float] | None = None
     attributes: dict | None = None
 
-    def __post_init__(self):
-        numbers = (self.depth_m, *self.centroid_px, *self.bbox, *(self.flow_px or ()))
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"depth, centroid, bbox and flow must be finite, got {numbers}")
-        if self.depth_m <= 0:
-            raise ValueError(f"depth must be positive, got {self.depth_m}")
-        x0, y0, x1, y1 = self.bbox
-        cx, cy = self.centroid_px
-        if not (x0 <= cx <= x1 and y0 <= cy <= y1):
-            raise ValueError("bbox must contain the centroid")
+
+class ObjectObservation(_ObservationFields):
+    """One annotated object in one frame: a named tuple whose constructor
+    checks its fields.  ``_make`` and ``_replace`` construct through it too."""
+
+    __slots__ = ()
+
+    def __new__(cls, category, centroid_px, bbox, depth_m, gt_instance=None,
+                flow_px=None, attributes=None):
+        # One test accepts a well-formed observation; _rejection says why
+        # any other fails.  The comparisons hold only for finite numbers.
+        try:
+            cx, cy = centroid_px
+            x0, y0, x1, y1 = bbox
+            fx, fy = (0.0, 0.0) if flow_px is None else flow_px
+            valid = (-_INF < x0 <= cx <= x1 < _INF and -_INF < y0 <= cy <= y1 < _INF
+                     and 0.0 < depth_m < _INF and -_INF < fx < _INF and -_INF < fy < _INF
+                     and bool not in {type(depth_m), type(cx), type(cy), type(x0), type(y0),
+                                      type(x1), type(y1), type(fx), type(fy)})
+        except (TypeError, ValueError):
+            valid = False
+        if not (valid and isinstance(category, str)
+                and (gt_instance is None or isinstance(gt_instance, str))
+                and (attributes is None or isinstance(attributes, dict))):
+            raise ValueError(_rejection(category, centroid_px, bbox, depth_m,
+                                        gt_instance, flow_px, attributes))
+        return tuple.__new__(cls, (category, centroid_px, bbox, depth_m, gt_instance,
+                                   flow_px, attributes))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+
+def _numbers(value, n: int) -> bool:
+    """Whether ``value`` is a sequence of ``n`` numbers; a bool is not one."""
+    try:
+        if len(value) != n or bool in map(type, value):
+            return False
+        for v in value:
+            math.isfinite(v)  # TypeError on a non-number
+    except TypeError:
+        return False
+    return True
+
+
+def _rejection(category, centroid_px, bbox, depth_m, gt_instance, flow_px,
+               attributes) -> str:
+    """Why these fields make no observation: the first field not of its
+    type, else the first of the value checks that fails."""
+    if not isinstance(category, str):
+        return f"category must be a string, got {category!r}"
+    if not _numbers(centroid_px, 2):
+        return f"centroid_px must be 2 numbers, got {centroid_px!r}"
+    if not _numbers(bbox, 4):
+        return f"bbox must be 4 numbers, got {bbox!r}"
+    if not _numbers((depth_m,), 1):
+        return f"depth_m must be a number, got {depth_m!r}"
+    if gt_instance is not None and not isinstance(gt_instance, str):
+        return f"gt_instance must be a string, got {gt_instance!r}"
+    if flow_px is not None and not _numbers(flow_px, 2):
+        return f"flow_px must be 2 numbers, got {flow_px!r}"
+    if attributes is not None and not isinstance(attributes, dict):
+        return f"attributes must be a mapping, got {attributes!r}"
+    numbers = (depth_m, *centroid_px, *bbox, *(flow_px or ()))
+    if not all(map(math.isfinite, numbers)):
+        return f"depth, centroid, bbox and flow must be finite, got {numbers}"
+    if depth_m <= 0:
+        return f"depth must be positive, got {depth_m}"
+    return "bbox must contain the centroid"
 
 
 @dataclass(frozen=True)
@@ -153,61 +225,69 @@ def bev_of(obs: ObjectObservation, k: CameraIntrinsics) -> tuple[float, float]:
 # Origin chain construction
 # ---------------------------------------------------------------------------
 
-def _static_correspondences(prev: FrameObservation, curr: FrameObservation,
-                            k: CameraIntrinsics):
-    """Pair static-object BEV positions across a frame pair.
+def _statics(f: FrameObservation, k: CameraIntrinsics) -> list:
+    """The frame's static objects, each with its BEV point."""
+    bev = f.bev(k)
+    return [(o, bev[id(o)]) for o in f.objects if o.category in STATIC_CATEGORIES]
+
+
+def _static_correspondences(prev_static, curr_static):
+    """Pair static-object BEV positions across a frame pair, given each
+    frame's ``_statics``.  Returns the previous frame's paired points and,
+    in the same order, their current-frame partners.
 
     Ground-truth instance labels pair directly; the rest pair to the nearest
     unclaimed neighbor within NN_GATE_M.
     """
-    prev_static = [o for o in prev.objects if o.category in STATIC_CATEGORIES]
-    curr_static = [o for o in curr.objects if o.category in STATIC_CATEGORIES]
-    prev_pts = [prev.bev(k)[id(o)] for o in prev_static]
-    curr_pts = [curr.bev(k)[id(o)] for o in curr_static]
-
-    pairs: list[tuple[tuple[float, float], tuple[float, float]]] = []
+    prev_pts: list[tuple[float, float]] = []
+    curr_pts: list[tuple[float, float]] = []
     used_curr: set[int] = set()
 
-    by_id = {o.gt_instance: j for j, o in enumerate(curr_static) if o.gt_instance}
+    by_id = {o.gt_instance: j for j, (o, _) in enumerate(curr_static) if o.gt_instance}
     remaining_prev = []
-    for i, o in enumerate(prev_static):
+    for o, p in prev_static:
         j = by_id.get(o.gt_instance) if o.gt_instance else None
-        if j is not None and curr_static[j].category == o.category:
-            pairs.append((prev_pts[i], curr_pts[j]))
+        if j is not None and curr_static[j][0].category == o.category:
+            prev_pts.append(p)
+            curr_pts.append(curr_static[j][1])
             used_curr.add(j)
         else:
-            remaining_prev.append(i)
+            remaining_prev.append((o, p))
 
-    for i in remaining_prev:
+    for o, p in remaining_prev:
         best, best_d = None, NN_GATE_M
-        for j in range(len(curr_static)):
-            if j in used_curr or curr_static[j].category != prev_static[i].category:
+        for j, (c, q) in enumerate(curr_static):
+            if j in used_curr or c.category != o.category:
                 continue
-            d = math.dist(prev_pts[i], curr_pts[j])
+            d = math.dist(p, q)
             if d <= best_d:
                 best, best_d = j, d
         if best is not None:
             used_curr.add(best)
-            pairs.append((prev_pts[i], curr_pts[best]))
+            prev_pts.append(p)
+            curr_pts.append(curr_static[best][1])
 
-    return pairs
+    return prev_pts, curr_pts
 
 
 def _origin_chain(frames, intrinsics: CameraIntrinsics) -> list[Transform2]:
     """One transform per consecutive frame pair, estimated from static-object
-    correspondences; the first pair without two of them raises."""
-    chain = []
+    correspondences in one ``estimate_origins`` call.  The first pair that
+    fails raises: one without two correspondences, or one that
+    ``estimate_origins`` rejects."""
+    anchors = []
+    curr_static = _statics(frames[0], intrinsics) if frames else []
     for prev, curr in zip(frames, frames[1:]):
-        pairs = _static_correspondences(prev, curr, intrinsics)
-        if len(pairs) < 2:
+        prev_static, curr_static = curr_static, _statics(curr, intrinsics)
+        prev_pts, curr_pts = _static_correspondences(prev_static, curr_static)
+        if len(prev_pts) < 2:
+            estimate_origins(anchors)  # an earlier pair's failure comes first
             raise InsufficientAnchors(
                 f"frames {prev.frame_index}-{curr.frame_index}: "
-                f"{len(pairs)} static correspondences, need 2"
+                f"{len(prev_pts)} static correspondences, need 2"
             )
-        prev_pts = [p for p, _ in pairs]
-        curr_pts = [c for _, c in pairs]
-        chain.append(estimate_origin(prev_pts, curr_pts))
-    return chain
+        anchors.append((prev_pts, curr_pts))
+    return estimate_origins(anchors)
 
 
 def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0) -> SceneWindow:
@@ -246,15 +326,25 @@ def windows(seq: Sequence, n: int | None = None) -> list[SceneWindow]:
 # ---------------------------------------------------------------------------
 
 def _obs_from_dict(d: dict) -> ObjectObservation:
+    # JSON arrays become tuples and an integer depth a float; any other value
+    # reaches the checks as read, so that they name a malformed field.
+    centroid, bbox, depth, flow = d["centroid_px"], d["bbox"], d["depth_m"], d.get("flow_px")
     return ObjectObservation(
-        category=d["category"],
-        centroid_px=tuple(d["centroid_px"]),
-        bbox=tuple(d["bbox"]),
-        depth_m=float(d["depth_m"]),
-        gt_instance=d.get("gt_instance"),
-        flow_px=tuple(d["flow_px"]) if d.get("flow_px") is not None else None,
-        attributes=d.get("attributes"),
+        d["category"],
+        tuple(centroid) if type(centroid) is list else centroid,
+        tuple(bbox) if type(bbox) is list else bbox,
+        float(depth) if type(depth) is int else depth,
+        d.get("gt_instance"),
+        tuple(flow) if type(flow) is list else flow,
+        d.get("attributes"),
     )
+
+
+def _frame_from_dict(f: dict) -> FrameObservation:
+    index = f["index"]
+    if type(index) is not int:
+        raise ValueError(f"index must be an integer, got {index!r}")
+    return FrameObservation(index, tuple(map(_obs_from_dict, f["objects"])))
 
 
 def _obs_to_dict(o: ObjectObservation) -> dict:
@@ -273,15 +363,21 @@ def _obs_to_dict(o: ObjectObservation) -> dict:
     return d
 
 
+def _intrinsic(k: dict, name: str) -> float:
+    value = k[name]
+    if type(value) not in (int, float):
+        raise ValueError(f"intrinsics {name} must be a number, got {value!r}")
+    return float(value)
+
+
 def sequence_from_dict(doc: dict) -> Sequence:
-    k = doc["intrinsics"]
-    intr = CameraIntrinsics(float(k["fx"]), float(k["fy"]),
-                            float(k["cx"]), float(k["cy"]), float(k["fps"]))
-    frames = tuple(
-        FrameObservation(int(f["index"]),
-                         tuple(_obs_from_dict(o) for o in f["objects"]))
-        for f in doc["frames"]
-    )
+    try:
+        k = doc["intrinsics"]
+        intr = CameraIntrinsics(*(_intrinsic(k, name)
+                                  for name in ("fx", "fy", "cx", "cy", "fps")))
+        frames = tuple(map(_frame_from_dict, doc["frames"]))
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from None
     return Sequence(intr, frames)
 
 

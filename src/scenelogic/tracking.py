@@ -9,7 +9,7 @@ sequence's tracks cut to its frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -233,8 +233,7 @@ class _LiveTrack:
         """Hypothetical observation continuing the track at constant velocity."""
         d = self.step_estimate()
         self.misses += 1
-        self.repr_obs = replace(
-            self.repr_obs,
+        self.repr_obs = self.repr_obs._replace(
             centroid_px=(self.repr_obs.centroid_px[0] + d[0],
                          self.repr_obs.centroid_px[1] + d[1]),
             bbox=_shift(self.repr_obs.bbox, d),

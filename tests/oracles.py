@@ -28,6 +28,9 @@ the compiled engine in ``scenelogic.inference`` is checked against.
 - ``distance_trends_per_window``: the distance trends of a window's track
   pairs computed from that window's points alone, instead of read from a
   per-sequence pair table.
+- ``estimate_origin_per_pair``: one frame pair's rigid transform from its
+  own small numpy arrays, the reference for the stacked
+  ``geometry.estimate_origins``.
 - ``parse_rule_by_formula`` and ``parse_query_by_formula``: rule and query
   text parsed into general ``And``/``Or``/``Not``/``Implies`` formula trees
   under a quantifier prefix, which are then checked for Horn shape and
@@ -36,6 +39,7 @@ the compiled engine in ``scenelogic.inference`` is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -43,7 +47,14 @@ import numpy as np
 
 from scenelogic.facts import CompilerConfig
 from scenelogic.fol import Const, Literal, Substitution, Term, Var, apply, unify
-from scenelogic.geometry import Kinematics, kinematics
+from scenelogic.geometry import (
+    DegenerateConfiguration,
+    InsufficientAnchors,
+    Kinematics,
+    Transform2,
+    _wrap_angle,
+    kinematics,
+)
 from scenelogic.inference import (
     Answer,
     FactSet,
@@ -840,3 +851,37 @@ def parse_query_by_formula(text: str) -> tuple[Literal, ...]:
     if st.quantifiers:
         raise ParseError(0, "queries are implicitly existential; drop the quantifier")
     return tuple(flatten_conjunction(st.body, "a query"))
+
+
+# ---------------------------------------------------------------------------
+# Origin transforms, one frame pair at a time
+# ---------------------------------------------------------------------------
+
+def estimate_origin_per_pair(static_prev, static_curr) -> Transform2:
+    """Least-squares rigid transform taking current-frame anchor positions
+    onto the previous frame's, from this pair's arrays alone."""
+    prev = np.asarray(static_prev, dtype=float)
+    curr = np.asarray(static_curr, dtype=float)
+    if prev.ndim != 2 or prev.shape != curr.shape or prev.shape[1] != 2:
+        raise ValueError("anchor lists must be equal-length sequences of (X, Z) pairs")
+    n = prev.shape[0]
+    if n < 2:
+        raise InsufficientAnchors(f"need at least 2 anchor correspondences, got {n}")
+
+    cp = prev.mean(axis=0)
+    cc = curr.mean(axis=0)
+    dp = prev - cp
+    dc = curr - cc
+
+    if float((dc ** 2).sum()) < 1e-18 or float((dp ** 2).sum()) < 1e-18:
+        raise DegenerateConfiguration("anchors are coincident; rotation unobservable")
+    num = float(dc[:, 0] @ dp[:, 1] - dc[:, 1] @ dp[:, 0])
+    den = float(dc[:, 0] @ dp[:, 0] + dc[:, 1] @ dp[:, 1])
+    theta = math.atan2(num, den)
+
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    t = cp - rot @ cc
+    mapped = curr @ rot.T + t
+    residual = float(np.sqrt(np.mean(np.sum((mapped - prev) ** 2, axis=1))))
+    return Transform2(_wrap_angle(theta), (float(t[0]), float(t[1])), residual)

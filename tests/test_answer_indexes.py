@@ -13,7 +13,15 @@ import pytest
 from scenelogic import ragcontext
 from scenelogic.evaluation import process_sequence
 from scenelogic.fol import Const, Literal
-from scenelogic.inference import Answer, FactSet, Query, _build_index, answer_query, saturate
+from scenelogic.inference import (
+    Answer,
+    FactSet,
+    Query,
+    _build_index,
+    _merge_into,
+    answer_query,
+    saturate,
+)
 from scenelogic.questions import parse_fol_query, parse_question
 from scenelogic.ragcontext import FACTS_ONLY, WITH_INFERENCE, build_context, template_table
 from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
@@ -106,6 +114,23 @@ def test_recursive_rounds_hand_over_an_exact_index():
         assert sat.index == _build_index(sat.facts), n
         assert sat.sorted() == sort_facts(sat)
         assert base.index == _build_index(base.facts), n
+
+
+def test_merge_inserts_into_copies_of_the_index_lists():
+    rng = random.Random(18)
+    names = [Const(f"n{i}") for i in range(12)]
+    facts = list({Literal(rng.choice("PQ"), (rng.choice(names), rng.choice(names)))
+                  for _ in range(150)})
+    rng.shuffle(facts)
+    old, new = facts[:90], facts[90:]
+    index = _build_index(old)
+    kept = {pred: {key: list(run) for key, run in by_first.items()}
+            for pred, by_first in index.items()}
+    copied = {pred: dict(by_first) for pred, by_first in index.items()}
+    _merge_into(index, new)
+    assert index == _build_index(facts)
+    # The lists the index held before are untouched.
+    assert copied == kept
 
 
 def test_unsaturated_fact_set_builds_its_own_index():

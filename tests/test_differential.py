@@ -1,7 +1,8 @@
 """The array kernels and shared work against the formulas they replaced.
 
 Association weights are computed over whole arrays; origin chains,
-inferred tracks and pairwise distance trends once per sequence; BEV points
+in one stacked pass, inferred tracks and pairwise distance trends once per
+sequence; BEV points
 once per frame; kinematics with scalars; each track's facts from the few
 points and the grouped means they read.  Each test here keeps the per-pair
 (or per-window, or array, or per-observation) computation as a reference
@@ -16,10 +17,17 @@ import pytest
 import scipy.optimize
 
 import oracles
-from scenelogic import facts, tracking
+from scenelogic import facts, scene, tracking
 from scenelogic.facts import CompilerConfig, compile_window
 from scenelogic.fol import Const, Literal
-from scenelogic.geometry import CameraIntrinsics, InsufficientAnchors, Transform2, kinematics
+from scenelogic.geometry import (
+    CameraIntrinsics,
+    DegenerateConfiguration,
+    InsufficientAnchors,
+    Transform2,
+    estimate_origins,
+    kinematics,
+)
 from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
 from scenelogic.scene import (
     STATIC_CATEGORIES,
@@ -405,6 +413,126 @@ def test_first_bad_pair_raises_the_per_window_message():
     assert len(windows(bad, 1)) == 16
 
 
+def _recorded_origin_calls(monkeypatch) -> list:
+    """The anchor pairs of each ``estimate_origins`` call ``scene`` makes."""
+    calls = []
+
+    def recording(pairs):
+        calls.append(list(pairs))
+        return estimate_origins(calls[-1])
+
+    monkeypatch.setattr(scene, "estimate_origins", recording)
+    return calls
+
+
+def _assert_equal_per_pair(pairs):
+    stacked = estimate_origins(pairs)
+    assert len(stacked) == len(pairs)
+    for (prev, curr), tf in zip(pairs, stacked):
+        ref = oracles.estimate_origin_per_pair(prev, curr)
+        assert tf.rotation_rad == ref.rotation_rad
+        assert tf.translation_m == ref.translation_m
+        assert tf.residual_rms == ref.residual_rms
+
+
+@pytest.mark.parametrize("seed", (5, 77))
+def test_stacked_origins_equal_per_pair_on_generated_scenes(seed, monkeypatch):
+    # As `scenelogic gen --kind all --count 2 --seed <seed>`: every frame pair.
+    calls = _recorded_origin_calls(monkeypatch)
+    for kind in KINDS:
+        for j in range(2):
+            seq = generate_scenario(ScenarioSpec(kind, 1000 * seed + j)).sequence
+            chain = windows(seq)[0].origin_chain
+            assert len(calls) == 1
+            pairs = calls.pop()
+            assert len(pairs) == len(seq.frames) - 1
+            _assert_equal_per_pair(pairs)
+            assert chain == tuple(map(oracles.estimate_origin_per_pair, *zip(*pairs)))
+
+
+def test_stacked_origins_equal_per_pair_on_mixed_anchor_counts():
+    rng = np.random.default_rng(18)
+    for _ in range(60):
+        pairs = []
+        for _ in range(int(rng.integers(1, 16))):
+            n = int(rng.integers(2, 13))
+            prev = rng.uniform((-30.0, 0.0), (30.0, 60.0), (n, 2))
+            theta = rng.uniform(-np.pi, np.pi)
+            c, s = np.cos(theta), np.sin(theta)
+            curr = prev @ np.array([[c, s], [-s, c]]) + rng.uniform(-5, 5, 2)
+            curr += rng.normal(0.0, rng.choice([0.0, 0.05, 2.0]), curr.shape)
+            pairs.append(([tuple(p) for p in prev.tolist()], [tuple(p) for p in curr.tolist()]))
+        _assert_equal_per_pair(pairs)
+
+
+GOOD_PAIR = ([(0.0, 10.0), (4.0, 20.0), (-3.0, 15.0)], [(0.5, 10.0), (4.5, 20.0), (-2.5, 15.0)])
+COINCIDENT = ([(1.0, 1.0), (1.0, 1.0)], [(2.0, 2.0), (2.0, 2.0)])
+ONE_ANCHOR = ([(0.0, 1.0)], [(0.0, 1.0)])
+UNEQUAL = ([(0.0, 1.0), (2.0, 3.0)], [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)])
+NAN_ANCHOR = ([(0.0, 1.0), (2.0, float("nan"))], [(0.0, 1.0), (2.0, 3.0)])
+
+
+@pytest.mark.parametrize("pairs,error", [
+    ([GOOD_PAIR, COINCIDENT, GOOD_PAIR, ONE_ANCHOR], DegenerateConfiguration),
+    ([GOOD_PAIR, ONE_ANCHOR, COINCIDENT, GOOD_PAIR], InsufficientAnchors),
+    ([COINCIDENT, UNEQUAL], DegenerateConfiguration),
+    ([UNEQUAL, COINCIDENT], ValueError),
+    ([GOOD_PAIR, COINCIDENT, NAN_ANCHOR], DegenerateConfiguration),
+    ([NAN_ANCHOR, COINCIDENT], ValueError),
+], ids=["degenerate-first", "insufficient-first", "degenerate-before-malformed",
+        "malformed-first", "degenerate-before-nan", "nan-first"])
+def test_first_failing_pair_raises_what_it_raises_alone(pairs, error):
+    first_bad = next(p for p in pairs if p is not GOOD_PAIR)
+    with pytest.raises(error) as alone:
+        oracles.estimate_origin_per_pair(*first_bad)
+    with pytest.raises(error) as stacked:
+        estimate_origins(pairs)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+def _coincident_anchors(seq: Sequence, positions) -> Sequence:
+    """Move the second static object onto the first in each frame at
+    ``positions``, so that the frame's anchors are coincident."""
+    frames = []
+    for i, f in enumerate(seq.frames):
+        if i in positions:
+            static = [o for o in f.objects if o.category in STATIC_CATEGORIES]
+            moved = static[1]._replace(centroid_px=static[0].centroid_px,
+                                       bbox=static[0].bbox, depth_m=static[0].depth_m)
+            f = FrameObservation(f.frame_index, tuple(
+                o for o in f.objects if o.category not in STATIC_CATEGORIES)
+                + (static[0], moved))
+        frames.append(f)
+    return Sequence(seq.intrinsics, tuple(frames))
+
+
+def test_origin_chain_raises_for_the_first_failing_frame_pair():
+    seq = make_sequence({"v": {"category": "Vehicle",
+                               "track": linear_track((0.8, 12.0), (0.0, 3.0), n=16)}},
+                        n=16)
+    # Frame 6's anchors coincide (pairs 5-6 and 6-7 are degenerate), and
+    # frame 13 keeps one (pair 12-13 has one correspondence).
+    degenerate_first = _strip_anchors(_coincident_anchors(seq, {6}), {13})
+    with pytest.raises(DegenerateConfiguration, match="coincident"):
+        windows(degenerate_first, 10)
+    insufficient_first = _strip_anchors(_coincident_anchors(seq, {13}), {6})
+    with pytest.raises(InsufficientAnchors, match="^frames 5-6: 1 static correspondences"):
+        windows(insufficient_first, 10)
+    # A window that ends before the bad pairs is fine.
+    assert len(build_window(degenerate_first.frames[:6], seq.intrinsics).origin_chain) == 5
+
+
+def test_windows_estimates_origins_once_per_sequence(monkeypatch):
+    calls = _recorded_origin_calls(monkeypatch)
+    for n_frames, n, n_windows in ((20, 10, 11), (20, 2, 19), (12, None, 3)):
+        seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=n_frames)).sequence
+        assert len(windows(seq, n)) == n_windows
+        assert len(calls) == 1 and len(calls.pop()) == n_frames - 1
+    windows(seq, 1)  # no frame pair in any window
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # (d) Tracks linked once per sequence and BEV points once per frame
 # ---------------------------------------------------------------------------
@@ -670,7 +798,7 @@ def random_gap_tracks(rng, n, inside: bool):
             if inside:
                 per_frame[pos].append(obs)
             else:
-                per_frame[pos].append(replace(obs))
+                per_frame[pos].append(obs._replace())
             observations[pos] = obs
         tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
     k = replace(INTR, fps=float(rng.choice([5.0, 10.0, 29.97])))

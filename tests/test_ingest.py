@@ -46,6 +46,22 @@ def test_non_finite_numbers_rejected(field, value):
         ObjectObservation(**{**GOOD, field: value})
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("depth_m", 0.0, "depth must be positive, got 0.0"),
+    ("depth_m", -2.5, "depth must be positive, got -2.5"),
+    ("centroid_px", (10.5, 5.0), "bbox must contain the centroid"),
+    ("bbox", (0.0, 6.0, 10.0, 10.0), "bbox must contain the centroid"),
+    ("centroid_px", (5.0, math.nan),
+     "depth, centroid, bbox and flow must be finite, got (10.0, 5.0, nan, 0.0, 0.0, 10.0, 10.0, 1.0, 0.0)"),
+])
+def test_value_checks_keep_their_messages(field, value, message):
+    # A centroid on the bbox's edge is inside it.
+    ObjectObservation(**{**GOOD, "centroid_px": (10.0, 0.0)})
+    with pytest.raises(ValueError) as got:
+        ObjectObservation(**{**GOOD, field: value})
+    assert str(got.value) == message
+
+
 @pytest.mark.parametrize("field,value", [
     ("depth_m", math.nan), ("bbox", [0.0, 0.0, math.inf, 10.0]),
     ("centroid_px", [math.inf, 5.0]), ("flow_px", [math.nan, 0.0]),
@@ -59,6 +75,69 @@ def test_cli_exits_at_ingest_on_non_finite_numbers(tmp_path, capsys, field, valu
     assert cli_main(["ingest", str(path)]) == 3
     assert cli_main(["query", str(path), "--q", "Is there a pedestrian?"]) == 3
     assert "ingest: " in capsys.readouterr().err
+
+
+def test_replace_and_make_check_like_the_constructor():
+    obs = ObjectObservation(**GOOD)
+    assert obs._replace(depth_m=12.0) == ObjectObservation(**{**GOOD, "depth_m": 12.0})
+    copy = obs._replace()
+    assert copy == obs and copy is not obs and type(copy) is ObjectObservation
+    assert ObjectObservation._make(obs) == obs
+    with pytest.raises(ValueError, match="finite"):
+        obs._replace(depth_m=math.nan)
+    with pytest.raises(ValueError, match="^bbox must contain the centroid$"):
+        obs._replace(centroid_px=(50.0, 5.0))
+    with pytest.raises(ValueError, match="^depth must be positive, got -1.0$"):
+        ObjectObservation._make((*obs[:3], -1.0, *obs[4:]))
+    with pytest.raises(ValueError, match="^depth_m must be a number, got True$"):
+        obs._replace(depth_m=True)
+    with pytest.raises(TypeError):
+        obs._replace(colour="red")
+
+
+def _crossing_scene(tmp_path):
+    path = tmp_path / "annotation.json"
+    save_annotation(generate_scenario(ScenarioSpec("crossing", seed=3)).sequence, path)
+    return path
+
+
+def _an_object(doc):
+    return doc["frames"][2]["objects"][0]
+
+
+@pytest.mark.parametrize("break_doc,message", [
+    (lambda doc: doc["frames"][0].update(index=0.5), "index must be an integer, got 0.5"),
+    (lambda doc: doc["frames"][0].update(index=True), "index must be an integer, got True"),
+    (lambda doc: _an_object(doc).update(depth_m=True), "depth_m must be a number, got True"),
+    (lambda doc: _an_object(doc).update(depth_m="5"), "depth_m must be a number, got '5'"),
+    (lambda doc: _an_object(doc).update(flow_px=[1, 2, 3]),
+     "flow_px must be 2 numbers, got (1, 2, 3)"),
+    (lambda doc: _an_object(doc).update(category=5), "category must be a string, got 5"),
+    (lambda doc: _an_object(doc).update(gt_instance=7), "gt_instance must be a string, got 7"),
+    (lambda doc: _an_object(doc).update(attributes=["red"]),
+     "attributes must be a mapping, got ['red']"),
+    (lambda doc: _an_object(doc).pop("category"), "missing field 'category'"),
+    (lambda doc: _an_object(doc).update(centroid_px=[1, 2, 3]),
+     "centroid_px must be 2 numbers, got (1, 2, 3)"),
+    (lambda doc: _an_object(doc).update(centroid_px=5), "centroid_px must be 2 numbers, got 5"),
+    (lambda doc: _an_object(doc).update(bbox=[0, 0, True, 9]),
+     "bbox must be 4 numbers, got (0, 0, True, 9)"),
+    (lambda doc: doc["intrinsics"].update(fps=True), "intrinsics fps must be a number, got True"),
+    (lambda doc: doc["intrinsics"].update(fx="500"), "intrinsics fx must be a number, got '500'"),
+    (lambda doc: doc["intrinsics"].pop("cy"), "missing field 'cy'"),
+], ids=["index-fraction", "index-bool", "depth-bool", "depth-string", "flow-three",
+        "category-int", "gt-int", "attributes-list", "missing-category", "centroid-three",
+        "centroid-int", "bbox-bool", "fps-bool", "fx-string", "missing-cy"])
+def test_malformed_fields_fail_at_ingest_with_their_name(tmp_path, capsys, break_doc, message):
+    path = _crossing_scene(tmp_path)
+    doc = json.loads(path.read_text())
+    break_doc(doc)
+    path.write_text(json.dumps(doc))
+    for flags in (["query", str(path), "--q", "Moves(x)", "--fol"],
+                  ["query", str(path), "--q", "Moves(x)", "--fol", "--track-mode", "inferred"],
+                  ["ingest", str(path), "--dump-tracks"]):
+        assert cli_main(flags) == 3
+        assert capsys.readouterr().err == f"ingest: {message}\n"
 
 
 def _static_scene(tmp_path):

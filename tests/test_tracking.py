@@ -1,7 +1,6 @@
 """Bipartite association, occlusion bridging, and presence flags."""
 
 import math
-from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -17,11 +16,13 @@ from scenelogic.scene import (
     build_window,
     windows,
 )
+from scenelogic import tracking
 from scenelogic.geometry import Transform2
 from scenelogic.tracking import (
     MissingGroundTruthIds,
     TrackerConfig,
     _link_inferred,
+    _LiveTrack,
     _weights,
     link_window,
     match_frames,
@@ -210,6 +211,19 @@ def test_occlusion_bridged_into_single_trajectory():
     assert sorted(tracks[0].observations) == [0, 1, 2, 3, 4, 7, 8, 9]
 
 
+def test_a_ghost_is_checked_like_any_observation(monkeypatch):
+    # Each ghost moves 1.7e308 px: the first stays finite, the second does not.
+    live = _LiveTrack(0, obs(0.0, 0.0, 10.0, 10.0, flow=(1.7e308, 0.0)))
+    live.ghost()
+    assert live.misses == 1 and math.isfinite(live.repr_obs.centroid_px[0])
+    with pytest.raises(ValueError, match="finite"):
+        live.ghost()
+    # A ghost box that does not hold the carried centroid is rejected too.
+    monkeypatch.setattr(tracking, "_shift", lambda bbox, d: (100.0, 100.0, 110.0, 110.0))
+    with pytest.raises(ValueError, match="^bbox must contain the centroid$"):
+        _LiveTrack(0, obs(0.0, 0.0, 10.0, 10.0, flow=(1.0, 0.0))).ghost()
+
+
 def test_gap_longer_than_bridge_splits_track():
     w = _window({"p1": {
         "category": "Pedestrian", "width": 0.6, "height": 1.7,
@@ -352,7 +366,7 @@ def test_window_attributes_are_voted_over_the_window_frames():
                                "track": linear_track((0.8, 12.0), (0.0, 2.0), n=12)}}, n=12)
     seq = Sequence(seq.intrinsics, tuple(
         FrameObservation(f.frame_index, tuple(
-            replace(o, attributes={"color": "blue"})
+            o._replace(attributes={"color": "blue"})
             if o.category == "Vehicle" and f.frame_index >= 6 else o for o in f.objects))
         for f in seq.frames))
     colors = []
