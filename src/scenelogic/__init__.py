@@ -15,7 +15,6 @@ from .tracking import PresenceFlags, Trajectory, TrackerConfig, link_window, mat
 from .facts import CompilerConfig, WindowFacts, compile_window
 from .questions import answer_to_text, parse_fol_query, parse_nl_question, parse_question, print_query
 from .ragcontext import ContextPayload, TemplateTable, build_context, export_templates, template_table
-from .scenarios import KINDS, QAItem, ScenarioSpec, generate_scenario, standard_suite, write_scenario
-from .evaluation import EvalReport, evaluate, run_pipeline, run_scenario_dir
+from .evaluation import EvalReport, QAItem, evaluate, run_pipeline, run_scenario_dir
 
 __version__ = "0.1.0"

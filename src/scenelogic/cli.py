@@ -20,7 +20,6 @@ from .facts import CompilerConfig, compile_window
 from .inference import answer_query
 from .logicpad import default_ruleset, load_rule_file
 from .questions import answer_to_text, parse_fol_query, parse_nl_question
-from .scenarios import KINDS, ScenarioSpec, generate_scenario, write_scenario
 from .scene import load_annotation, windows
 from .tracking import TrackerConfig, link_window
 
@@ -45,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate synthetic scenarios")
     g.add_argument("--kind", required=True,
-                   help=f"one of {', '.join(KINDS)}, or 'all'")
+                   help="a scenario kind, or 'all' (an unknown kind lists them)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.add_argument("--count", type=int, default=1,
@@ -80,6 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
+    # Imported here: only gen writes scenarios.
+    from .scenarios import KINDS, ScenarioSpec, generate_scenario, write_scenario
+
     kinds = KINDS if args.kind == "all" else (args.kind,)
     with stage("gen"):
         if args.count < 1:

@@ -19,13 +19,28 @@ from .ragcontext import (
     build_context,
     template_table,
 )
-from .scenarios import QAItem, load_qa
 from .scene import SceneWindow, Sequence, load_annotation, windows
 from .tracking import TrackerConfig, link_window
 
 
 class LengthMismatch(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class QAItem:
+    question: str
+    category: str  # U1..U4, B1, B2
+    gold: bool
+    window_id: int = 0
+
+
+def load_qa(path) -> list[QAItem]:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return [QAItem(i["question"], i["category"], bool(i["gold"]),
+                   int(i.get("window_id", 0)))
+            for i in doc["items"]]
 
 
 class StageError(RuntimeError):

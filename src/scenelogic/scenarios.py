@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evaluation import QAItem
 from .facts import CompilerConfig
 from .fol import Const, Literal
 from .geometry import CameraIntrinsics
@@ -60,14 +61,6 @@ class ScenarioSpec:
             raise InvalidSpec("scenarios need at least 3 frames")
         if self.object_count < 1:
             raise InvalidSpec("object_count must be at least 1")
-
-
-@dataclass(frozen=True)
-class QAItem:
-    question: str
-    category: str  # U1..U4, B1, B2
-    gold: bool
-    window_id: int = 0
 
 
 @dataclass
@@ -589,14 +582,6 @@ def write_scenario(sc: Scenario, outdir) -> None:
     lines += [f"derived: {f}" for f in sorted(str(d) for d in sc.gold_derived)]
     with open(os.path.join(outdir, "gold_facts.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_qa(path) -> list[QAItem]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [QAItem(i["question"], i["category"], bool(i["gold"]),
-                   int(i.get("window_id", 0)))
-            for i in doc["items"]]
 
 
 def standard_suite(seed: int = 0, per_kind: int = 2) -> list[ScenarioSpec]:

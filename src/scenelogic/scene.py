@@ -7,12 +7,13 @@ The annotation file is a JSON document per sequence:
                  "objects": [{"category": str, "gt_instance"?: str,
                               "centroid_px": [x, y], "bbox": [x0, y0, x1, y1],
                               "depth_m": number, "flow_px"?: [dx, dy],
-                              "attributes"?: {name: value}}]}]}
+                              "attributes"?: {name: str}}]}]}
 
 Every coordinate is a finite number (true and false are not numbers), the
 bbox contains the centroid and the depth is positive.  A missing field, or
-one of the wrong type, fails at ingest with its name.  Pixels and meters
-only.
+one of the wrong type, fails at ingest with its name, and an entry that is
+not the object or array its place needs with its position
+(``frames[1] must be an object, got 7``).  Pixels and meters only.
 
 A window is N consecutive frames plus the chain of frame-pair transforms
 that pins every frame to the shared temporary origin.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -77,11 +79,13 @@ class ObjectObservation(_ObservationFields):
             cx, cy = centroid_px
             x0, y0, x1, y1 = bbox
             fx, fy = (0.0, 0.0) if flow_px is None else flow_px
+            if attributes:
+                "".join(attributes.values())  # TypeError unless all are strings
             valid = (-_INF < x0 <= cx <= x1 < _INF and -_INF < y0 <= cy <= y1 < _INF
                      and 0.0 < depth_m < _INF and -_INF < fx < _INF and -_INF < fy < _INF
                      and bool not in {type(depth_m), type(cx), type(cy), type(x0), type(y0),
                                       type(x1), type(y1), type(fx), type(fy)})
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, AttributeError):
             valid = False
         if not (valid and isinstance(category, str)
                 and (gt_instance is None or isinstance(gt_instance, str))
@@ -129,6 +133,9 @@ def _rejection(category, centroid_px, bbox, depth_m, gt_instance, flow_px,
         return f"flow_px must be 2 numbers, got {flow_px!r}"
     if attributes is not None and not isinstance(attributes, dict):
         return f"attributes must be a mapping, got {attributes!r}"
+    for key, value in (attributes or {}).items():
+        if not isinstance(value, str):
+            return f"attributes[{key!r}] must be a string, got {value!r}"
     numbers = (depth_m, *centroid_px, *bbox, *(flow_px or ()))
     if not all(map(math.isfinite, numbers)):
         return f"depth, centroid, bbox and flow must be finite, got {numbers}"
@@ -370,6 +377,31 @@ def _intrinsic(k: dict, name: str) -> float:
     return float(value)
 
 
+def _entries(doc):
+    """Each container ``sequence_from_dict`` reads, with its place and the
+    type it must have, in the order it reads them."""
+    yield doc, dict, "the annotation"
+    yield doc.get("intrinsics"), dict, "intrinsics"
+    frames = doc.get("frames")
+    yield frames, (list, tuple), "frames"
+    for i, f in enumerate(frames):
+        yield f, dict, f"frames[{i}]"
+        objects = f.get("objects")
+        yield objects, (list, tuple), f"frames[{i}].objects"
+        for j, o in enumerate(objects):
+            yield o, dict, f"frames[{i}].objects[{j}]"
+
+
+def _misshapen(doc) -> str | None:
+    """Which entry of ``doc`` is not the JSON object or array its place
+    needs, the first ``sequence_from_dict`` reads; None if none is."""
+    for value, kind, where in _entries(doc):
+        if not isinstance(value, kind):
+            what = "an object" if kind is dict else "an array"
+            return f"{where} must be {what}, got {reprlib.repr(value)}"
+    return None
+
+
 def sequence_from_dict(doc: dict) -> Sequence:
     try:
         k = doc["intrinsics"]
@@ -378,6 +410,13 @@ def sequence_from_dict(doc: dict) -> Sequence:
         frames = tuple(map(_frame_from_dict, doc["frames"]))
     except KeyError as e:
         raise ValueError(f"missing field {e}") from None
+    except TypeError:
+        # Only a container of the wrong type raises TypeError here, so an
+        # accepted document never walks its entries twice.
+        where = _misshapen(doc)
+        if where is None:
+            raise
+        raise ValueError(where) from None
     return Sequence(intr, frames)
 
 

@@ -9,7 +9,10 @@ sequence's tracks cut to its frames.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from numbers import Real
 
 import numpy as np
@@ -85,16 +88,43 @@ class MatchResult:
     unmatched_right: tuple[int, ...]
 
 
+def _load_solver():
+    """scipy's compiled ``linear_sum_assignment`` (Crouse's shortest
+    augmenting path), loaded from its extension file so that
+    ``scipy.optimize``'s ``__init__``, which imports far more than this one
+    routine, never runs.  Where the file lies is private to scipy, so when it
+    is missing or will not load, ``scipy.optimize`` supplies the same
+    routine."""
+    import scipy
+
+    spec = FileFinder(os.path.join(scipy.__path__[0], "optimize"),
+                      (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(
+                          "scipy.optimize._lsap")
+    if spec is not None:
+        try:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module.linear_sum_assignment
+        except (ImportError, AttributeError):
+            pass
+    from scipy.optimize import linear_sum_assignment
+    return linear_sum_assignment
+
+
+# The assignment solver: _load_solver's routine, loaded on the first match
+# because only inferred tracking needs it.
+_solve = None
+
+
 def match_frames(weights: np.ndarray, w_min: float) -> MatchResult:
     """Maximum-weight assignment of the rows of ``weights`` (n_left,
     n_right) to its columns; pairs weighing less than ``w_min`` stay
     unmatched."""
-    # Imported here: scipy.optimize takes longer to import than the rest of
-    # the package, and only inferred tracking needs it.
-    from scipy.optimize import linear_sum_assignment
-
+    global _solve
+    if _solve is None:
+        _solve = _load_solver()
     nl, nr = weights.shape
-    rows, cols = linear_sum_assignment(weights, maximize=True)
+    rows, cols = _solve(weights, maximize=True)
     assignments = tuple(
         (i, j, w) for i, j, w in zip(rows.tolist(), cols.tolist(),
                                      weights[rows, cols].tolist())

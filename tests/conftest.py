@@ -1,8 +1,14 @@
-"""Shared fixtures: the default ruleset and a tiny scene builder for
-hand-specified windows (static camera, fixed anchor set)."""
+"""Shared fixtures: the default ruleset, a tiny scene builder for
+hand-specified windows (static camera, fixed anchor set), and a runner for
+code that must start in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
+import scenelogic
 from scenelogic.geometry import CameraIntrinsics
 from scenelogic.logicpad import default_ruleset
 from scenelogic.scene import FrameObservation, ObjectObservation, Sequence
@@ -81,3 +87,15 @@ def linear_track(start, velocity, n=10, fps=10.0, hidden=()):
             t = i / fps
             xs.append((start[0] + velocity[0] * t, start[1] + velocity[1] * t))
     return xs
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter that imports this
+    checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scenelogic.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout

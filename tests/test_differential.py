@@ -9,6 +9,7 @@ points and the grouped means they read.  Each test here keeps the per-pair
 and requires exactly equal results.
 """
 
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -47,9 +48,10 @@ from scenelogic.tracking import (
     Trajectory,
     _weights,
     link_window,
+    match_frames,
 )
 
-from conftest import INTR, linear_track, make_sequence
+from conftest import INTR, linear_track, make_sequence, run_fresh
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +681,14 @@ def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeyp
     assert ghost_visits > 0
 
     built, weighed, solves = [], [], []
-    solve = scipy.optimize.linear_sum_assignment
+    solve = tracking._load_solver()
     monkeypatch.setattr(tracking, "box_arrays",
                         lambda objects: built.append((objects, box_arrays(objects)))
                         or built[-1][1])
     monkeypatch.setattr(tracking, "_weights",
                         lambda left, right, alpha: weighed.append((left, right))
                         or _weights(left, right, alpha))
-    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+    monkeypatch.setattr(tracking, "_solve",
                         lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     for w in windows(seq, 10):
         link_window(w, "inferred")
@@ -873,3 +875,74 @@ def test_grouped_means_equal_per_track_means():
             want.append((float(np.mean([o.centroid_px[0] for o in observed])),
                          float(np.mean([o.depth_m for o in observed]))))
         assert repr(facts._means(tracks, keys)) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# (g) The assignment solver, from scipy's extension file or scipy.optimize
+# ---------------------------------------------------------------------------
+
+def solved_matrices(monkeypatch) -> list:
+    """Every frame-pair weight matrix that inferred tracking solves on the
+    scenes of ``gen --kind all --count 2`` and on a 60-object scene, then
+    random matrices with ties, rectangular shapes and empty sides."""
+    matrices = []
+    solve = tracking._load_solver()
+    with monkeypatch.context() as m:
+        m.setattr(tracking, "_solve",
+                  lambda w, **kw: matrices.append(w.copy()) or solve(w, **kw))
+        specs = [ScenarioSpec(kind, seed) for kind in KINDS for seed in (0, 1)]
+        for spec in specs + [ScenarioSpec("crossing", 5, object_count=60)]:
+            for w in windows(generate_scenario(spec).sequence):
+                link_window(w, "inferred")
+    rng = np.random.default_rng(19)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1)] + [tuple(rng.integers(1, 12, 2))
+                                                 for _ in range(300)]
+    for shape in shapes:
+        # Few distinct values, so that many assignments tie.
+        matrices.append(rng.integers(0, 3, shape) / 2.0)
+        matrices.append(np.where(rng.random(shape) < 0.5, 0.0, rng.random(shape)))
+    return matrices
+
+
+def scipy_assignments(matrices) -> list:
+    return [[a.tolist() for a in scipy.optimize.linear_sum_assignment(w, maximize=True)]
+            for w in matrices]
+
+
+def test_solver_from_the_extension_file_equals_scipy_optimize(tmp_path, monkeypatch):
+    matrices = solved_matrices(monkeypatch)
+    assert max(w.shape[0] for w in matrices) >= 60
+    np.savez(tmp_path / "weights.npz", *matrices)
+    # A fresh interpreter, so that the routine comes from the file and not
+    # from the scipy.optimize this process has imported.
+    out = run_fresh(
+        "import json, sys\nimport numpy as np\nfrom scenelogic import tracking\n"
+        "solve = tracking._load_solver()\n"
+        f"weights = np.load({str(tmp_path / 'weights.npz')!r})\n"
+        "got = [[a.tolist() for a in solve(weights[f'arr_{i}'], maximize=True)]\n"
+        "       for i in range(len(weights.files))]\n"
+        "print(json.dumps(['scipy.optimize' in sys.modules, got]))")
+    optimize_loaded, got = json.loads(out)
+    assert not optimize_loaded
+    assert got == scipy_assignments(matrices)
+
+
+@pytest.mark.parametrize("failure", ["missing", "unloadable"])
+def test_solver_falls_back_to_scipy_optimize(monkeypatch, failure):
+    matrices = solved_matrices(monkeypatch)
+    want = scipy_assignments(matrices)
+    if failure == "missing":
+        monkeypatch.setattr(tracking, "EXTENSION_SUFFIXES", [".missing"])
+    else:
+        class Unloadable(tracking.ExtensionFileLoader):
+            def create_module(self, spec):
+                raise ImportError("cannot load")
+        monkeypatch.setattr(tracking, "ExtensionFileLoader", Unloadable)
+    solve, solves = scipy.optimize.linear_sum_assignment, []
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    monkeypatch.setattr(tracking, "_solve", None)
+    # A weight floor of 0 keeps every assignment.
+    got = [match_frames(w, 0.0).assignments for w in matrices]
+    assert len(solves) == len(matrices)
+    assert [[[i for i, _, _ in a], [j for _, j, _ in a]] for a in got] == want

@@ -28,7 +28,7 @@ from scenelogic.scene import (
     windows,
 )
 
-from conftest import linear_track, make_sequence
+from conftest import linear_track, make_sequence, run_fresh
 
 GOOD = dict(category="Vehicle", centroid_px=(5.0, 5.0), bbox=(0.0, 0.0, 10.0, 10.0),
             depth_m=10.0, flow_px=(1.0, 0.0))
@@ -105,6 +105,10 @@ def _an_object(doc):
     return doc["frames"][2]["objects"][0]
 
 
+def _an_agent(doc):
+    return next(o for o in doc["frames"][2]["objects"] if "attributes" in o)
+
+
 @pytest.mark.parametrize("break_doc,message", [
     (lambda doc: doc["frames"][0].update(index=0.5), "index must be an integer, got 0.5"),
     (lambda doc: doc["frames"][0].update(index=True), "index must be an integer, got True"),
@@ -125,9 +129,23 @@ def _an_object(doc):
     (lambda doc: doc["intrinsics"].update(fps=True), "intrinsics fps must be a number, got True"),
     (lambda doc: doc["intrinsics"].update(fx="500"), "intrinsics fx must be a number, got '500'"),
     (lambda doc: doc["intrinsics"].pop("cy"), "missing field 'cy'"),
+    (lambda doc: _an_agent(doc)["attributes"].update(color=["red"]),
+     "attributes['color'] must be a string, got ['red']"),
+    (lambda doc: _an_agent(doc)["attributes"].update(color=3),
+     "attributes['color'] must be a string, got 3"),
+    (lambda doc: _an_agent(doc)["attributes"].update(color=None),
+     "attributes['color'] must be a string, got None"),
+    (lambda doc: doc["frames"][1]["objects"].insert(0, 5),
+     "frames[1].objects[0] must be an object, got 5"),
+    (lambda doc: doc.update(frames={"a": 1}), "frames must be an array, got {'a': 1}"),
+    (lambda doc: doc["frames"].__setitem__(1, 7), "frames[1] must be an object, got 7"),
+    (lambda doc: doc.update(intrinsics=7), "intrinsics must be an object, got 7"),
+    (lambda doc: doc["frames"][1].update(objects=5), "frames[1].objects must be an array, got 5"),
 ], ids=["index-fraction", "index-bool", "depth-bool", "depth-string", "flow-three",
         "category-int", "gt-int", "attributes-list", "missing-category", "centroid-three",
-        "centroid-int", "bbox-bool", "fps-bool", "fx-string", "missing-cy"])
+        "centroid-int", "bbox-bool", "fps-bool", "fx-string", "missing-cy",
+        "attribute-list", "attribute-int", "attribute-null", "object-int",
+        "frames-mapping", "frame-int", "intrinsics-int", "objects-int"])
 def test_malformed_fields_fail_at_ingest_with_their_name(tmp_path, capsys, break_doc, message):
     path = _crossing_scene(tmp_path)
     doc = json.loads(path.read_text())
@@ -138,6 +156,14 @@ def test_malformed_fields_fail_at_ingest_with_their_name(tmp_path, capsys, break
                   ["ingest", str(path), "--dump-tracks"]):
         assert cli_main(flags) == 3
         assert capsys.readouterr().err == f"ingest: {message}\n"
+
+
+def test_an_annotation_that_is_not_an_object_says_so(tmp_path, capsys):
+    path = tmp_path / "annotation.json"
+    path.write_text(json.dumps([{"intrinsics": {}}]))
+    assert cli_main(["query", str(path), "--q", "Moves(x)", "--fol"]) == 3
+    assert capsys.readouterr().err == (
+        "ingest: the annotation must be an object, got [{'intrinsics': {}}]\n")
 
 
 def _static_scene(tmp_path):
@@ -468,15 +494,35 @@ def test_a_sequence_without_frames_says_so():
         build_window((), empty.intrinsics)
 
 
-def test_import_does_not_load_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(scenelogic.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, scenelogic; print(scenelogic.__file__); "
-         "print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    module, loaded = out.stdout.split()
+def _in_a_fresh_interpreter(code: str) -> tuple[str, set]:
+    """The last line ``code`` prints in a new interpreter, and which of
+    ``scipy.optimize`` and ``scenelogic.scenarios`` it loaded."""
+    *head, loaded = run_fresh(
+        code + "\nimport sys\nprint(*(m for m in "
+        "('scipy.optimize', 'scenelogic.scenarios') if m in sys.modules))").splitlines()
+    return head[-1] if head else "", set(loaded.split())
+
+
+def _query(path, mode):
+    return ("from scenelogic import tracking\nfrom scenelogic.cli import main\n"
+            f"main(['query', {str(path)!r}, '--q', 'Moves(x)', '--fol', "
+            f"'--track-mode', {mode!r}])\nprint(tracking._solve is not None)")
+
+
+def test_import_does_not_load_scipy_optimize(tmp_path):
+    path = _crossing_scene(tmp_path)
+    module, loaded = _in_a_fresh_interpreter("import scenelogic; print(scenelogic.__file__)")
     assert module == scenelogic.__file__
-    assert loaded == "False"
+    assert loaded == set()
+    # Inferred tracking loads the assignment solver, and not scipy.optimize.
+    link = ("from scenelogic import link_window, load_annotation, tracking, windows\n"
+            f"tracks = [link_window(w, 'inferred') for w in windows(load_annotation({str(path)!r}))]\n"
+            "print(all(tracks) and tracking._solve is not None)")
+    assert _in_a_fresh_interpreter(link) == ("True", set())
+    assert _in_a_fresh_interpreter(_query(path, "inferred")) == ("True", set())
+
+
+def test_import_and_query_do_not_load_scenarios(tmp_path):
+    path = _crossing_scene(tmp_path)
+    assert _in_a_fresh_interpreter("import scenelogic") == ("", set())
+    assert _in_a_fresh_interpreter(_query(path, "oracle")) == ("False", set())
