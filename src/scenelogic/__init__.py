@@ -10,7 +10,7 @@ from .fol import Const, Literal, Var, apply, unify, unify_terms
 from .logicpad import RuleSet, default_ruleset, load_rule_file, parse_rule_file
 from .inference import Answer, FactSet, ProofTrace, Query, answer_query, check_trace, resolve, saturate
 from .geometry import CameraIntrinsics, Kinematics, Transform2, back_project, estimate_origin, kinematics, to_bev
-from .scene import FrameObservation, ObjectObservation, SceneWindow, Sequence, build_window, load_annotation, windows
+from .scene import FrameObservation, ObjectObservation, SceneWindow, Sequence, load_annotation, windows
 from .tracking import PresenceFlags, Trajectory, TrackerConfig, link_window, match_frames, presence
 from .facts import CompilerConfig, WindowFacts, compile_window
 from .questions import answer_to_text, parse_fol_query, parse_nl_question, parse_question, print_query

@@ -35,12 +35,29 @@ class QAItem:
     window_id: int = 0
 
 
+# Each qa.json item key, the JSON type of its value and that type's name
+# in messages; window_id may be left out.  A bool is no int here.
+_QA_KEYS = (("question", str, "a string"), ("category", str, "a string"),
+            ("gold", bool, "true or false"), ("window_id", int, "an integer"))
+
+
 def load_qa(path) -> list[QAItem]:
+    """The items of a qa.json file.  An item without a key it needs, or with
+    a value of another JSON type, fails with its index and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return [QAItem(i["question"], i["category"], bool(i["gold"]),
-                   int(i.get("window_id", 0)))
-            for i in doc["items"]]
+    items = []
+    for i, item in enumerate(doc["items"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"{path} items[{i}] must be an object, got {item!r}")
+        values = {"window_id": 0, **item}
+        for key, kind, name in _QA_KEYS:
+            if key not in values:
+                raise ValueError(f"{path} items[{i}]: missing key {key!r}")
+            if type(values[key]) is not kind:
+                raise ValueError(f"{path} items[{i}]: {key} must be {name}, got {values[key]!r}")
+        items.append(QAItem(*(values[key] for key, _, _ in _QA_KEYS)))
+    return items
 
 
 class StageError(RuntimeError):

@@ -13,7 +13,7 @@ import numpy as np
 from .fol import Const, Literal
 from .geometry import distance
 from .inference import FactSet
-from .logicpad import RuleSet
+from .logicpad import RuleSet, is_constant_name
 from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, Sequence, bev_of
 from .tracking import Trajectory, cut_source, presence
 
@@ -62,17 +62,17 @@ class WindowFacts:
 
 
 def _window_frames(w: SceneWindow):
-    """Each frame's BEV points (``FrameObservation.bev``) and the cosine,
-    sine and translation that map its coordinates into the window's (frame
-    0's), each cosine and sine taken once."""
-    k = w.intrinsics
-    return [(f.bev(k), math.cos(c.rotation_rad), math.sin(c.rotation_rad), *c.translation_m)
-            for f, c in zip(w.frames, w.cumulative())]
+    """Each frame's BEV points (``Sequence.bev``) and the cosine, sine and
+    translation that map its coordinates into the window's (frame 0's), each
+    cosine and sine taken once."""
+    bev = w.sequence.bev[w.start:w.start + w.n]
+    return [(points, math.cos(c.rotation_rad), math.sin(c.rotation_rad), *c.translation_m)
+            for points, c in zip(bev, w.cumulative())]
 
 
 def _own_point(frame, obs, k) -> tuple[float, float]:
     """``obs``'s BEV point in its own frame's coordinates, read from the
-    frame's ``bev`` cache; an observation that is not one of its frame's
+    sequence's ``bev``; an observation that is not one of its frame's
     objects is back-projected."""
     return frame[0].get(id(obs)) or bev_of(obs, k)
 
@@ -134,18 +134,17 @@ def _trends(table, start: int, stop: int):
             inc[last] - inc[first], d[first], d[last])
 
 
-def _sequence_table(seq: Sequence, k, tracks: list[Trajectory]):
-    """``_pair_table`` of a sequence's tracks, built once per intrinsics and
-    track list and cached on the sequence.  The entry holds ``tracks``, so
-    the ``id`` in its key stays unique."""
+def _sequence_table(seq: Sequence, tracks: list[Trajectory]):
+    """``_pair_table`` of a sequence's tracks, built once per track list and
+    cached on the sequence.  The entry holds ``tracks``, so the ``id`` that
+    keys it stays unique."""
     cache = seq.__dict__.setdefault("_pair_tables", {})
-    key = (k, id(tracks))
-    entry = cache.get(key)
+    entry = cache.get(id(tracks))
     if entry is None:
-        bev = [f.bev(k) for f in seq.frames]
+        bev = seq.bev
         points = [{pos: bev[pos][id(obs)] for pos, obs in t.observations.items()}
                   for t in tracks]
-        entry = cache[key] = (tracks, _pair_table(points, len(seq.frames)))
+        entry = cache[id(tracks)] = (tracks, _pair_table(points, len(seq.frames)))
     return entry[1]
 
 
@@ -162,7 +161,7 @@ def _window_trends(w: SceneWindow, tracks: list[Trajectory], frames):
                for t in tracks]
         return _trends(_pair_table(own, w.n), 0, w.n), tracks
     seq_tracks, rows = source
-    table = _sequence_table(w.sequence, w.intrinsics, seq_tracks)
+    table = _sequence_table(w.sequence, seq_tracks)
     return _trends(table, w.start, w.start + w.n), dict(zip(rows, tracks))
 
 
@@ -214,8 +213,15 @@ def _means(tracks: list[Trajectory], keys: list[list[int]]) -> list[tuple[float,
     return out
 
 
-def _vocab_constant(rules: RuleSet, section: str, value: str) -> str:
-    return rules.vocabulary.get(section, {}).get(str(value).lower(), str(value))
+def _vocab_constant(rules: RuleSet, section: str, t: Trajectory, attribute: str) -> str:
+    """The constant for ``t``'s ``attribute``: its vocabulary entry in
+    ``section``, else the value itself, which must be a constant name."""
+    value = str(t.attributes[attribute])
+    constant = rules.vocabulary.get(section, {}).get(value.lower())
+    if constant is None and not is_constant_name(value):
+        raise ValueError(f"{t.instance_id}: {attribute} {value!r} is neither in the "
+                         f"{section} vocabulary nor a constant name")
+    return constant or value
 
 
 def _bottom_mid(bbox) -> tuple[float, float]:
@@ -282,9 +288,9 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
             emit("CloseToCamera", name, mean_depth_m=mean_depth)
 
         if "color" in t.attributes:
-            emit("ColOfRel", name, _vocab_constant(rules, "colors", t.attributes["color"]))
+            emit("ColOfRel", name, _vocab_constant(rules, "colors", t, "color"))
         if "type" in t.attributes:
-            emit("TypeOfRel", name, _vocab_constant(rules, "types", t.attributes["type"]))
+            emit("TypeOfRel", name, _vocab_constant(rules, "types", t, "type"))
 
     # Pairwise relations over frames where both instances are observed.
     (ia, ib, steps, dec, inc, first, last), by_row = _window_trends(w, tracks, frames)

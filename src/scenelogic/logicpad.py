@@ -60,10 +60,12 @@ class NotStratifiable(ValueError):
 # Tokenizer / parser for the shared rule and query syntax
 # ---------------------------------------------------------------------------
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<qvar>\?[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[(),:&|!=]))"
+    rf"\s*(?:(?P<arrow>->)|(?P<name>{_NAME})"
+    rf"|(?P<qvar>\?{_NAME})|(?P<punct>[(),:&|!=]))"
 )
+_NAME_RE = re.compile(_NAME)
 
 
 @dataclass
@@ -99,6 +101,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 def _is_var_name(name: str) -> bool:
     return len(name) == 1 and name.islower()
+
+
+def is_constant_name(text) -> bool:
+    """Whether rule and query text reads ``text`` as one constant: a name
+    token that is not a variable."""
+    return isinstance(text, str) and bool(_NAME_RE.fullmatch(text)) and not _is_var_name(text)
 
 
 class _Parser:
@@ -502,15 +510,23 @@ def parse_rule_file(text: str) -> RuleSet:
     _check_usage(tuple(rules), decl_map)
     strata = stratify(tuple(decls), tuple(rules))
 
+    # Question words match case-insensitively; on duplicate keys the later
+    # one wins.  Colors and types become fact constants, so FOL text must be
+    # able to name them.
+    vocabulary = {section: {str(k).lower(): v for k, v in (table or {}).items()}
+                  for section, table in (doc.get("vocabulary") or {}).items()}
+    for section in ("colors", "types"):
+        for word, target in vocabulary.get(section, {}).items():
+            if not is_constant_name(target):
+                raise ParseError(None, f"{target!r} is not a constant name",
+                                 f"vocabulary {section}[{word!r}]")
+
     return RuleSet(
         declarations=tuple(decls),
         functions=functions,
         rules=tuple(rules),
         strata=strata,
-        # Question words match case-insensitively; on duplicate keys the
-        # later one wins.
-        vocabulary={section: {str(k).lower(): v for k, v in (table or {}).items()}
-                    for section, table in (doc.get("vocabulary") or {}).items()},
+        vocabulary=vocabulary,
         templates=doc.get("templates") or {},
     )
 

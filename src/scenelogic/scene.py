@@ -15,8 +15,8 @@ one of the wrong type, fails at ingest with its name, and an entry that is
 not the object or array its place needs with its position
 (``frames[1] must be an object, got 7``).  Pixels and meters only.
 
-A window is N consecutive frames plus the chain of frame-pair transforms
-that pins every frame to the shared temporary origin.
+A window is frames ``start..start+n-1`` of one sequence plus the chain of
+frame-pair transforms that pins every frame to the shared temporary origin.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import json
 import math
 import reprlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -149,15 +150,6 @@ class FrameObservation:
     frame_index: int
     objects: tuple[ObjectObservation, ...]
 
-    def bev(self, k: CameraIntrinsics) -> dict[int, tuple[float, float]]:
-        """``bev_of`` of each object, keyed by the object's ``id``, computed
-        once per intrinsics."""
-        cache = self.__dict__.setdefault("_bev", {})
-        points = cache.get(k)
-        if points is None:
-            points = cache[k] = {id(o): bev_of(o, k) for o in self.objects}
-        return points
-
 
 @dataclass(frozen=True, eq=False)
 class BoxArrays:
@@ -190,31 +182,43 @@ class Sequence:
             if b.frame_index != a.frame_index + 1:
                 raise ValueError("frame indices must be consecutive")
 
+    @cached_property
+    def bev(self) -> list[dict[int, tuple[float, float]]]:
+        """Per frame, ``bev_of`` of each object keyed by the object's ``id``,
+        computed once per sequence."""
+        k = self.intrinsics
+        return [{id(o): bev_of(o, k) for o in f.objects} for f in self.frames]
+
 
 @dataclass(frozen=True)
 class SceneWindow:
-    frames: tuple[FrameObservation, ...]
-    intrinsics: CameraIntrinsics
-    window_id: int
+    """Frames ``start..start+n-1`` of ``sequence``, with the chain of
+    frame-pair transforms that pins every frame to frame ``start``."""
+
+    sequence: Sequence = field(repr=False)
+    start: int
     origin_chain: tuple[Transform2, ...]
-    # The sequence the window was cut from and the position of its first
-    # frame there.  A window made without one is a sequence of its own frames.
-    sequence: Sequence | None = field(default=None, compare=False, repr=False)
-    start: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.frames:
-            raise ValueError("sequence has no frames")
-        if len(self.origin_chain) != len(self.frames) - 1:
-            raise ValueError("origin chain must have one transform per frame pair")
-        if self.sequence is None:
-            object.__setattr__(self, "sequence", Sequence(self.intrinsics, self.frames))
-        elif self.sequence.frames[self.start:self.start + len(self.frames)] != self.frames:
-            raise ValueError(f"window frames must be the sequence's frames from {self.start}")
+        if not 0 <= self.start <= len(self.sequence.frames) - self.n:
+            raise ValueError(f"window of {self.n} frames from {self.start} is outside "
+                             f"the sequence's {len(self.sequence.frames)} frames")
 
     @property
     def n(self) -> int:
-        return len(self.frames)
+        return len(self.origin_chain) + 1
+
+    @property
+    def frames(self) -> tuple[FrameObservation, ...]:
+        return self.sequence.frames[self.start:self.start + self.n]
+
+    @property
+    def intrinsics(self) -> CameraIntrinsics:
+        return self.sequence.intrinsics
+
+    @property
+    def window_id(self) -> int:
+        return self.start
 
     def cumulative(self) -> tuple[Transform2, ...]:
         """Transform mapping each frame's coordinates into frame 0's."""
@@ -232,16 +236,11 @@ def bev_of(obs: ObjectObservation, k: CameraIntrinsics) -> tuple[float, float]:
 # Origin chain construction
 # ---------------------------------------------------------------------------
 
-def _statics(f: FrameObservation, k: CameraIntrinsics) -> list:
-    """The frame's static objects, each with its BEV point."""
-    bev = f.bev(k)
-    return [(o, bev[id(o)]) for o in f.objects if o.category in STATIC_CATEGORIES]
-
-
 def _static_correspondences(prev_static, curr_static):
     """Pair static-object BEV positions across a frame pair, given each
-    frame's ``_statics``.  Returns the previous frame's paired points and,
-    in the same order, their current-frame partners.
+    frame's static objects with their BEV points.  Returns the previous
+    frame's paired points and, in the same order, their current-frame
+    partners.
 
     Ground-truth instance labels pair directly; the rest pair to the nearest
     unclaimed neighbor within NN_GATE_M.
@@ -277,15 +276,16 @@ def _static_correspondences(prev_static, curr_static):
     return prev_pts, curr_pts
 
 
-def _origin_chain(frames, intrinsics: CameraIntrinsics) -> list[Transform2]:
-    """One transform per consecutive frame pair, estimated from static-object
-    correspondences in one ``estimate_origins`` call.  The first pair that
-    fails raises: one without two correspondences, or one that
-    ``estimate_origins`` rejects."""
+def _origin_chain(seq: Sequence) -> list[Transform2]:
+    """One transform per consecutive frame pair of ``seq``, estimated from
+    static-object correspondences in one ``estimate_origins`` call.  The
+    first pair that fails raises: one without two correspondences, or one
+    that ``estimate_origins`` rejects."""
     anchors = []
-    curr_static = _statics(frames[0], intrinsics) if frames else []
-    for prev, curr in zip(frames, frames[1:]):
-        prev_static, curr_static = curr_static, _statics(curr, intrinsics)
+    frames = seq.frames
+    statics = [[(o, bev[id(o)]) for o in f.objects if o.category in STATIC_CATEGORIES]
+               for f, bev in zip(frames, seq.bev)]
+    for prev, curr, prev_static, curr_static in zip(frames, frames[1:], statics, statics[1:]):
         prev_pts, curr_pts = _static_correspondences(prev_static, curr_static)
         if len(prev_pts) < 2:
             estimate_origins(anchors)  # an earlier pair's failure comes first
@@ -297,35 +297,25 @@ def _origin_chain(frames, intrinsics: CameraIntrinsics) -> list[Transform2]:
     return estimate_origins(anchors)
 
 
-def build_window(frames, intrinsics: CameraIntrinsics, window_id: int = 0) -> SceneWindow:
-    """Assemble a SceneWindow, estimating the frame-pair origin transforms
-    from static-object correspondences.  The window is a sequence of its
-    own frames."""
-    frames = tuple(frames)
-    chain = _origin_chain(frames, intrinsics)
-    return SceneWindow(frames, intrinsics, window_id, tuple(chain))
-
-
 def windows(seq: Sequence, n: int | None = None) -> list[SceneWindow]:
     """All sliding windows of length n, advancing one frame at a time.
 
     ``n`` defaults to DEFAULT_WINDOW frames, or the whole sequence when it is
     shorter.  Each frame pair's transform is estimated once and shared by
-    every window that holds the pair.  Each window knows ``seq`` and its
-    start in it, so that work done once per sequence is shared too.
+    every window that holds the pair.  Each window is a view of ``seq``, so
+    that work done once per sequence is shared too.
     """
+    if not seq.frames:
+        raise ValueError("sequence has no frames")
     if n is None:
         n = min(len(seq.frames), DEFAULT_WINDOW)
     elif n < 1:
         raise ValueError(f"window length must be at least 1, got {n}")
     if len(seq.frames) < n:
         raise ValueError(f"sequence has {len(seq.frames)} frames, window needs {n}")
-    chain = _origin_chain(seq.frames, seq.intrinsics) if n > 1 else []
-    return [
-        SceneWindow(seq.frames[i:i + n], seq.intrinsics, i, tuple(chain[i:i + n - 1]),
-                    seq, i)
-        for i in range(len(seq.frames) - n + 1)
-    ]
+    chain = _origin_chain(seq) if n > 1 else []
+    return [SceneWindow(seq, i, tuple(chain[i:i + n - 1]))
+            for i in range(len(seq.frames) - n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import scenelogic
 from scenelogic.geometry import CameraIntrinsics
 from scenelogic.logicpad import default_ruleset
-from scenelogic.scene import FrameObservation, ObjectObservation, Sequence
+from scenelogic.scene import FrameObservation, ObjectObservation, Sequence, windows
 
 INTR = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, fps=10.0)
 
@@ -76,6 +76,13 @@ def make_sequence(objects, n=10, include_anchors=True, start_index=0):
             ))
         frames.append(FrameObservation(start_index + i, tuple(obs)))
     return Sequence(INTR, tuple(frames))
+
+
+def whole_window(frames, k=INTR):
+    """The one window over all of ``frames``, a sequence of their own, with
+    its estimated origin chain."""
+    frames = tuple(frames)
+    return windows(Sequence(k, frames), len(frames))[0]
 
 
 def linear_track(start, velocity, n=10, fps=10.0, hidden=()):

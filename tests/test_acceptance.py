@@ -26,7 +26,7 @@ from scenelogic.ragcontext import (
     template_table,
 )
 from scenelogic.scenarios import KINDS, generate_scenario, standard_suite
-from scenelogic.scene import build_window, windows
+from scenelogic.scene import windows
 from scenelogic.tracking import link_window
 
 from conftest import linear_track, make_sequence
@@ -160,7 +160,7 @@ def test_criterion_rule_table_unit_suite(rules):
     failures = []
     for rule_name, objects, target, expect_fire in _rule_cases():
         seq = make_sequence(objects)
-        w = build_window(seq.frames, seq.intrinsics)
+        w = windows(seq, len(seq.frames))[0]
         wf = compile_window(w, link_window(w, "oracle"), CompilerConfig(), rules)
         sat = saturate(wf.facts, rules)
         fired = target in sat

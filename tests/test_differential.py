@@ -1,9 +1,8 @@
 """The array kernels and shared work against the formulas they replaced.
 
-Association weights are computed over whole arrays; origin chains,
-in one stacked pass, inferred tracks and pairwise distance trends once per
-sequence; BEV points
-once per frame; kinematics with scalars; each track's facts from the few
+Association weights are computed over whole arrays; origin chains, in one
+stacked pass, inferred tracks, pairwise distance trends and BEV points once
+per sequence; kinematics with scalars; each track's facts from the few
 points and the grouped means they read.  Each test here keeps the per-pair
 (or per-window, or array, or per-observation) computation as a reference
 and requires exactly equal results.
@@ -19,6 +18,7 @@ import scipy.optimize
 
 import oracles
 from scenelogic import facts, scene, tracking
+from scenelogic.evaluation import process_sequence
 from scenelogic.facts import CompilerConfig, compile_window
 from scenelogic.fol import Const, Literal
 from scenelogic.geometry import (
@@ -37,7 +37,6 @@ from scenelogic.scene import (
     SceneWindow,
     Sequence,
     bev_of,
-    build_window,
     sequence_from_dict,
     sequence_to_dict,
     box_arrays,
@@ -51,7 +50,7 @@ from scenelogic.tracking import (
     match_frames,
 )
 
-from conftest import INTR, linear_track, make_sequence, run_fresh
+from conftest import INTR, linear_track, make_sequence, run_fresh, whole_window
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +260,7 @@ def test_distance_facts_equal_scalar_reference_on_random_tracks(rules):
     rng = np.random.default_rng(3)
     n = 8
     cfg = CompilerConfig(trend_frac=0.5, eps_move=0.05)
-    window = SceneWindow(tuple(FrameObservation(i, ()) for i in range(n)), INTR, 0,
+    window = SceneWindow(Sequence(INTR, tuple(FrameObservation(i, ()) for i in range(n))), 0,
                          (Transform2.identity(),) * (n - 1))
     emitted = 0
     for _ in range(60):
@@ -301,7 +300,7 @@ def test_pair_table_equals_per_window_trends_on_generated_scenes(kind, rules):
     for w in windows(sc.sequence, 10):
         tracks = link_window(w, "inferred")
         seq_tracks, rows = tracking.cut_source(w, tracks)
-        table = facts._sequence_table(w.sequence, w.intrinsics, seq_tracks)
+        table = facts._sequence_table(w.sequence, seq_tracks)
         got = rows_to_window(facts._trends(table, w.start, w.start + w.n), rows)
         own, _ = oracles.track_points_per_observation(w, tracks)
         assert_same_trends(got, oracles.distance_trends_per_window(own, w.n))
@@ -342,12 +341,11 @@ def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch, rules):
         monkeypatch.setattr(tracking, "_link_inferred", lambda frames, cfg: seq_tracks)
         m = int(rng.integers(1, n + 1))
         for start in range(n - m + 1):
-            w = SceneWindow(seq.frames[start:start + m], INTR, start,
-                            (Transform2.identity(),) * (m - 1), seq, start)
+            w = SceneWindow(seq, start, (Transform2.identity(),) * (m - 1))
             tracks = link_window(w, "inferred")
             assert track_rows(tracks) == track_rows(oracles.cut_tracks(seq_tracks, start, m))
             _, rows = tracking.cut_source(w, tracks)
-            table = facts._sequence_table(seq, INTR, seq_tracks)
+            table = facts._sequence_table(seq, seq_tracks)
             own, _ = oracles.track_points_per_observation(w, tracks)
             assert_same_trends(rows_to_window(facts._trends(table, start, start + m), rows),
                                oracles.distance_trends_per_window(own, m))
@@ -370,7 +368,7 @@ def test_window_chains_equal_per_window_build(kind, n_frames):
     assert [w.window_id for w in wins] == list(range(n_frames - 9))
     for w in wins:
         i = w.window_id
-        alone = build_window(seq.frames[i:i + 10], seq.intrinsics, window_id=i)
+        alone = whole_window(seq.frames[i:i + 10], seq.intrinsics)
         assert w.frames == alone.frames
         assert w.origin_chain == alone.origin_chain
         assert w.cumulative() == alone.cumulative()
@@ -399,7 +397,7 @@ def test_first_bad_pair_raises_the_per_window_message():
     with pytest.raises(InsufficientAnchors) as got:
         windows(bad, 10)
     with pytest.raises(InsufficientAnchors) as first_window:
-        build_window(bad.frames[0:10], bad.intrinsics)
+        whole_window(bad.frames[0:10], bad.intrinsics)
     assert str(got.value) == str(first_window.value)
     assert str(got.value).startswith("frames 5-6:")
 
@@ -407,7 +405,7 @@ def test_first_bad_pair_raises_the_per_window_message():
     with pytest.raises(InsufficientAnchors) as got:
         windows(late, 10)
     with pytest.raises(InsufficientAnchors) as window_4:
-        build_window(late.frames[4:14], late.intrinsics, window_id=4)
+        whole_window(late.frames[4:14], late.intrinsics)
     assert str(got.value) == str(window_4.value)
     assert str(got.value).startswith("frames 12-13:")
 
@@ -522,7 +520,7 @@ def test_origin_chain_raises_for_the_first_failing_frame_pair():
     with pytest.raises(InsufficientAnchors, match="^frames 5-6: 1 static correspondences"):
         windows(insufficient_first, 10)
     # A window that ends before the bad pairs is fine.
-    assert len(build_window(degenerate_first.frames[:6], seq.intrinsics).origin_chain) == 5
+    assert len(whole_window(degenerate_first.frames[:6], seq.intrinsics).origin_chain) == 5
 
 
 def test_windows_estimates_origins_once_per_sequence(monkeypatch):
@@ -536,7 +534,7 @@ def test_windows_estimates_origins_once_per_sequence(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# (d) Tracks linked once per sequence and BEV points once per frame
+# (d) Tracks linked and BEV points computed once per sequence
 # ---------------------------------------------------------------------------
 
 def reloaded(frames):
@@ -580,7 +578,8 @@ def flow_or_overlap():
 
 
 def identity_window(frames):
-    return SceneWindow(tuple(frames), INTR, 0, (Transform2.identity(),) * (len(frames) - 1))
+    return SceneWindow(Sequence(INTR, tuple(frames)), 0,
+                       (Transform2.identity(),) * (len(frames) - 1))
 
 
 def test_links_follow_alpha_on_shared_frames():
@@ -609,10 +608,12 @@ def test_points_follow_the_intrinsics_on_shared_frames(rules):
     k = seq.intrinsics
     other = replace(k, fx=k.fx * 1.25, cx=k.cx + 7.0)
     results = []
+    # Two sequences share one frames tuple; the third pass reuses the
+    # first sequence and its caches.
+    shared = {k: seq, other: Sequence(other, seq.frames)}
     for intrinsics in (k, other, k):
-        # Every window is cut from ``seq``, so they share its pair tables.
-        w = replace(build_window(seq.frames, intrinsics), sequence=seq)
-        alone = build_window(reloaded(seq.frames), intrinsics)
+        w = windows(shared[intrinsics], len(seq.frames))[0]
+        alone = whole_window(reloaded(seq.frames), intrinsics)
         for mode in ("oracle", "inferred"):
             tracks, alone_tracks = link_window(w, mode), link_window(alone, mode)
             assert compile_points(w, tracks) == \
@@ -625,19 +626,19 @@ def test_points_follow_the_intrinsics_on_shared_frames(rules):
 def test_a_frame_links_afresh_after_another_predecessor(rules):
     seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=10)).sequence
     frames = seq.frames
-    link_window(build_window(frames, seq.intrinsics), "inferred")  # fills the frames' caches
+    link_window(whole_window(frames, seq.intrinsics), "inferred")  # links the frames once
 
     def without_an_agent(f):
         agent = next(o for o in f.objects if o.category not in STATIC_CATEGORIES)
         return FrameObservation(f.frame_index, tuple(o for o in f.objects if o is not agent))
 
-    w = build_window((without_an_agent(frames[0]),) + frames[1:], seq.intrinsics)
+    w = whole_window((without_an_agent(frames[0]),) + frames[1:], seq.intrinsics)
     fresh = reloaded(frames)
-    alone = build_window((without_an_agent(fresh[0]),) + fresh[1:], seq.intrinsics)
+    alone = whole_window((without_an_agent(fresh[0]),) + fresh[1:], seq.intrinsics)
     tracks, alone_tracks = link_window(w, "inferred"), link_window(alone, "inferred")
     assert track_rows(tracks) == track_rows(alone_tracks)
     assert compiled(w, tracks, rules) == compiled(alone, alone_tracks, rules)
-    assert track_rows(tracks) != track_rows(link_window(build_window(frames, seq.intrinsics)))
+    assert track_rows(tracks) != track_rows(link_window(whole_window(frames, seq.intrinsics)))
 
 
 GHOST_SCENES = {
@@ -652,8 +653,7 @@ GHOST_SCENES = {
 
 def whole(seq):
     """One window over all of the sequence's frames."""
-    return SceneWindow(seq.frames, seq.intrinsics, 0,
-                       (Transform2.identity(),) * (len(seq.frames) - 1))
+    return SceneWindow(seq, 0, (Transform2.identity(),) * (len(seq.frames) - 1))
 
 
 @pytest.mark.parametrize("scene", sorted(GHOST_SCENES))
@@ -707,6 +707,21 @@ def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeyp
     assert len(solves) == len(pairs)
 
 
+@pytest.mark.parametrize("mode", ["oracle", "inferred"])
+def test_each_observations_bev_point_is_computed_once_per_sequence(monkeypatch, rules, mode):
+    seq = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=20)).sequence
+    calls = []
+
+    def counted(obs, k):
+        calls.append(id(obs))
+        return bev_of(obs, k)
+
+    monkeypatch.setattr(scene, "bev_of", counted)
+    monkeypatch.setattr(facts, "bev_of", counted)
+    assert len(process_sequence(seq, rules, mode, n=5)) == 16
+    assert sorted(calls) == sorted(id(o) for f in seq.frames for o in f.objects)
+
+
 # ---------------------------------------------------------------------------
 # (e) Kinematics
 # ---------------------------------------------------------------------------
@@ -739,7 +754,7 @@ def test_mean_evidence_equals_per_list_means(rules):
     enough to be summed pairwise."""
     rng = np.random.default_rng(12)
     n = 24
-    window = SceneWindow(tuple(FrameObservation(i, ()) for i in range(n)), INTR, 0,
+    window = SceneWindow(Sequence(INTR, tuple(FrameObservation(i, ()) for i in range(n))), 0,
                          (Transform2.identity(),) * (n - 1))
     for _ in range(40):
         tracks = []
@@ -805,7 +820,7 @@ def random_gap_tracks(rng, n, inside: bool):
         tracks.append(Trajectory(f"vehicle{t + 1:02d}", "Vehicle", observations))
     k = replace(INTR, fps=float(rng.choice([5.0, 10.0, 29.97])))
     frames = tuple(FrameObservation(i, tuple(objects)) for i, objects in enumerate(per_frame))
-    return SceneWindow(frames, k, 0, random_chain(rng, n)), tracks
+    return SceneWindow(Sequence(k, frames), 0, random_chain(rng, n)), tracks
 
 
 @pytest.mark.parametrize("inside", [True, False], ids=["frame-objects", "outside-frames"])

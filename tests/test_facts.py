@@ -7,7 +7,7 @@ import pytest
 from scenelogic.facts import CompilerConfig, UndeclaredCategory, compile_window
 from scenelogic.fol import Const, Literal
 from scenelogic.inference import saturate
-from scenelogic.scene import build_window, windows
+from scenelogic.scene import windows
 from scenelogic.tracking import link_window
 
 from conftest import linear_track, make_sequence
@@ -19,7 +19,7 @@ def lit(pred, *names):
 
 def compiled(objects, rules, n=10, cfg=CompilerConfig(), mode="oracle"):
     seq = make_sequence(objects, n=n)
-    w = build_window(seq.frames, seq.intrinsics)
+    w = windows(seq, len(seq.frames))[0]
     tracks = link_window(w, mode)
     return compile_window(w, tracks, cfg, rules)
 

@@ -325,6 +325,59 @@ def test_cli_eval_exits_at_the_failing_stage(tmp_path, capsys, break_suite, flag
     assert err.startswith(message) and err.count("\n") == 1
 
 
+def _set_item_2(key, value):
+    def edit(item):
+        item[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_item_2("gold", "false"), "gold must be true or false, got 'false'"),
+    (_set_item_2("gold", "no"), "gold must be true or false, got 'no'"),
+    (_set_item_2("gold", 0), "gold must be true or false, got 0"),
+    (_set_item_2("window_id", "0"), "window_id must be an integer, got '0'"),
+    (_set_item_2("window_id", 0.9), "window_id must be an integer, got 0.9"),
+    (_set_item_2("window_id", False), "window_id must be an integer, got False"),
+    (lambda item: item.pop("question"), "missing key 'question'"),
+    (_set_item_2("question", ["Is it?"]), "question must be a string, got ['Is it?']"),
+    (_set_item_2("category", None), "category must be a string, got None"),
+], ids=["gold-false-string", "gold-no", "gold-zero", "window-string", "window-float",
+        "window-bool", "missing-question", "question-list", "category-null"])
+def test_cli_eval_rejects_qa_items_of_the_wrong_type(tmp_path, capsys, edit, message):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "crossing", "--seed", "3", "--out", str(out)]) == 0
+    qa = out / "crossing_0003" / "qa.json"
+    doc = json.loads(qa.read_text())
+    edit(doc["items"][2])
+    qa.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["eval", str(out)]) == 3
+    assert capsys.readouterr().err == f"ingest: {qa} items[2]: {message}\n"
+
+
+def test_qa_items_without_window_id_read_window_0(tmp_path, rules):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "crossing", "--seed", "3", "--out", str(out)]) == 0
+    qa = out / "crossing_0003" / "qa.json"
+    doc = json.loads(qa.read_text())
+    for item in doc["items"]:
+        del item["window_id"]
+    qa.write_text(json.dumps(doc))
+    assert run_scenario_dir(out, rules).report.aggregate.accuracy == 1.0
+
+
+def test_cli_eval_rejects_a_qa_item_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "crossing", "--seed", "3", "--out", str(out)]) == 0
+    qa = out / "crossing_0003" / "qa.json"
+    doc = json.loads(qa.read_text())
+    doc["items"][1] = "Is it?"
+    qa.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["eval", str(out)]) == 3
+    assert capsys.readouterr().err == f"ingest: {qa} items[1] must be an object, got 'Is it?'\n"
+
+
 def test_cli_eval_export_without_templates_exits_at_config(tmp_path, capsys):
     out = tmp_path / "suite"
     assert cli_main(["gen", "--kind", "static", "--seed", "3", "--out", str(out)]) == 0

@@ -22,9 +22,10 @@ from scenelogic.questions import answer_to_text, parse_fol_query, parse_nl_quest
 from scenelogic.scene import (
     STATIC_CATEGORIES,
     ObjectObservation,
+    SceneWindow,
     Sequence,
-    build_window,
     save_annotation,
+    sequence_to_dict,
     windows,
 )
 
@@ -265,6 +266,50 @@ def test_badly_shaped_rule_file_entries_exit_at_config(tmp_path, capsys, doc, me
         assert capsys.readouterr().err == f"config: {message}\n"
 
 
+@pytest.mark.parametrize("target", ["red car", "", "x", 5])
+def test_vocabulary_targets_that_fol_text_cannot_name_exit_at_config(tmp_path, capsys,
+                                                                     target):
+    path = _static_scene(tmp_path)
+    rules = tmp_path / "rules.yaml"
+    for section in ("colors", "types"):
+        rules.write_text(f"vocabulary:\n  {section}: {{Red: {json.dumps(target)}}}\n")
+        for flags in (["query", str(path), "--q", "Moves(x)", "--fol"], ["ingest", str(path)]):
+            assert cli_main([*flags, "--rules", str(rules)]) == 2
+            assert capsys.readouterr().err == \
+                f"config: vocabulary {section}['red']: {target!r} is not a constant name\n"
+
+
+def _crossing_with_colors(tmp_path, color):
+    """``gen --kind crossing --seed 0`` with every agent's color ``color``."""
+    doc = sequence_to_dict(generate_scenario(ScenarioSpec("crossing", seed=0)).sequence)
+    for f in doc["frames"]:
+        for o in f["objects"]:
+            if "color" in o.get("attributes", {}):
+                o["attributes"]["color"] = color
+    path = tmp_path / "annotation.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("color", ["", "red car", "x"])
+def test_attribute_values_that_fol_text_cannot_name_exit_at_compile(tmp_path, capsys, color):
+    path = _crossing_with_colors(tmp_path, color)
+    for flags in (["query", str(path), "--fol", "--q", "ColOfRel(x, y)"],
+                  ["ingest", str(path), "--dump-facts"]):
+        assert cli_main(flags) == 5
+        assert capsys.readouterr().err == (f"compile: pedestrian01: color {color!r} is neither "
+                                           "in the colors vocabulary nor a constant name\n")
+
+
+@pytest.mark.parametrize("color,constant", [("RED", "Red"), ("Teal", "Teal"), ("_1", "_1")])
+def test_attribute_values_become_their_vocabulary_constant_or_stay_as_named(
+        tmp_path, capsys, color, constant):
+    path = _crossing_with_colors(tmp_path, color)
+    query = f"ColOfRel(pedestrian01, {constant})"
+    assert cli_main(["query", str(path), "--fol", "--q", query]) == 0
+    assert capsys.readouterr().out.startswith("Yes")
+
+
 def test_fol_query_with_term_inequality_answers_as_grounding_does(tmp_path, capsys, rules):
     seq = generate_scenario(ScenarioSpec("collide", seed=3)).sequence
     path = tmp_path / "annotation.json"
@@ -490,8 +535,8 @@ def test_a_sequence_without_frames_says_so():
     empty = Sequence(CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 10.0), ())
     with pytest.raises(ValueError, match="^sequence has no frames$"):
         windows(empty)
-    with pytest.raises(ValueError, match="^sequence has no frames$"):
-        build_window((), empty.intrinsics)
+    with pytest.raises(ValueError, match="outside the sequence's 0 frames"):
+        SceneWindow(empty, 0, ())
 
 
 def _in_a_fresh_interpreter(code: str) -> tuple[str, set]:

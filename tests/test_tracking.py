@@ -13,7 +13,6 @@ from scenelogic.scene import (
     SceneWindow,
     Sequence,
     box_arrays,
-    build_window,
     windows,
 )
 from scenelogic import tracking
@@ -44,7 +43,7 @@ def obs(x0, y0, x1, y1, category="Vehicle", flow=None, depth=10.0):
 
 def identity_window(frames):
     n = len(frames)
-    return SceneWindow(tuple(frames), INTR, 0, (Transform2.identity(),) * (n - 1))
+    return SceneWindow(Sequence(INTR, tuple(frames)), 0, (Transform2.identity(),) * (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +176,7 @@ def test_no_track_crosses_categories():
 # ---------------------------------------------------------------------------
 
 def _window(objects, n=10):
-    seq = make_sequence(objects, n=n)
-    return build_window(seq.frames, seq.intrinsics)
+    return windows(make_sequence(objects, n=n), n)[0]
 
 
 def test_object_present_all_frames_has_no_flags():
@@ -341,10 +339,13 @@ def test_a_prefix_links_its_windows_as_the_whole_sequence_does(kind):
 def test_a_window_holds_its_sequences_frames_from_its_start():
     seq = generate_scenario(ScenarioSpec("crossing", seed=7, n_frames=12)).sequence
     chain = (Transform2.identity(),) * 3
-    SceneWindow(seq.frames[2:6], INTR, 0, chain, seq, 2)
-    for start in (0, 3, 10):
-        with pytest.raises(ValueError, match="sequence's frames"):
-            SceneWindow(seq.frames[2:6], INTR, 0, chain, seq, start)
+    w = SceneWindow(seq, 2, chain)
+    assert (w.frames, w.intrinsics, w.window_id, w.n) == (seq.frames[2:6], seq.intrinsics, 2, 4)
+    assert "sequence" not in repr(w)
+    SceneWindow(seq, 8, chain)
+    for start in (-1, 9, 12):
+        with pytest.raises(ValueError, match="outside the sequence's 12 frames"):
+            SceneWindow(seq, start, chain)
 
 
 def test_ids_break_ties_by_index_in_the_birth_frame():
