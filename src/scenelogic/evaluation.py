@@ -42,10 +42,17 @@ _QA_KEYS = (("question", str, "a string"), ("category", str, "a string"),
 
 
 def load_qa(path) -> list[QAItem]:
-    """The items of a qa.json file.  An item without a key it needs, or with
-    a value of another JSON type, fails with its index and the key."""
+    """The items of a qa.json file.  A file that is not an object with an
+    ``items`` array fails with the key; an item without a key it needs, or
+    with a value of another JSON type, fails with its index and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must be an object with key 'items', got {doc!r}")
+    if "items" not in doc:
+        raise ValueError(f"{path}: missing key 'items'")
+    if not isinstance(doc["items"], list):
+        raise ValueError(f"{path}: items must be an array, got {doc['items']!r}")
     items = []
     for i, item in enumerate(doc["items"]):
         if not isinstance(item, dict):

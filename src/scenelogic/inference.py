@@ -10,7 +10,11 @@ Each rule is compiled once per rule set into a plan over numbered variable
 slots, and a query's positive conjuncts compile the same way; both run
 through one join over the fact set's predicate/first-argument index.  A
 negated query conjunct is a one-step join from the positive conjuncts'
-bindings: it rules a candidate out when any fact matches it.
+bindings: it rules a candidate out when any fact matches it.  A query is
+checked and compiled once per rule set and query, and its plan is kept in
+the rule set beside the rule plans, for as long as the rule set lives; an
+answer only runs the join.  A trace step builds its text on first use and
+keeps it, so it lives as long as the saturated set that holds the step.
 Saturation runs in whole-rule rounds: a stratum's first round matches every
 rule against all facts, and a later round matches against all facts only the
 rules with a body predicate that gained facts in the round before.  The rest
@@ -43,8 +47,12 @@ class TraceStep:
     premises: tuple[Literal, ...]
 
     def __str__(self):
-        inner = ", ".join(str(p) for p in self.premises)
-        return f"{self.derived} <- {self.rule}({inner})"
+        # Built on first use and kept with the step.
+        text = self.__dict__.get("_text")
+        if text is None:
+            inner = ", ".join(map(str, self.premises))
+            text = self.__dict__["_text"] = f"{self.derived} <- {self.rule}({inner})"
+        return text
 
 
 @dataclass(frozen=True)
@@ -430,7 +438,17 @@ def check_query(q: Query, rules: RuleSet) -> None:
             )
 
 
-def _enumerate_bindings(q: Query, sat: FactSet) -> list[Substitution]:
+@dataclass(frozen=True, slots=True)
+class _QueryPlan:
+    init: tuple           # initial slot values
+    steps: tuple          # positive conjuncts as join steps, in query order
+    negative: tuple       # (one-step join, slots it leaves free) per negated atom
+    equalities: tuple     # (argument grounder, whether negated) per equality
+    names: tuple          # the query variables the join binds, in query order
+    out: tuple            # their slots
+
+
+def _compile_query(q: Query) -> _QueryPlan:
     table = _SlotTable()
     positive = [c for c in q.conjuncts if not c.negated and c.pred != "="]
     steps, bound = _compile_atoms(positive, table)
@@ -442,40 +460,63 @@ def _enumerate_bindings(q: Query, sat: FactSet) -> list[Substitution]:
     for c in q.conjuncts:
         if c.negated and c.pred != "=":
             step, after = _compile_atoms([c.atom], table, bound)
-            negative.append((step, after - bound))
+            negative.append((step, tuple(after - bound)))
     equalities = [(_grounder(c.args, table), c.negated)
                   for c in q.conjuncts if c.pred == "="]
-
-    def admissible(slots: list) -> bool:
-        for ground, negated in equalities:
-            a, b = ground(slots)
-            if (a == b) == negated:
-                return False
-        for step, free in negative:
-            found = any(_join(step, 0, slots, sat.index))
-            for s in free:
-                slots[s] = table.init[s]
-            if found:
-                return False
-        return True
-
-    # Distinct bindings of the bound query variables, ordered by name.
-    slots = list(table.init)
-    rows = {tuple(slots[s] for _, s in out)
-            for _ in _join(steps, 0, slots, sat.index) if admissible(slots)}
-    return [dict(zip([v for v, _ in out], row))
-            for row in sorted(rows, key=lambda row: [c.name for c in row])]
+    return _QueryPlan(tuple(table.init), steps, tuple(negative), tuple(equalities),
+                      tuple(v for v, _ in out), tuple(s for _, s in out))
 
 
-def _answer_trace(q: Query, bindings, sat: FactSet) -> ProofTrace:
-    """Restrict the saturation trace to the steps supporting the answer, in
-    trace order."""
-    if sat.trace is None or not bindings:
+def _query_plan(q: Query, rules: RuleSet) -> _QueryPlan:
+    """The query checked against the rule set and compiled; both happen once
+    per rule set and query, and the plan is kept in the rule set as its rule
+    plans are."""
+    plans = rules.__dict__.setdefault("_query_plans", {})
+    plan = plans.get(q)
+    if plan is None:
+        check_query(q, rules)
+        plan = plans[q] = _compile_query(q)
+    return plan
+
+
+def _admissible(plan: _QueryPlan, slots: list, index: dict) -> bool:
+    for ground, negated in plan.equalities:
+        a, b = ground(slots)
+        if (a == b) == negated:
+            return False
+    for step, free in plan.negative:
+        found = any(_join(step, 0, slots, index))
+        for s in free:
+            slots[s] = plan.init[s]
+        if found:
+            return False
+    return True
+
+
+def _enumerate_bindings(plan: _QueryPlan, sat: FactSet) -> tuple[list[Substitution], list]:
+    """Distinct bindings of the bound query variables, ordered by name, and
+    the facts that ground the positive conjuncts under them."""
+    index = sat.index
+    slots = list(plan.init)
+    rows: dict = {}
+    for premises in _join(plan.steps, 0, slots, index):
+        if _admissible(plan, slots, index):
+            # Every positive-conjunct variable is bound, so a row fixes its
+            # premises.
+            rows.setdefault(tuple(slots[s] for s in plan.out), premises)
+    order = sorted(rows, key=lambda row: [c.name for c in row])
+    return ([dict(zip(plan.names, row)) for row in order],
+            [f for row in order for f in rows[row]])
+
+
+def _answer_trace(roots: list, sat: FactSet) -> ProofTrace:
+    """Restrict the saturation trace to the steps supporting the facts
+    ``roots``, in trace order."""
+    if sat.trace is None or not roots:
         return ProofTrace()
     by_fact = sat.trace_map
     reached: dict[int, TraceStep] = {}
-    todo = [apply(sub, c) for sub in bindings for c in q.conjuncts
-            if not c.negated and c.pred != "="]
+    todo = list(roots)
     while todo:
         entry = by_fact.get(todo.pop())
         if entry is not None and entry[0] not in reached:
@@ -486,9 +527,8 @@ def _answer_trace(q: Query, bindings, sat: FactSet) -> ProofTrace:
 
 def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:
     """Answer a query against an already saturated fact set."""
-    check_query(q, rules)
-    bindings = _enumerate_bindings(q, sat)
-    return Answer(bool(bindings), tuple(bindings), _answer_trace(q, bindings, sat))
+    bindings, roots = _enumerate_bindings(_query_plan(q, rules), sat)
+    return Answer(bool(bindings), tuple(bindings), _answer_trace(roots, sat))
 
 
 def resolve(base: FactSet, rules: RuleSet, q: Query) -> Answer:

@@ -5,6 +5,12 @@ anything the grammar does not cover.
 Family labels: U1 object query, U2 velocity, U3 velocity change,
 U4 appearance/disappearance, B1 relative position, B2 relative distance
 change.
+
+A rule set keeps each English or FOL text it parsed, with its checked
+query, for as long as the rule set lives; the vocabulary and predicates are
+the rule set's own, so another rule set parses the text again.  A text that
+fails is not kept and raises on every call; a translator is asked on every
+call, and its output is not kept.
 """
 
 from __future__ import annotations
@@ -181,8 +187,8 @@ PATTERNS: tuple[QuestionPattern, ...] = (
 
 
 def _normalize(text: str) -> str:
-    text = text.strip().lower()
-    text = re.sub(r"[?.!,]+$", "", text)
+    # Trim again once the punctuation is gone: "walking ?" ends in a space.
+    text = re.sub(r"[?.!,]+$", "", text.strip().lower()).strip()
     return re.sub(r"\s+", " ", text)
 
 
@@ -221,17 +227,31 @@ def match_question(text: str, rules: RuleSet) -> ParsedQuestion:
 
 
 def parse_nl_question(text: str, rules: RuleSet) -> Query:
-    return match_question(text, rules).query
+    """The query of ``match_question``, kept in the rule set by text."""
+    parsed = rules.__dict__.setdefault("_nl_queries", {})
+    q = parsed.get(text)
+    if q is None:
+        q = parsed[text] = match_question(text, rules).query
+    return q
 
 
 # ---------------------------------------------------------------------------
 # Direct FOL query syntax
 # ---------------------------------------------------------------------------
 
-def parse_fol_query(text: str, rules: RuleSet) -> Query:
-    """Parse a conjunction of literals in the shared FOL syntax."""
+def _parse_fol(text: str, rules: RuleSet) -> Query:
     q = Query(parse_conjunction(text))
     check_query(q, rules)
+    return q
+
+
+def parse_fol_query(text: str, rules: RuleSet) -> Query:
+    """Parse a conjunction of literals in the shared FOL syntax; the query is
+    kept in the rule set by text."""
+    parsed = rules.__dict__.setdefault("_fol_queries", {})
+    q = parsed.get(text)
+    if q is None:
+        q = parsed[text] = _parse_fol(text, rules)
     return q
 
 
@@ -287,10 +307,11 @@ class TranslatorPort(Protocol):
 
 def parse_question(text: str, rules: RuleSet,
                    translator: TranslatorPort | None = None) -> Query:
-    """Grammar first; fall back to the translator port when provided."""
+    """Grammar first; fall back to the translator port when provided.  The
+    translator is asked on every call, and its output is not kept."""
     try:
         return parse_nl_question(text, rules)
     except (NoPatternMatch, UnknownVocabulary):
         if translator is None:
             raise
-        return parse_fol_query(translator(text).strip(), rules)
+        return _parse_fol(translator(text).strip(), rules)

@@ -3,6 +3,9 @@ sentences, optionally narrowed to the inference trace that answered a query.
 
 ``facts_only`` payloads carry every fact sentence; ``with_inference``
 payloads carry the verdict plus only the sentences the proof leaned on.
+A fact set keeps each sentence it had rendered, per template table, as it
+keeps its indexes: a sentence is rendered at most once per fact set and
+table, and lives as long as the fact set.
 """
 
 from __future__ import annotations
@@ -25,8 +28,11 @@ class MissingTemplate(KeyError):
         return f"no sentence template for predicate {self.args[0]!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateTable:
+    """Sentence templates; a table is equal only to itself, so that it can key
+    the sentences a fact set keeps per table."""
+
     templates: dict  # predicate name -> sentence template
 
     def render(self, fact: Literal) -> str:
@@ -58,9 +64,22 @@ def template_table(rules: RuleSet) -> TemplateTable:
     return tbl
 
 
+def _render(lits, facts: FactSet, tbl: TemplateTable) -> list[str]:
+    """``tbl.render`` of each literal, rendering each at most once per fact
+    set and table: the sentences are kept with ``facts`` per table."""
+    memo = facts.__dict__.setdefault("_sentences", {}).setdefault(tbl, {})
+    out = []
+    for f in lits:
+        s = memo.get(f)
+        if s is None:
+            s = memo[f] = tbl.render(f)
+        out.append(s)
+    return out
+
+
 def export_templates(facts: FactSet, tbl: TemplateTable) -> list[str]:
     """One sentence per fact, ordered by predicate then arguments."""
-    return [tbl.render(f) for f in facts.sorted()]
+    return _render(facts.sorted(), facts, tbl)
 
 
 @dataclass(frozen=True)
@@ -117,7 +136,7 @@ def build_context(q: Query, a: Answer, facts: FactSet, tbl: TemplateTable,
     if mode != WITH_INFERENCE:
         raise ValueError(f"unknown context mode {mode!r}")
 
-    sentences = [tbl.render(f) for f in _support_facts(q, a, facts)]
+    sentences = _render(_support_facts(q, a, facts), facts, tbl)
     lines = ["FACTS"]
     lines.extend(sentences)
     lines.append("")

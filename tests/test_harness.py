@@ -378,6 +378,21 @@ def test_cli_eval_rejects_a_qa_item_that_is_not_an_object(tmp_path, capsys):
     assert capsys.readouterr().err == f"ingest: {qa} items[1] must be an object, got 'Is it?'\n"
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({}, "{qa}: missing key 'items'"),
+    ([], "{qa} must be an object with key 'items', got []"),
+    ({"items": {}}, "{qa}: items must be an array, got {{}}"),
+], ids=["empty-object", "top-level-array", "items-object"])
+def test_cli_eval_rejects_a_qa_file_without_an_items_array(tmp_path, capsys, doc, message):
+    out = tmp_path / "suite"
+    assert cli_main(["gen", "--kind", "crossing", "--seed", "3", "--out", str(out)]) == 0
+    qa = out / "crossing_0003" / "qa.json"
+    qa.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli_main(["eval", str(out)]) == 3
+    assert capsys.readouterr().err == f"ingest: {message.format(qa=qa)}\n"
+
+
 def test_cli_eval_export_without_templates_exits_at_config(tmp_path, capsys):
     out = tmp_path / "suite"
     assert cli_main(["gen", "--kind", "static", "--seed", "3", "--out", str(out)]) == 0

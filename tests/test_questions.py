@@ -1,5 +1,7 @@
 """Question grammar, FOL query parsing, and answer formatting."""
 
+import re
+
 import pytest
 
 from scenelogic.fol import Const, Literal, Var
@@ -8,6 +10,7 @@ from scenelogic.logicpad import ParseError, UnknownPredicate
 from scenelogic.questions import (
     NoPatternMatch,
     UnknownVocabulary,
+    _normalize,
     answer_to_text,
     match_question,
     parse_fol_query,
@@ -97,6 +100,33 @@ def test_unmatched_sentence_raises_no_pattern(rules):
 def test_grammar_is_deterministic(rules):
     text = "Is the silver van getting closer to the green pedestrian?"
     assert parse_nl_question(text, rules) == parse_nl_question(text, rules)
+
+
+@pytest.mark.parametrize("ending", [" ?", " ?!", "? ", " . ", "?! "])
+def test_space_around_the_end_punctuation_is_trimmed(rules, ending):
+    text = "Is the pedestrian walking"
+    assert parse_nl_question(text + ending, rules) == parse_nl_question(text + "?", rules)
+
+
+def test_generated_questions_parse_as_before(rules):
+    """Every question ``gen --kind all`` writes normalizes as it did when
+    whitespace was collapsed before the end punctuation was stripped, and
+    keeps its family; with a space before its "?" it parses the same."""
+    from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
+
+    def old_normalize(text):
+        return re.sub(r"\s+", " ", re.sub(r"[?.!,]+$", "", text.strip().lower()))
+
+    n = 0
+    for kind in KINDS:
+        for seed in (0, 1):
+            for item in generate_scenario(ScenarioSpec(kind, seed)).qa:
+                assert _normalize(item.question) == old_normalize(item.question)
+                parsed = match_question(item.question, rules)
+                spaced = match_question(item.question.rstrip("?") + " ?", rules)
+                assert (spaced.query, spaced.category) == (parsed.query, item.category)
+                n += 1
+    assert n > 0
 
 
 # ---------------------------------------------------------------------------
