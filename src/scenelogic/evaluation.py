@@ -200,7 +200,9 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
     ``sequences`` is one Sequence or a list of (sequence_key, Sequence);
     questions carry (sequence_key, window_id) implicitly when generated per
     sequence, so for multi-sequence runs pass questions as a list of
-    (sequence_key, QAItem) pairs instead.
+    (sequence_key, QAItem) pairs instead.  ``export_context`` "c2" or "c3"
+    also builds each question's C2 (with inference) or C3 (facts only)
+    payload.
     """
     rules = rules or default_ruleset()
     if isinstance(sequences, Sequence):
@@ -211,7 +213,10 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
         qitems = list(questions)
 
     with stage("config"):
-        tbl = template_table(rules) if export_context else None
+        if export_context not in (None, "c2", "c3"):
+            raise ValueError(f"export_context must be 'c2', 'c3' or None, not {export_context!r}")
+        mode = {"c2": WITH_INFERENCE, "c3": FACTS_ONLY}.get(export_context)
+        tbl = template_table(rules) if mode else None
     processed = {
         key: process_sequence(seq, rules, track_mode, cfg, tracker_cfg, n)
         for key, seq in keyed.items()
@@ -235,8 +240,7 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
         except Exception as e:
             raise StageError("infer", f"{item.question!r}: {e}") from e
         answers.append(ans.truth)
-        if export_context:
-            mode = WITH_INFERENCE if export_context == "c2" else FACTS_ONLY
+        if mode:
             payload = build_context(q, ans, wf.facts, tbl, rules, mode,
                                     question_text=item.question)
             payloads.append((item, payload))

@@ -13,8 +13,10 @@ negated query conjunct is a one-step join from the positive conjuncts'
 bindings: it rules a candidate out when any fact matches it.  A query is
 checked and compiled once per rule set and query, and its plan is kept in
 the rule set beside the rule plans, for as long as the rule set lives; an
-answer only runs the join.  A trace step builds its text on first use and
-keeps it, so it lives as long as the saturated set that holds the step.
+answer only runs the join.  One walk back from the facts the join matched
+yields an answer's trace and its support: the base facts its proof matched,
+which a Yes's C2 payload cites.  A trace step builds its text on first use
+and keeps it, so it lives as long as the saturated set that holds the step.
 Saturation runs in whole-rule rounds: a stratum's first round matches every
 rule against all facts, and a later round matches against all facts only the
 rules with a body predicate that gained facts in the round before.  The rest
@@ -203,6 +205,8 @@ class Answer:
     truth: bool
     bindings: tuple[Substitution, ...]
     trace: ProofTrace = ProofTrace()
+    # The base facts the proof matched, in ``_fact_key`` order.
+    support: tuple[Literal, ...] = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +513,32 @@ def _enumerate_bindings(plan: _QueryPlan, sat: FactSet) -> tuple[list[Substituti
             [f for row in order for f in rows[row]])
 
 
-def _answer_trace(roots: list, sat: FactSet) -> ProofTrace:
+def _answer_trace(roots: list, sat: FactSet) -> tuple[ProofTrace, tuple[Literal, ...]]:
     """Restrict the saturation trace to the steps supporting the facts
-    ``roots``, in trace order."""
-    if sat.trace is None or not roots:
-        return ProofTrace()
-    by_fact = sat.trace_map
+    ``roots``, in trace order, and collect the base facts they rest on: the
+    facts reached that no step derives, in ``_fact_key`` order."""
+    by_fact = sat.trace_map if sat.trace is not None else {}
     reached: dict[int, TraceStep] = {}
+    base: set[Literal] = set()
     todo = list(roots)
     while todo:
-        entry = by_fact.get(todo.pop())
-        if entry is not None and entry[0] not in reached:
+        fact = todo.pop()
+        entry = by_fact.get(fact)
+        if entry is None:
+            base.add(fact)
+        elif entry[0] not in reached:
             reached[entry[0]] = entry[1]
             todo.extend(entry[1].premises)
-    return ProofTrace(tuple(reached[i] for i in sorted(reached)))
+    return (ProofTrace(tuple(reached[i] for i in sorted(reached))),
+            tuple(sorted(base, key=_fact_key)))
 
 
 def answer_query(sat: FactSet, rules: RuleSet, q: Query) -> Answer:
     """Answer a query against an already saturated fact set."""
     bindings, roots = _enumerate_bindings(_query_plan(q, rules), sat)
-    return Answer(bool(bindings), tuple(bindings), _answer_trace(roots, sat))
+    if not roots:
+        return Answer(bool(bindings), tuple(bindings))
+    return Answer(True, tuple(bindings), *_answer_trace(roots, sat))
 
 
 def resolve(base: FactSet, rules: RuleSet, q: Query) -> Answer:

@@ -422,6 +422,14 @@ def _entries(doc: dict, section: str) -> list[tuple[str, dict]]:
     return [(f"{section}[{idx}]", row) for idx, row in enumerate(rows)]
 
 
+def _mapping(value, entry: str) -> dict:
+    """A section or entry that must be a mapping; an empty one reads as {}."""
+    value = value or {}
+    if not isinstance(value, dict):
+        raise ParseError(None, f"must be a mapping, not {value!r}", entry)
+    return value
+
+
 def _field(row: dict, key: str, entry: str):
     if key not in row:
         raise ParseError(None, f"missing key {key!r}", entry)
@@ -513,13 +521,18 @@ def parse_rule_file(text: str) -> RuleSet:
     # Question words match case-insensitively; on duplicate keys the later
     # one wins.  Colors and types become fact constants, so FOL text must be
     # able to name them.
-    vocabulary = {section: {str(k).lower(): v for k, v in (table or {}).items()}
-                  for section, table in (doc.get("vocabulary") or {}).items()}
+    vocabulary = {section: {str(k).lower(): v
+                            for k, v in _mapping(table, f"vocabulary {section}").items()}
+                  for section, table in _mapping(doc.get("vocabulary"), "vocabulary").items()}
     for section in ("colors", "types"):
         for word, target in vocabulary.get(section, {}).items():
             if not is_constant_name(target):
                 raise ParseError(None, f"{target!r} is not a constant name",
                                  f"vocabulary {section}[{word!r}]")
+    templates = _mapping(doc.get("templates"), "templates")
+    for pred, tpl in templates.items():
+        if not isinstance(tpl, str):
+            raise ParseError(None, f"must be a string, not {tpl!r}", f"template {pred!r}")
 
     return RuleSet(
         declarations=tuple(decls),
@@ -527,7 +540,7 @@ def parse_rule_file(text: str) -> RuleSet:
         rules=tuple(rules),
         strata=strata,
         vocabulary=vocabulary,
-        templates=doc.get("templates") or {},
+        templates=templates,
     )
 
 

@@ -1,8 +1,9 @@
 """Context export for external language models: window facts as template
 sentences, optionally narrowed to the inference trace that answered a query.
 
-``facts_only`` payloads carry every fact sentence; ``with_inference``
-payloads carry the verdict plus only the sentences the proof leaned on.
+``facts_only`` payloads carry every fact sentence; ``with_inference`` payloads
+carry the verdict plus only the sentences the proof leaned on: a Yes cites
+``Answer.support``, found in the same walk as its trace.
 A fact set keeps each sentence it had rendered, per template table, as it
 keeps its indexes: a sentence is rendered at most once per fact set and
 table, and lives as long as the fact set.
@@ -14,8 +15,8 @@ import json
 import re
 from dataclasses import dataclass
 
-from .fol import Const, Literal, apply
-from .inference import Answer, FactSet, Query, _fact_key
+from .fol import Const, Literal
+from .inference import Answer, FactSet, Query
 from .logicpad import RuleSet
 from .questions import answer_to_text, print_query
 
@@ -96,22 +97,10 @@ class ContextPayload:
 
 
 def _support_facts(q: Query, a: Answer, base: FactSet) -> list[Literal]:
-    """Base facts the answer rests on: trace premises plus the facts that
-    ground the query's positive conjuncts; for a refuted query, the facts
-    about the constants the query names."""
+    """Base facts the answer rests on: the support its proof matched; for a
+    refuted query, the facts about the constants the query names."""
     if a.truth:
-        support: set[Literal] = set()
-        for step in a.trace.steps:
-            for p in step.premises:
-                if p in base:
-                    support.add(p)
-        for sub in a.bindings:
-            for c in q.conjuncts:
-                if not c.negated and c.pred != "=":
-                    ground = apply(sub, c)
-                    if ground in base:
-                        support.add(ground)
-        return sorted(support, key=_fact_key)
+        return [f for f in a.support if f in base]
     named = {t.name for c in q.conjuncts for t in c.args if isinstance(t, Const)}
     found: dict[int, Literal] = {}
     for name in named:

@@ -2,8 +2,9 @@
 
 A saturated fact set hands over the index its saturation kept, and caches a
 derived-fact -> trace-step map and a constant -> base-facts index.  Answers,
-answer traces and C2/C3 payloads must be the same as when every question
-scans and sorts the whole trace and fact set (``tests/oracles.py``).
+answer traces, the support of a Yes and C2/C3 payloads must be the same as
+when every question scans and sorts the whole trace and fact set
+(``tests/oracles.py``).
 """
 
 import random
@@ -81,6 +82,11 @@ def test_answers_and_payloads_match_whole_set_scans(rules, workload, seed):
                 q = parse_fol_query(text, rules) if fol else parse_question(text, rules)
                 ans = answer_query(sat, rules, q)
                 assert ans.trace == scan_answer_trace(q, ans.bindings, sat), (spec, wid, text)
+                if ans.truth:
+                    assert list(ans.support) == scan_support_facts(q, ans, wf.facts), \
+                        (spec, wid, text)
+                else:
+                    assert ans.support == (), (spec, wid, text)
                 payloads = (build_context(q, ans, wf.facts, tbl, rules, WITH_INFERENCE).to_json(),
                             build_context(q, ans, wf.facts, tbl, rules, FACTS_ONLY).to_json())
                 ref = Answer(ans.truth, ans.bindings, scan_answer_trace(q, ans.bindings, sat))

@@ -174,13 +174,23 @@ def test_pipeline_inferred_matches_oracle(rules):
     assert oracle.answers == inferred.answers
 
 
-def test_pipeline_context_export_modes(rules):
+def test_pipeline_context_export_modes(rules, tmp_path):
     sc = generate_scenario(ScenarioSpec("stop", seed=3))
     result = run_pipeline(sc.sequence, rules, sc.qa, export_context="c2")
     assert len(result.payloads) == len(sc.qa)
     assert all(p.mode == "with_inference" for _, p in result.payloads)
     c3 = run_pipeline(sc.sequence, rules, sc.qa, export_context="c3")
     assert all(p.mode == "facts_only" for _, p in c3.payloads)
+    assert not run_pipeline(sc.sequence, rules, sc.qa).payloads
+    for unknown in ("C2", "c4", ""):
+        with pytest.raises(StageError) as e:
+            run_pipeline(sc.sequence, rules, sc.qa, export_context=unknown)
+        assert e.value.stage == "config"
+        assert e.value.message == f"export_context must be 'c2', 'c3' or None, not {unknown!r}"
+    assert cli_main(["gen", "--kind", "stop", "--seed", "3", "--out", str(tmp_path)]) == 0
+    with pytest.raises(StageError) as e:
+        run_scenario_dir(tmp_path, rules, export_context="c4")
+    assert e.value.stage == "config"
 
 
 def test_scenario_dir_missing_annotation_raises_stage_error(tmp_path, rules):

@@ -333,10 +333,15 @@ ABC = ("predicates:\n  - {name: A, arity: 1}\n  - {name: B, arity: 1}\n"
            '  - {name: r, fol: "forall x: B(x) -> C(x)"}\n', "rule 'r': duplicate rule name"),
     (ABC + '  - {name: rule1, fol: "forall x: A(x) -> C(x)"}\n'
            '  - {fol: "forall x: B(x) -> C(x)"}\n', "rule 'rule1': duplicate rule name"),
+    ("vocabulary: [a]\n", "vocabulary: must be a mapping, not ['a']"),
+    ("vocabulary: {colors: [white]}\n", "vocabulary colors: must be a mapping, not ['white']"),
+    ("templates: [x]\n", "templates: must be a mapping, not ['x']"),
+    ("templates: {Moves: 5}\n", "template 'Moves': must be a string, not 5"),
 ], ids=["missing-arity", "missing-name", "bad-source", "function-without-name",
         "bare-predicate", "word-arity", "fraction-arity", "bare-function", "bare-rule",
         "section-not-a-list", "duplicate-predicate", "document-not-a-mapping", "invalid-yaml",
-        "duplicate-rule", "default-name-taken"])
+        "duplicate-rule", "default-name-taken", "vocabulary-not-a-mapping",
+        "vocabulary-section-not-a-mapping", "templates-not-a-mapping", "template-not-a-string"])
 def test_declaration_errors_name_the_entry(text, message):
     with pytest.raises(ParseError) as exc:
         parse_rule_file(text)
