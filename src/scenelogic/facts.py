@@ -1,5 +1,9 @@
 """Ground-fact compilation: evaluate every atomic predicate over a window's
-trajectories and geometry."""
+trajectories and geometry.
+
+Motion facts read a track's points in the window's origin: each is its
+frame's BEV point (``Sequence.bev``) mapped by that frame's cumulative
+``Transform2``."""
 
 from __future__ import annotations
 
@@ -62,12 +66,10 @@ class WindowFacts:
 
 
 def _window_frames(w: SceneWindow):
-    """Each frame's BEV points (``Sequence.bev``) and the cosine, sine and
-    translation that map its coordinates into the window's (frame 0's), each
-    cosine and sine taken once."""
-    bev = w.sequence.bev[w.start:w.start + w.n]
-    return [(points, math.cos(c.rotation_rad), math.sin(c.rotation_rad), *c.translation_m)
-            for points, c in zip(bev, w.cumulative())]
+    """Each frame's BEV points (``Sequence.bev``) and the cumulative
+    ``Transform2`` that maps its coordinates into the window's (frame
+    0's)."""
+    return list(zip(w.sequence.bev[w.start:w.start + w.n], w.cumulative()))
 
 
 def _own_point(frame, obs, k) -> tuple[float, float]:
@@ -75,14 +77,6 @@ def _own_point(frame, obs, k) -> tuple[float, float]:
     sequence's ``bev``; an observation that is not one of its frame's
     objects is back-projected."""
     return frame[0].get(id(obs)) or bev_of(obs, k)
-
-
-def _window_point(frame, own) -> tuple[float, float]:
-    """A frame's point ``own`` in the window's coordinates:
-    ``Transform2.transform``'s arithmetic, so equal to it bit for bit."""
-    _, c, s, tx, tz = frame
-    x, z = own
-    return (c * x - s * z + tx, s * x + c * z + tz)
 
 
 def _pair_table(points: list[dict], n: int):
@@ -174,7 +168,7 @@ def _motion(t: Trajectory, keys: list[int], frames, k) -> tuple[float, float]:
     they need are mapped.  ``keys`` are t's positions, sorted, two or
     more."""
     first, last = keys[0], keys[-1]
-    mapped = {p: _window_point(frames[p], _own_point(frames[p], t.observations[p], k))
+    mapped = {p: frames[p][1].transform(_own_point(frames[p], t.observations[p], k))
               for p in {first, keys[1], keys[-2], last}}
     b = _interpolated(mapped, first + 1, first, keys[1])
     c = _interpolated(mapped, last - 1, keys[-2], last)
@@ -319,7 +313,7 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
         feet = {p: _bottom_mid(o.bbox) for p, o in a.observations.items()}
         for s in surfaces:
             common = feet.keys() & s.observations.keys()
-            if s is a or not common:
+            if not common:
                 continue
             hits = sum(_contains(s.observations[p].bbox, feet[p]) for p in common)
             if hits / len(common) > 0.5:

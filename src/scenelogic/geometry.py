@@ -1,5 +1,8 @@
 """Camera geometry: pinhole back-projection, bird's-eye reduction, rigid
-alignment of static anchors, and finite-difference kinematics."""
+alignment of static anchors, and finite-difference kinematics.
+
+``estimate_origin`` checks the anchors it is given; ``estimate_origins``, the
+stacked pass behind it and each sequence's origin chain, does not."""
 
 from __future__ import annotations
 
@@ -98,43 +101,41 @@ def estimate_origin(static_prev, static_curr) -> Transform2:
     """Least-squares rigid transform taking current-frame anchor positions
     onto the previous frame's, fixing a shared temporary origin.
 
-    Requires two or more corresponding anchors; raises
-    DegenerateConfiguration when the anchors are all coincident (rotation
-    unobservable).
+    The lists are checked first: values that are not numbers raise numpy's
+    error, lists that are not equal-length (X, Z) pairs ValueError, and
+    fewer than two anchors InsufficientAnchors.  Coincident anchors
+    (rotation unobservable) raise DegenerateConfiguration.
     """
-    return estimate_origins([(static_prev, static_curr)])[0]
+    prev = np.asarray(static_prev, dtype=float)
+    curr = np.asarray(static_curr, dtype=float)
+    if prev.ndim != 2 or prev.shape != curr.shape or prev.shape[1] != 2:
+        raise ValueError("anchor lists must be equal-length sequences of (X, Z) pairs")
+    if len(prev) < 2:
+        raise InsufficientAnchors(f"need at least 2 anchor correspondences, got {len(prev)}")
+    return estimate_origins([(prev, curr)])[0]
 
 
 def estimate_origins(pairs) -> list[Transform2]:
     """``estimate_origin`` of each ``(static_prev, static_curr)`` pair, in
     one stacked numpy pass per anchor count.
 
-    Each transform is bit-identical to one estimated alone: every reduction
-    and product runs along the same axis with the same memory layout, and
-    the angle's trigonometry is ``math``'s, per pair.  If any pair fails, the
-    first one that does raises what it would raise alone.
+    Each pair must hold two equal lists of two or more (X, Z) points, as
+    ``scene._origin_chain`` builds them.  Each transform is bit-identical
+    to one estimated alone: every reduction and product runs along the
+    same axis with the same memory layout, and the angle's trigonometry is
+    ``math``'s, per pair.  If any pair fails, the first one that does
+    raises what it would raise alone.
     """
     pairs = list(pairs)
     results: list = [None] * len(pairs)
     groups: dict[int, list[int]] = {}
     for i, (static_prev, _) in enumerate(pairs):
         groups.setdefault(len(static_prev), []).append(i)
-    todo = list(groups.values())
-    while todo:
-        idx = todo.pop()
+    for idx in groups.values():
         m = len(idx)
-        try:
-            both = np.array([[pairs[i][0] for i in idx], [pairs[i][1] for i in idx]],
-                            dtype=float)
-        except (TypeError, ValueError):
-            both = None
-        if both is None or both.ndim != 4 or both.shape[2] < 2 or both.shape[3] != 2:
-            # Some pair is malformed: estimate each on its own.
-            if m > 1:
-                todo.extend([i] for i in idx)
-            else:
-                results[idx[0]] = _anchor_error(*pairs[idx[0]])
-            continue
+        both = np.array([[pairs[i][0] for i in idx], [pairs[i][1] for i in idx]], dtype=float)
+        if both.ndim != 4 or both.shape[2] < 2 or both.shape[3] != 2:
+            raise ValueError("anchor pairs must be equal lists of two or more (X, Z) points")
 
         prev, curr = both  # (m, n, 2) each
         cp, cc = centre = both.mean(axis=2)
@@ -166,18 +167,6 @@ def estimate_origins(pairs) -> list[Transform2]:
         if isinstance(r, Exception):
             raise r
     return results
-
-
-def _anchor_error(static_prev, static_curr) -> Exception:
-    """What one pair whose anchors cannot be stacked raises."""
-    try:
-        prev = np.asarray(static_prev, dtype=float)
-        curr = np.asarray(static_curr, dtype=float)
-    except (TypeError, ValueError) as e:
-        return e
-    if prev.ndim != 2 or prev.shape != curr.shape or prev.shape[1] != 2:
-        return ValueError("anchor lists must be equal-length sequences of (X, Z) pairs")
-    return InsufficientAnchors(f"need at least 2 anchor correspondences, got {prev.shape[0]}")
 
 
 @dataclass(frozen=True)

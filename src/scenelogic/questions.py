@@ -196,7 +196,6 @@ def _normalize(text: str) -> str:
 class ParsedQuestion:
     query: Query
     category: str
-    pattern: QuestionPattern
 
 
 def match_question(text: str, rules: RuleSet) -> ParsedQuestion:
@@ -220,7 +219,7 @@ def match_question(text: str, rules: RuleSet) -> ParsedQuestion:
             continue
         query = Query(tuple(pattern.logic_builder(d1, d2)))
         check_query(query, rules)
-        return ParsedQuestion(query, pattern.category, pattern)
+        return ParsedQuestion(query, pattern.category)
     if vocab_error is not None:
         raise vocab_error
     raise NoPatternMatch(f"no grammar pattern matches {text!r}")

@@ -233,14 +233,13 @@ def _link_oracle(w: SceneWindow) -> list[Trajectory]:
 
 
 class _LiveTrack:
-    __slots__ = ("observations", "category", "repr_obs", "misses", "depth_step")
+    __slots__ = ("observations", "category", "repr_obs", "misses")
 
     def __init__(self, pos: int, obs: ObjectObservation):
         self.observations = {pos: obs}
         self.category = obs.category
         self.repr_obs = obs
         self.misses = 0
-        self.depth_step = 0.0
 
     def step_estimate(self) -> tuple[float, float]:
         if self.repr_obs.flow_px is not None:
@@ -253,21 +252,20 @@ class _LiveTrack:
         return (0.0, 0.0)
 
     def record(self, pos: int, obs: ObjectObservation):
-        prev_depth = self.repr_obs.depth_m
         self.observations[pos] = obs
-        self.depth_step = obs.depth_m - prev_depth
         self.repr_obs = obs
         self.misses = 0
 
     def ghost(self):
-        """Hypothetical observation continuing the track at constant velocity."""
+        """Hypothetical observation continuing the track at constant image
+        velocity.  It keeps the last real depth: matching reads only box,
+        flow and category."""
         d = self.step_estimate()
         self.misses += 1
         self.repr_obs = self.repr_obs._replace(
             centroid_px=(self.repr_obs.centroid_px[0] + d[0],
                          self.repr_obs.centroid_px[1] + d[1]),
             bbox=_shift(self.repr_obs.bbox, d),
-            depth_m=max(1e-3, self.repr_obs.depth_m + self.depth_step),
         )
 
 

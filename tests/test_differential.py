@@ -26,11 +26,13 @@ from scenelogic.geometry import (
     DegenerateConfiguration,
     InsufficientAnchors,
     Transform2,
+    estimate_origin,
     estimate_origins,
     kinematics,
 )
 from scenelogic.scenarios import KINDS, ScenarioSpec, generate_scenario
 from scenelogic.scene import (
+    NN_GATE_M,
     STATIC_CATEGORIES,
     FrameObservation,
     ObjectObservation,
@@ -473,14 +475,10 @@ NAN_ANCHOR = ([(0.0, 1.0), (2.0, float("nan"))], [(0.0, 1.0), (2.0, 3.0)])
 
 
 @pytest.mark.parametrize("pairs,error", [
-    ([GOOD_PAIR, COINCIDENT, GOOD_PAIR, ONE_ANCHOR], DegenerateConfiguration),
-    ([GOOD_PAIR, ONE_ANCHOR, COINCIDENT, GOOD_PAIR], InsufficientAnchors),
-    ([COINCIDENT, UNEQUAL], DegenerateConfiguration),
-    ([UNEQUAL, COINCIDENT], ValueError),
+    ([GOOD_PAIR, COINCIDENT, GOOD_PAIR], DegenerateConfiguration),
     ([GOOD_PAIR, COINCIDENT, NAN_ANCHOR], DegenerateConfiguration),
     ([NAN_ANCHOR, COINCIDENT], ValueError),
-], ids=["degenerate-first", "insufficient-first", "degenerate-before-malformed",
-        "malformed-first", "degenerate-before-nan", "nan-first"])
+], ids=["degenerate-first", "degenerate-before-nan", "nan-first"])
 def test_first_failing_pair_raises_what_it_raises_alone(pairs, error):
     first_bad = next(p for p in pairs if p is not GOOD_PAIR)
     with pytest.raises(error) as alone:
@@ -489,6 +487,36 @@ def test_first_failing_pair_raises_what_it_raises_alone(pairs, error):
         estimate_origins(pairs)
     assert type(stacked.value) is type(alone.value)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("pair", [
+    ONE_ANCHOR,
+    UNEQUAL,
+    ([], []),
+    ([(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)], [(0.0, 1.0, 2.0), (3.0, 4.0, 5.0)]),
+    ([("a", 1.0), (2.0, 3.0)], [(0.0, 1.0), (2.0, 3.0)]),
+    ([({}, 1.0), (2.0, 3.0)], [(0.0, 1.0), (2.0, 3.0)]),
+], ids=["one-anchor", "unequal", "no-anchors", "three-columns", "not-a-number", "not-numeric"])
+def test_estimate_origin_checks_its_own_pair(pair):
+    with pytest.raises((TypeError, ValueError)) as alone:
+        oracles.estimate_origin_per_pair(*pair)
+    with pytest.raises((TypeError, ValueError)) as checked:
+        estimate_origin(*pair)
+    assert type(checked.value) is type(alone.value)
+    assert str(checked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("pairs", [
+    [ONE_ANCHOR],
+    [GOOD_PAIR, ONE_ANCHOR, COINCIDENT, GOOD_PAIR],
+    [COINCIDENT, UNEQUAL],
+], ids=["one-anchor", "insufficient-first", "degenerate-before-malformed"])
+def test_malformed_pairs_fail_the_stack(pairs):
+    # estimate_origins takes pairs as _origin_chain builds them; one that
+    # is not still fails loudly.
+    with pytest.raises(ValueError) as raised:
+        estimate_origins(pairs)
+    assert not isinstance(raised.value, (InsufficientAnchors, DegenerateConfiguration))
 
 
 def _coincident_anchors(seq: Sequence, positions) -> Sequence:
@@ -533,6 +561,55 @@ def test_windows_estimates_origins_once_per_sequence(monkeypatch):
     assert calls == []
 
 
+def _unlabelled_statics(seq: Sequence) -> Sequence:
+    """``seq`` with ``gt_instance`` removed from every static object."""
+    return Sequence(seq.intrinsics, tuple(
+        FrameObservation(f.frame_index, tuple(
+            o._replace(gt_instance=None) if o.category in STATIC_CATEGORIES else o
+            for o in f.objects))
+        for f in seq.frames))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_unlabelled_static_anchors_pair_as_labelled_ones(seed, rules):
+    # As `scenelogic gen --kind all --count 2`: unlabelled static objects
+    # pair with their nearest neighbour, and every pairing equals the
+    # labels'.
+    for kind in KINDS:
+        seq = generate_scenario(ScenarioSpec(kind, seed)).sequence
+        bare = _unlabelled_statics(seq)
+        assert any(o.category in STATIC_CATEGORIES and o.gt_instance is None
+                   for o in bare.frames[0].objects)
+        assert repr([w.origin_chain for w in windows(bare)]) == \
+            repr([w.origin_chain for w in windows(seq)])
+        labelled = process_sequence(seq, rules, "inferred")
+        unlabelled = process_sequence(bare, rules, "inferred")
+        assert labelled.keys() == unlabelled.keys()
+        for (wf, sat), (bare_wf, bare_sat) in zip(labelled.values(), unlabelled.values()):
+            assert bare_wf.facts == wf.facts and bare_sat == sat
+            assert repr(sorted(bare_wf.provenance.items(), key=repr)) == \
+                repr(sorted(wf.provenance.items(), key=repr))
+
+
+def test_unlabelled_anchors_beyond_the_gate_leave_their_frame_pair_short():
+    seq = _unlabelled_statics(generate_scenario(ScenarioSpec("crossing", 0)).sequence)
+    frame = seq.frames[4]
+    static = [o for o in frame.objects if o.category in STATIC_CATEGORIES]
+    assert len(static) >= 3
+    # All but the first static object move 100 gates deeper, out of reach
+    # of every static object of the frames before and after.
+    kept = static[0]
+    shifted = FrameObservation(frame.frame_index, tuple(
+        o._replace(depth_m=o.depth_m + 100 * NN_GATE_M)
+        if o.category in STATIC_CATEGORIES and o is not kept else o
+        for o in frame.objects))
+    frames = seq.frames[:4] + (shifted,) + seq.frames[5:]
+    with pytest.raises(InsufficientAnchors,
+                       match=f"^frames {seq.frames[3].frame_index}-{frame.frame_index}: "
+                             "1 static correspondences, need 2$"):
+        windows(Sequence(seq.intrinsics, frames))
+
+
 # ---------------------------------------------------------------------------
 # (d) Tracks linked and BEV points computed once per sequence
 # ---------------------------------------------------------------------------
@@ -555,7 +632,7 @@ def compile_points(w, tracks):
     frames = facts._window_frames(w)
     own = [{pos: facts._own_point(frames[pos], obs, w.intrinsics)
             for pos, obs in t.observations.items()} for t in tracks]
-    return own, [{pos: facts._window_point(frames[pos], p) for pos, p in points.items()}
+    return own, [{pos: frames[pos][1].transform(p) for pos, p in points.items()}
                  for points in own]
 
 

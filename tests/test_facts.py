@@ -84,6 +84,21 @@ def test_speed_change_facts(rules):
     assert lit("SpeedDown", "vehicle01") in wf2.facts
 
 
+def test_no_on_fact_without_a_common_frame(rules):
+    pedestrian = {"category": "Pedestrian", "width": 0.6, "height": 1.7, "y_center": 0.15,
+                  "track": linear_track((0.0, 12.0), (0.0, 0.0))}
+    road = {"category": "Road", "width": 20.0, "height": 0.4, "y_center": 1.0,
+            "track": linear_track((0.0, 12.0), (0.0, 0.0))}
+    on = lit("On", "pedestrian01", "road01")
+    assert on in compiled({"pedestrian01": pedestrian, "road01": road}, rules).facts
+    # The pedestrian leaves as the road comes into view: no frame to test.
+    pedestrian["track"] = pedestrian["track"][:5] + [None] * 5
+    road["track"] = [None] * 5 + road["track"][5:]
+    wf = compiled({"pedestrian01": pedestrian, "road01": road}, rules)
+    assert lit("Pedestrian", "pedestrian01") in wf.facts and lit("Road", "road01") in wf.facts
+    assert not any(f.pred == "On" for f in wf.facts)
+
+
 def test_position_thirds_are_exclusive(rules):
     objects = {
         "pedestrian01": {"category": "Pedestrian", "width": 0.6, "height": 1.7,

@@ -222,6 +222,19 @@ def test_a_ghost_is_checked_like_any_observation(monkeypatch):
         _LiveTrack(0, obs(0.0, 0.0, 10.0, 10.0, flow=(1.0, 0.0))).ghost()
 
 
+def test_a_track_seen_once_without_flow_is_carried_in_place():
+    box = (100.0, 100.0, 120.0, 140.0)
+    live = _LiveTrack(0, obs(*box))
+    assert live.step_estimate() == (0.0, 0.0)
+    live.ghost()
+    assert live.repr_obs.bbox == box
+    # Seen once, missed once, seen again where it was: one track.
+    w = identity_window([FrameObservation(0, (obs(*box),)), FrameObservation(1, ()),
+                         FrameObservation(2, (obs(*box),))])
+    tracks = link_window(w, "inferred")
+    assert [sorted(t.observations) for t in tracks] == [[0, 2]]
+
+
 def test_gap_longer_than_bridge_splits_track():
     w = _window({"p1": {
         "category": "Pedestrian", "width": 0.6, "height": 1.7,
