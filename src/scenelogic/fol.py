@@ -59,14 +59,16 @@ class Const(_Name):
         return self.name
 
 
+def is_var_name(name: str) -> bool:
+    """Whether text reads a bare name as a variable; others need ``?``."""
+    return len(name) == 1 and name.islower()
+
+
 class Var(_Name):
     __slots__ = ()
 
     def __str__(self):
-        # Single lowercase letters print bare; longer names need the marker.
-        if len(self.name) == 1 and self.name.islower():
-            return self.name
-        return f"?{self.name}"
+        return self.name if is_var_name(self.name) else f"?{self.name}"
 
 
 Term = Const | Var

@@ -15,8 +15,7 @@ checked and compiled once per rule set and query, and its plan is kept in
 the rule set beside the rule plans, for as long as the rule set lives; an
 answer only runs the join.  One walk back from the facts the join matched
 yields an answer's trace and its support: the base facts its proof matched,
-which a Yes's C2 payload cites.  A trace step builds its text on first use
-and keeps it, so it lives as long as the saturated set that holds the step.
+which a Yes's C2 payload cites.
 Saturation runs in whole-rule rounds: a stratum's first round matches every
 rule against all facts, and a later round matches against all facts only the
 rules with a body predicate that gained facts in the round before.  The rest
@@ -49,12 +48,7 @@ class TraceStep:
     premises: tuple[Literal, ...]
 
     def __str__(self):
-        # Built on first use and kept with the step.
-        text = self.__dict__.get("_text")
-        if text is None:
-            inner = ", ".join(map(str, self.premises))
-            text = self.__dict__["_text"] = f"{self.derived} <- {self.rule}({inner})"
-        return text
+        return f"{self.derived} <- {self.rule}({', '.join(map(str, self.premises))})"
 
 
 @dataclass(frozen=True)

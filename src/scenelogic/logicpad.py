@@ -24,7 +24,7 @@ from importlib import resources
 
 import yaml
 
-from .fol import Const, Literal, Term, Var
+from .fol import Const, Literal, Term, Var, is_var_name
 
 FUNC_REL_SUFFIX = "Rel"
 FORALL = "forall"
@@ -99,14 +99,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _is_var_name(name: str) -> bool:
-    return len(name) == 1 and name.islower()
-
-
 def is_constant_name(text) -> bool:
     """Whether rule and query text reads ``text`` as one constant: a name
     token that is not a variable."""
-    return isinstance(text, str) and bool(_NAME_RE.fullmatch(text)) and not _is_var_name(text)
+    return isinstance(text, str) and bool(_NAME_RE.fullmatch(text)) and not is_var_name(text)
 
 
 class _Parser:
@@ -156,7 +152,7 @@ class _Parser:
             self.next()
             while True:
                 t = self.next()
-                if t.kind != "qvar" and not (t.kind == "name" and _is_var_name(t.text)):
+                if t.kind != "qvar" and not (t.kind == "name" and is_var_name(t.text)):
                     raise ParseError(t.pos, f"expected a variable, found {t.text!r}")
                 if self.peek().text != ",":
                     break
@@ -258,7 +254,7 @@ class _Parser:
             raise ParseError(t.pos, f"arguments are constants or variables; write the "
                                     f"function {t.text} as {t.text}(...) = value and "
                                     f"declare it under functions:")
-        if _is_var_name(t.text):
+        if is_var_name(t.text):
             return Var(t.text)
         return Const(t.text)
 
@@ -283,15 +279,14 @@ def parse_conjunction(text: str) -> tuple[Literal, ...]:
 
 def format_literal(lit: Literal, functions: tuple[str, ...] = ()) -> str:
     """Render a literal so that it parses back; function relations print in
-    their equality form, parenthesized like term equality."""
-    if lit.pred == "=":
-        return str(lit)
-    sign = "!" if lit.negated else ""
+    their equality form, parenthesized like term equality, and any other
+    literal as ``str(lit)``."""
     base = lit.pred.removesuffix(FUNC_REL_SUFFIX)
     if lit.pred.endswith(FUNC_REL_SUFFIX) and base in functions and len(lit.args) >= 2:
+        sign = "!" if lit.negated else ""
         head = ", ".join(str(a) for a in lit.args[:-1])
         return f"{sign}({base}({head}) = {lit.args[-1]})"
-    return f"{sign}{lit.pred}({', '.join(str(a) for a in lit.args)})"
+    return str(lit)
 
 
 # ---------------------------------------------------------------------------

@@ -267,17 +267,14 @@ def print_query(q: Query, rules: RuleSet) -> str:
 def answer_to_text(a: Answer, q: Query) -> str:
     if not a.truth:
         return "No."
-    qvars = q.variables()
+    # Witnesses are the variables bound, so none occurring only under negation.
+    qvars = [v for v in q.variables() if a.bindings and v in a.bindings[0]]
     if not qvars:
         head = "Yes."
     else:
-        witnesses = []
-        for sub in a.bindings:
-            if len(qvars) == 1:
-                witnesses.append(str(sub[qvars[0]]))
-            else:
-                inner = ", ".join(f"{v} = {sub[v]}" for v in qvars if v in sub)
-                witnesses.append(f"({inner})")
+        witnesses = [str(sub[qvars[0]]) if len(qvars) == 1
+                     else "(" + ", ".join(f"{v} = {sub[v]}" for v in qvars) + ")"
+                     for sub in a.bindings]
         verb = "satisfies" if len(witnesses) == 1 else "satisfy"
         if len(witnesses) > 2:
             listing = ", ".join(witnesses[:-1]) + f" and {witnesses[-1]}"

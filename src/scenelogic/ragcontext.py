@@ -12,7 +12,7 @@ table, and lives as long as the fact set.
 from __future__ import annotations
 
 import json
-import re
+import string
 from dataclasses import dataclass
 
 from .fol import Const, Literal
@@ -43,15 +43,21 @@ class TemplateTable:
         return tpl.format(*[str(a) for a in fact.args])
 
     def validate(self, rules: RuleSet) -> None:
-        """Every declared predicate templated, every slot count matching."""
+        """Every declared predicate templated, with the fields ``render``'s
+        ``str.format`` reads being exactly the bare slots ``{0}``.. ``{arity-1}``."""
         for d in rules.declarations:
             tpl = self.templates.get(d.name)
             if tpl is None:
                 raise MissingTemplate(d.name)
-            slots = {int(m) for m in re.findall(r"\{(\d+)\}", tpl)}
-            if slots != set(range(d.arity)):
+            try:
+                fields = {name + (f"!{conv}" if conv else "") + (f":{spec}" if spec else "")
+                          for _, name, spec, conv in string.Formatter().parse(tpl)
+                          if name is not None}
+            except ValueError as e:
+                raise ValueError(f"template for {d.name}: {e}") from None
+            if fields != {str(i) for i in range(d.arity)}:
                 raise ValueError(
-                    f"template for {d.name} uses slots {sorted(slots)}, arity is {d.arity}"
+                    f"template for {d.name} uses slots {sorted(fields)}, arity is {d.arity}"
                 )
         extra = set(self.templates) - {d.name for d in rules.declarations}
         if extra:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .scene import (
     Sequence,
     save_annotation,
 )
+from .tracking import ordinal_ids
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, fps=10.0)
 
@@ -263,18 +264,12 @@ def _assemble(spec: ScenarioSpec, objs: list[_WorldObject], ego_speed: float) ->
 
 
 def _assign_names(objs: list[_WorldObject]) -> None:
-    """Same ordinal convention the tracker uses: per category, order of first
-    appearance, leftmost centroid breaking ties."""
-    def key(o: _WorldObject):
-        first = min(o.centroids)
-        return (first, o.centroids[first][0], o.centroids[first][1])
-
-    by_cat: dict[str, list[_WorldObject]] = {}
-    for o in objs:
-        by_cat.setdefault(o.category, []).append(o)
-    for cat, group in by_cat.items():
-        for i, o in enumerate(sorted(group, key=key)):
-            o.name = f"{cat.lower()}{i + 1:02d}"
+    """Names by ``tracking.ordinal_ids``, the rule the tracker numbers its
+    tracks by."""
+    firsts = [min(o.centroids) for o in objs]
+    names = ordinal_ids([(o.category, f, *o.centroids[f]) for o, f in zip(objs, firsts)])
+    for o, name in zip(objs, names):
+        o.name = name
 
 
 # ---------------------------------------------------------------------------
@@ -569,11 +564,7 @@ def write_scenario(sc: Scenario, outdir) -> None:
             {
                 "kind": sc.spec.kind,
                 "seed": sc.spec.seed,
-                "items": [
-                    {"question": q.question, "category": q.category,
-                     "gold": q.gold, "window_id": q.window_id}
-                    for q in sc.qa
-                ],
+                "items": [asdict(q) for q in sc.qa],
             },
             fh, indent=1, sort_keys=True,
         )

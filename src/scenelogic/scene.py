@@ -13,7 +13,9 @@ Every coordinate is a finite number (true and false are not numbers), the
 bbox contains the centroid and the depth is positive.  A missing field, or
 one of the wrong type, fails at ingest with its name, and an entry that is
 not the object or array its place needs with its position
-(``frames[1] must be an object, got 7``).  Pixels and meters only.
+(``frames[1] must be an object, got 7``).  Frame indices are consecutive,
+and a ``gt_instance`` labels at most one object of a frame.  Pixels and
+meters only.
 
 A window is frames ``start..start+n-1`` of one sequence plus the chain of
 frame-pair transforms that pins every frame to the shared temporary origin.
@@ -180,7 +182,13 @@ class Sequence:
     def __post_init__(self):
         for a, b in zip(self.frames, self.frames[1:]):
             if b.frame_index != a.frame_index + 1:
-                raise ValueError("frame indices must be consecutive")
+                raise ValueError(f"frame indices must be consecutive: "
+                                 f"{b.frame_index} follows {a.frame_index}")
+        for f in self.frames:
+            labels = [o.gt_instance for o in f.objects if o.gt_instance]
+            if len(set(labels)) != len(labels):
+                twice = next(x for i, x in enumerate(labels) if x in labels[:i])
+                raise ValueError(f"frame {f.frame_index} has gt_instance {twice!r} twice")
 
     @cached_property
     def bev(self) -> list[dict[int, tuple[float, float]]]:

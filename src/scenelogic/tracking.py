@@ -189,24 +189,26 @@ def _consolidate_attributes(observations) -> dict:
     return {key: max(counts, key=counts.get) for key, counts in votes.items()}
 
 
-def _assign_ids(tracks: list[Trajectory]) -> list[Trajectory]:
-    """Deterministic instance ids: category plus ordinal by first appearance,
-    leftmost centroid breaking ties, then the order of ``tracks``."""
-    def sort_key(t: Trajectory):
-        first = t.first_frame
-        obs = t.observations[first]
-        return (first, obs.centroid_px[0], obs.centroid_px[1])
+def ordinal_ids(keys: list[tuple]) -> list[str]:
+    """Ids of the tracker's tracks and the generator's objects keyed
+    ``(category, first frame, centroid x, y)``: the category in lower case
+    and a two-digit ordinal in it by key, the order of ``keys`` breaking ties."""
+    ids = [""] * len(keys)
+    counts: dict[str, int] = {}
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        cat = keys[i][0]
+        counts[cat] = counts.get(cat, 0) + 1
+        ids[i] = f"{cat.lower()}{counts[cat]:02d}"
+    return ids
 
-    by_cat: dict[str, list[Trajectory]] = {}
-    for t in tracks:
-        by_cat.setdefault(t.category, []).append(t)
-    out = []
-    for cat in sorted(by_cat):
-        for i, t in enumerate(sorted(by_cat[cat], key=sort_key)):
-            t.instance_id = f"{cat.lower()}{i + 1:02d}"
-            out.append(t)
-    out.sort(key=lambda t: t.instance_id)
-    return out
+
+def _assign_ids(tracks: list[Trajectory]) -> list[Trajectory]:
+    """``tracks`` with their ``ordinal_ids``, ordered by id."""
+    keys = [(t.category, t.first_frame, *t.observations[t.first_frame].centroid_px)
+            for t in tracks]
+    for t, tid in zip(tracks, ordinal_ids(keys)):
+        t.instance_id = tid
+    return sorted(tracks, key=lambda t: t.instance_id)
 
 
 def _link_oracle(w: SceneWindow) -> list[Trajectory]:

@@ -46,7 +46,7 @@ from itertools import product
 import numpy as np
 
 from scenelogic.facts import CompilerConfig
-from scenelogic.fol import Const, Literal, Substitution, Term, Var, apply, unify
+from scenelogic.fol import Const, Literal, Substitution, Term, Var, apply, is_var_name, unify
 from scenelogic.geometry import (
     DegenerateConfiguration,
     InsufficientAnchors,
@@ -67,7 +67,6 @@ from scenelogic.logicpad import (
     ParseError,
     RuleDecl,
     RuleSet,
-    _is_var_name,
     _tokenize,
     _Token,
 )
@@ -714,7 +713,7 @@ class _FormulaParser:
                 t = self.next()
                 if t.kind == "qvar":
                     quantifiers.append((kind, Var(t.text[1:])))
-                elif t.kind == "name" and _is_var_name(t.text):
+                elif t.kind == "name" and is_var_name(t.text):
                     quantifiers.append((kind, Var(t.text)))
                 else:
                     raise ParseError(t.pos, f"expected a variable, found {t.text!r}")
@@ -808,7 +807,7 @@ class _FormulaParser:
             raise ParseError(t.pos, f"arguments are constants or variables; write the "
                                     f"function {t.text} as {t.text}(...) = value and "
                                     f"declare it under functions:")
-        if _is_var_name(t.text):
+        if is_var_name(t.text):
             return Var(t.text)
         return Const(t.text)
 

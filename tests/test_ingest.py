@@ -142,11 +142,18 @@ def _an_agent(doc):
     (lambda doc: doc["frames"].__setitem__(1, 7), "frames[1] must be an object, got 7"),
     (lambda doc: doc.update(intrinsics=7), "intrinsics must be an object, got 7"),
     (lambda doc: doc["frames"][1].update(objects=5), "frames[1].objects must be an array, got 5"),
+    (lambda doc: doc["frames"][4].update(index=7),
+     "frame indices must be consecutive: 7 follows 3"),
+    (lambda doc: doc["intrinsics"].update(fx=0), "focal lengths must be positive"),
+    (lambda doc: doc["intrinsics"].update(fps=0), "fps must be positive"),
+    (lambda doc: doc["frames"][2]["objects"][1].update(gt_instance="pedestrian01"),
+     "frame 2 has gt_instance 'pedestrian01' twice"),
 ], ids=["index-fraction", "index-bool", "depth-bool", "depth-string", "flow-three",
         "category-int", "gt-int", "attributes-list", "missing-category", "centroid-three",
         "centroid-int", "bbox-bool", "fps-bool", "fx-string", "missing-cy",
         "attribute-list", "attribute-int", "attribute-null", "object-int",
-        "frames-mapping", "frame-int", "intrinsics-int", "objects-int"])
+        "frames-mapping", "frame-int", "intrinsics-int", "objects-int",
+        "index-gap", "fx-zero", "fps-zero", "gt-twice"])
 def test_malformed_fields_fail_at_ingest_with_their_name(tmp_path, capsys, break_doc, message):
     path = _crossing_scene(tmp_path)
     doc = json.loads(path.read_text())
@@ -157,6 +164,15 @@ def test_malformed_fields_fail_at_ingest_with_their_name(tmp_path, capsys, break
                   ["ingest", str(path), "--dump-tracks"]):
         assert cli_main(flags) == 3
         assert capsys.readouterr().err == f"ingest: {message}\n"
+
+
+def test_a_window_the_sequence_cannot_hold_fails_at_its_stage(tmp_path, capsys):
+    path = _crossing_scene(tmp_path)
+    query = ["query", str(path), "--fol", "--q", "Moves(x)"]
+    assert cli_main([*query, "--window", "50"]) == 3
+    assert capsys.readouterr().err == "ingest: sequence has 10 frames, window needs 50\n"
+    assert cli_main([*query, "--window-id", "99"]) == 7
+    assert capsys.readouterr().err == "question: window 99 not available\n"
 
 
 def test_an_annotation_that_is_not_an_object_says_so(tmp_path, capsys):

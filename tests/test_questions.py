@@ -5,7 +5,7 @@ import re
 import pytest
 
 from scenelogic.fol import Const, Literal, Var
-from scenelogic.inference import Answer, ProofTrace, Query, TraceStep
+from scenelogic.inference import Answer, FactSet, ProofTrace, Query, TraceStep, resolve
 from scenelogic.logicpad import ParseError, UnknownPredicate
 from scenelogic.questions import (
     NoPatternMatch,
@@ -201,6 +201,14 @@ def test_evidence_line_cites_rule(rules):
 def test_ground_query_answers_plain_yes(rules):
     q = Query((lit("Moves", "vehicle01"),))
     assert answer_to_text(Answer(True, ({},)), q) == "Yes."
+
+
+def test_a_variable_only_under_negation_is_no_witness(rules):
+    base = FactSet.of([lit("Pedestrian", "pedestrian01"), lit("Vehicle", "vehicle01")])
+    q = parse_fol_query("Pedestrian(pedestrian01) & !Collide(x, x)", rules)
+    assert answer_to_text(resolve(base, rules, q), q) == "Yes."
+    q = parse_fol_query("Vehicle(x) & !GettingCloser(x, y)", rules)
+    assert answer_to_text(resolve(base, rules, q), q) == "Yes: vehicle01 satisfies the query."
 
 
 # ---------------------------------------------------------------------------

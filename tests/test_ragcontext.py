@@ -1,5 +1,7 @@
 """Template-sentence export and context payload assembly."""
 
+import re
+
 import pytest
 
 from scenelogic.fol import Const, Literal, Var
@@ -56,10 +58,19 @@ def test_missing_template_is_an_error(rules):
 
 
 def test_template_validation_checks_slots(rules):
-    bad = dict(template_table(rules).templates)
-    bad["On"] = "{0} is on something."
-    with pytest.raises(ValueError):
-        TemplateTable(bad).validate(rules)
+    # Each template's fields, as str.format reads them, must be the bare
+    # slots {0}..{arity - 1}.
+    for pred, tpl, message in [
+        ("On", "{0} is on something.", " uses slots ['0'], arity is 2"),
+        ("Pedestrian", "{0} is a pedestrian. {x}", " uses slots ['0', 'x'], arity is 1"),
+        ("Pedestrian", "{} is a pedestrian.", " uses slots [''], arity is 1"),
+        ("Pedestrian", "{0.real} is a pedestrian.", " uses slots ['0.real'], arity is 1"),
+        ("Pedestrian", "{{0}} is a pedestrian.", " uses slots [], arity is 1"),
+        ("Pedestrian", "{0} is a } pedestrian.", ": Single '}' encountered in format string"),
+    ]:
+        bad = {**template_table(rules).templates, pred: tpl}
+        with pytest.raises(ValueError, match=f"^template for {pred}{re.escape(message)}$"):
+            TemplateTable(bad).validate(rules)
 
 
 def test_template_validation_rejects_unknown_predicates(rules):

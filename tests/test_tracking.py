@@ -25,6 +25,7 @@ from scenelogic.tracking import (
     _weights,
     link_window,
     match_frames,
+    ordinal_ids,
     presence,
 )
 
@@ -294,6 +295,12 @@ def test_instance_ids_are_deterministic():
     vehicles = [t for t in link_window(w, "inferred") if t.category == "Vehicle"]
     leftmost = min(vehicles, key=lambda t: t.observations[0].centroid_px[0])
     assert leftmost.instance_id == "vehicle01"
+
+
+def test_ordinal_ids_count_by_first_frame_then_centroid_then_order():
+    keys = [("Vehicle", 1, 5.0, 0.0), ("Vehicle", 0, 9.0, 0.0), ("Bus", 0, 1.0, 1.0),
+            ("Vehicle", 1, 5.0, -1.0), ("Vehicle", 1, 5.0, 0.0)]
+    assert ordinal_ids(keys) == ["vehicle03", "vehicle01", "bus01", "vehicle02", "vehicle04"]
 
 
 def test_every_observation_lands_in_exactly_one_trajectory():
