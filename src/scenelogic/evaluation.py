@@ -159,18 +159,28 @@ def stage(name: str):
         raise StageError(name, str(e)) from e
 
 
-def process_window(w: SceneWindow, rules: RuleSet, track_mode: str = "oracle",
-                   cfg: CompilerConfig = CompilerConfig(),
-                   tracker_cfg: TrackerConfig = TrackerConfig()):
-    """Track, compile and saturate one window.  Returns (WindowFacts,
-    FactSet); a failure is a StageError tagged track, compile or infer."""
+def _process(w: SceneWindow, rules: RuleSet, track_mode: str, cfg: CompilerConfig,
+             tracker_cfg: TrackerConfig, saturated: dict):
+    """``process_window``, reusing ``saturated``: atomic facts -> (their
+    FactSet, its saturation) of the windows before, to which it adds."""
     with stage("track"):
         tracks = link_window(w, track_mode, tracker_cfg)
     with stage("compile"):
         wf = compile_window(w, tracks, cfg, rules)
     with stage("infer"):
-        sat = saturate(wf.facts, rules)
+        shared = saturated.get(wf.facts.facts)
+        if shared is None:
+            shared = saturated[wf.facts.facts] = (wf.facts, saturate(wf.facts, rules))
+        wf.facts, sat = shared
     return wf, sat
+
+
+def process_window(w: SceneWindow, rules: RuleSet, track_mode: str = "oracle",
+                   cfg: CompilerConfig = CompilerConfig(),
+                   tracker_cfg: TrackerConfig = TrackerConfig()):
+    """Track, compile and saturate one window.  Returns (WindowFacts,
+    FactSet); a failure is a StageError tagged track, compile or infer."""
+    return _process(w, rules, track_mode, cfg, tracker_cfg, {})
 
 
 def process_sequence(seq: Sequence, rules: RuleSet,
@@ -181,11 +191,15 @@ def process_sequence(seq: Sequence, rules: RuleSet,
     """Ingest a sequence into per-window compiled facts and saturated sets.
 
     ``n`` defaults as in ``scene.windows``.  Returns {window_id:
-    (WindowFacts, FactSet)}.
+    (WindowFacts, FactSet)}.  Saturation is a function of the atomic facts,
+    so windows whose atomic facts are equal share one FactSet as
+    ``WindowFacts.facts`` and one saturated set, built once, and so also the
+    index, trace map and sentences cached on those sets.
     """
     with stage("ingest"):
         wins = windows(seq, n)
-    return {w.window_id: process_window(w, rules, track_mode, cfg, tracker_cfg)
+    saturated: dict = {}
+    return {w.window_id: _process(w, rules, track_mode, cfg, tracker_cfg, saturated)
             for w in wins}
 
 

@@ -230,12 +230,17 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
                    rules: RuleSet) -> WindowFacts:
     """Evaluate the atomic predicate catalog over the window's trajectories.
     Track categories must be atomic predicates of ``rules``, and attribute
-    values become constants through its vocabulary."""
+    values become constants through its vocabulary.  Each literal is built
+    once per sequence and kept on it, so windows that state the same fact
+    hold one object."""
     facts: list[Literal] = []
     provenance: dict = {}
+    literals = w.sequence.__dict__.setdefault("_literals", {})
 
     def emit(pred: str, *args: str, **evidence):
-        lit = Literal(pred, tuple(map(Const, args)))
+        lit = literals.get((pred, args))
+        if lit is None:
+            lit = literals[pred, args] = Literal(pred, tuple(map(Const, args)))
         facts.append(lit)
         if evidence:
             provenance[lit] = evidence

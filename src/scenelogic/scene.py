@@ -10,12 +10,12 @@ The annotation file is a JSON document per sequence:
                               "attributes"?: {name: str}}]}]}
 
 Every coordinate is a finite number (true and false are not numbers), the
-bbox contains the centroid and the depth is positive.  A missing field, or
-one of the wrong type, fails at ingest with its name, and an entry that is
-not the object or array its place needs with its position
-(``frames[1] must be an object, got 7``).  Frame indices are consecutive,
-and a ``gt_instance`` labels at most one object of a frame.  Pixels and
-meters only.
+bbox contains the centroid and has a finite area, and the depth is
+positive.  A missing field, or one of the wrong type, fails at ingest with
+its name, and an entry that is not the object or array its place needs
+with its position (``frames[1] must be an object, got 7``).  Frame indices
+are consecutive, and a ``gt_instance`` labels at most one object of a
+frame.  Pixels and meters only.
 
 A window is frames ``start..start+n-1`` of one sequence plus the chain of
 frame-pair transforms that pins every frame to the shared temporary origin.
@@ -85,6 +85,7 @@ class ObjectObservation(_ObservationFields):
             if attributes:
                 "".join(attributes.values())  # TypeError unless all are strings
             valid = (-_INF < x0 <= cx <= x1 < _INF and -_INF < y0 <= cy <= y1 < _INF
+                     and (x1 - x0) * (y1 - y0) < _INF
                      and 0.0 < depth_m < _INF and -_INF < fx < _INF and -_INF < fy < _INF
                      and bool not in {type(depth_m), type(cx), type(cy), type(x0), type(y0),
                                       type(x1), type(y1), type(fx), type(fy)})
@@ -144,7 +145,10 @@ def _rejection(category, centroid_px, bbox, depth_m, gt_instance, flow_px,
         return f"depth, centroid, bbox and flow must be finite, got {numbers}"
     if depth_m <= 0:
         return f"depth must be positive, got {depth_m}"
-    return "bbox must contain the centroid"
+    (cx, cy), (x0, y0, x1, y1) = centroid_px, bbox
+    if not (x0 <= cx <= x1 and y0 <= cy <= y1):
+        return "bbox must contain the centroid"
+    return f"bbox area must be finite, got {bbox!r}"
 
 
 @dataclass(frozen=True)

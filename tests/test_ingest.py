@@ -54,6 +54,8 @@ def test_non_finite_numbers_rejected(field, value):
     ("bbox", (0.0, 6.0, 10.0, 10.0), "bbox must contain the centroid"),
     ("centroid_px", (5.0, math.nan),
      "depth, centroid, bbox and flow must be finite, got (10.0, 5.0, nan, 0.0, 0.0, 10.0, 10.0, 1.0, 0.0)"),
+    ("bbox", (-1e300, -1e300, 1e300, 1e300),
+     "bbox area must be finite, got (-1e+300, -1e+300, 1e+300, 1e+300)"),
 ])
 def test_value_checks_keep_their_messages(field, value, message):
     # A centroid on the bbox's edge is inside it.
@@ -127,6 +129,8 @@ def _an_agent(doc):
     (lambda doc: _an_object(doc).update(centroid_px=5), "centroid_px must be 2 numbers, got 5"),
     (lambda doc: _an_object(doc).update(bbox=[0, 0, True, 9]),
      "bbox must be 4 numbers, got (0, 0, True, 9)"),
+    (lambda doc: _an_object(doc).update(bbox=[-1e300, -1e300, 1e300, 1e300]),
+     "bbox area must be finite, got (-1e+300, -1e+300, 1e+300, 1e+300)"),
     (lambda doc: doc["intrinsics"].update(fps=True), "intrinsics fps must be a number, got True"),
     (lambda doc: doc["intrinsics"].update(fx="500"), "intrinsics fx must be a number, got '500'"),
     (lambda doc: doc["intrinsics"].pop("cy"), "missing field 'cy'"),
@@ -150,7 +154,7 @@ def _an_agent(doc):
      "frame 2 has gt_instance 'pedestrian01' twice"),
 ], ids=["index-fraction", "index-bool", "depth-bool", "depth-string", "flow-three",
         "category-int", "gt-int", "attributes-list", "missing-category", "centroid-three",
-        "centroid-int", "bbox-bool", "fps-bool", "fx-string", "missing-cy",
+        "centroid-int", "bbox-bool", "bbox-area-overflow", "fps-bool", "fx-string", "missing-cy",
         "attribute-list", "attribute-int", "attribute-null", "object-int",
         "frames-mapping", "frame-int", "intrinsics-int", "objects-int",
         "index-gap", "fx-zero", "fps-zero", "gt-twice"])
