@@ -15,8 +15,8 @@ import sys
 
 import yaml
 
-from .evaluation import StageError, process_window, run_scenario_dir, stage
-from .facts import CompilerConfig, compile_window
+from .evaluation import StageError, compile_sequence, process_window, run_scenario_dir, stage
+from .facts import CompilerConfig, check_catalog
 from .inference import answer_query
 from .logicpad import default_ruleset, load_rule_file
 from .questions import answer_to_text, parse_fol_query, parse_nl_question
@@ -115,6 +115,7 @@ def _prepare(args):
         if window is not None and (isinstance(window, bool) or not isinstance(window, int)):
             raise ValueError(f"window must be an integer, got {window!r}")
         rules = load_rule_file(args.rules) if args.rules else default_ruleset()
+        check_catalog(rules)
     # A window of 0 or none selects the default length.
     return cfg, tracker, args.window or window or None, rules
 
@@ -126,10 +127,11 @@ def _windows(path, window):
 
 def _cmd_ingest(args) -> int:
     cfg, tracker, window, rules = _prepare(args)
-    for w in _windows(args.file, window):
-        with stage("track"):
-            tracks = link_window(w, args.track_mode, tracker)
-        if args.dump_tracks:
+    wins = _windows(args.file, window)
+    if args.dump_tracks:
+        for w in wins:
+            with stage("track"):
+                tracks = link_window(w, args.track_mode, tracker)
             doc = [
                 {
                     "instance_id": t.instance_id,
@@ -145,19 +147,18 @@ def _cmd_ingest(args) -> int:
             ]
             print(json.dumps({"window_id": w.window_id, "tracks": doc},
                              indent=1, sort_keys=True))
-            continue
-        with stage("compile"):
-            wf = compile_window(w, tracks, cfg, rules)
+        return 0
+    for wf in compile_sequence(wins, rules, args.track_mode, cfg, tracker):
         if args.dump_facts:
             for f in wf.facts:
                 print(f)
             sidecar = {str(f): ev for f, ev in sorted(
                 wf.provenance.items(), key=lambda kv: str(kv[0]))}
-            print(json.dumps({"window_id": w.window_id, "evidence": sidecar},
+            print(json.dumps({"window_id": wf.window_id, "evidence": sidecar},
                              indent=1, sort_keys=True))
         else:
-            print(f"window {w.window_id}: {len(wf.facts)} facts, "
-                  f"{len(tracks)} tracks")
+            print(f"window {wf.window_id}: {len(wf.facts)} facts, "
+                  f"{len(wf.tracks)} tracks")
     return 0
 
 

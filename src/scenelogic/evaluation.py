@@ -8,7 +8,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .facts import CompilerConfig, compile_window
+from .facts import CompilerConfig, check_catalog, compile_window, compile_windows
 from .inference import answer_query, saturate
 from .logicpad import RuleSet, default_ruleset
 from .questions import parse_question
@@ -20,7 +20,7 @@ from .ragcontext import (
     template_table,
 )
 from .scene import SceneWindow, Sequence, load_annotation, windows
-from .tracking import TrackerConfig, link_window
+from .tracking import TrackerConfig, check_labels, link_sequence, link_window
 
 
 class LengthMismatch(ValueError):
@@ -159,28 +159,34 @@ def stage(name: str):
         raise StageError(name, str(e)) from e
 
 
-def _process(w: SceneWindow, rules: RuleSet, track_mode: str, cfg: CompilerConfig,
-             tracker_cfg: TrackerConfig, saturated: dict):
-    """``process_window``, reusing ``saturated``: atomic facts -> (their
-    FactSet, its saturation) of the windows before, to which it adds."""
-    with stage("track"):
-        tracks = link_window(w, track_mode, tracker_cfg)
-    with stage("compile"):
-        wf = compile_window(w, tracks, cfg, rules)
-    with stage("infer"):
-        shared = saturated.get(wf.facts.facts)
-        if shared is None:
-            shared = saturated[wf.facts.facts] = (wf.facts, saturate(wf.facts, rules))
-        wf.facts, sat = shared
-    return wf, sat
-
-
 def process_window(w: SceneWindow, rules: RuleSet, track_mode: str = "oracle",
                    cfg: CompilerConfig = CompilerConfig(),
                    tracker_cfg: TrackerConfig = TrackerConfig()):
     """Track, compile and saturate one window.  Returns (WindowFacts,
     FactSet); a failure is a StageError tagged track, compile or infer."""
-    return _process(w, rules, track_mode, cfg, tracker_cfg, {})
+    with stage("track"):
+        tracks = link_window(w, track_mode, tracker_cfg)
+    with stage("compile"):
+        wf = compile_window(w, tracks, cfg, rules)
+    with stage("infer"):
+        return wf, saturate(wf.facts, rules)
+
+
+def compile_sequence(wins: list[SceneWindow], rules: RuleSet, track_mode: str = "oracle",
+                     cfg: CompilerConfig = CompilerConfig(),
+                     tracker_cfg: TrackerConfig = TrackerConfig()):
+    """Each of a sequence's windows' WindowFacts, in order, from its tracks
+    linked once and one ``compile_windows`` call.  A window fails, when it
+    is reached, as ``process_window`` fails on it."""
+    with stage("track"):
+        tracks, faults = link_sequence(wins[0].sequence, track_mode, tracker_cfg)
+    compiled = compile_windows(tracks, wins, cfg, rules)
+    for w in wins:
+        with stage("track"):
+            check_labels(faults, w)
+        with stage("compile"):
+            wf = next(compiled)
+        yield wf
 
 
 def process_sequence(seq: Sequence, rules: RuleSet,
@@ -198,9 +204,14 @@ def process_sequence(seq: Sequence, rules: RuleSet,
     """
     with stage("ingest"):
         wins = windows(seq, n)
-    saturated: dict = {}
-    return {w.window_id: _process(w, rules, track_mode, cfg, tracker_cfg, saturated)
-            for w in wins}
+    saturated, out = {}, {}
+    for wf in compile_sequence(wins, rules, track_mode, cfg, tracker_cfg):
+        with stage("infer"):
+            if wf.facts.facts not in saturated:
+                saturated[wf.facts.facts] = (wf.facts, saturate(wf.facts, rules))
+            wf.facts, sat = saturated[wf.facts.facts]
+        out[wf.window_id] = (wf, sat)
+    return out
 
 
 def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
@@ -229,6 +240,7 @@ def run_pipeline(sequences, rules: RuleSet | None, questions: list[QAItem],
     with stage("config"):
         if export_context not in (None, "c2", "c3"):
             raise ValueError(f"export_context must be 'c2', 'c3' or None, not {export_context!r}")
+        check_catalog(rules)
         mode = {"c2": WITH_INFERENCE, "c3": FACTS_ONLY}.get(export_context)
         tbl = template_table(rules) if mode else None
     processed = {

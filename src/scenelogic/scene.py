@@ -9,13 +9,13 @@ The annotation file is a JSON document per sequence:
                               "depth_m": number, "flow_px"?: [dx, dy],
                               "attributes"?: {name: str}}]}]}
 
-Every coordinate is a finite number (true and false are not numbers), the
-bbox contains the centroid and has a finite area, and the depth is
-positive.  A missing field, or one of the wrong type, fails at ingest with
-its name, and an entry that is not the object or array its place needs
-with its position (``frames[1] must be an object, got 7``).  Frame indices
-are consecutive, and a ``gt_instance`` labels at most one object of a
-frame.  Pixels and meters only.
+Every coordinate is a number within float range (true and false are not
+numbers), the bbox contains the centroid and has an area within float
+range, and the depth is positive.  A missing field, or one of the wrong
+type, fails at ingest with its name, and an entry that is not the object
+or array its place needs with its position (``frames[1] must be an
+object, got 7``).  Frame indices are consecutive, and a ``gt_instance``
+labels at most one object of a frame.  Pixels and meters only.
 
 A window is frames ``start..start+n-1`` of one sequence plus the chain of
 frame-pair transforms that pins every frame to the shared temporary origin.
@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -55,7 +56,7 @@ STATIC_CATEGORIES = frozenset({
 # Surfaces that can carry other objects for On(x, y).
 SURFACE_CATEGORIES = frozenset({"Road", "Sidewalk", "LaneMarking"})
 
-_INF = math.inf
+_MAX = sys.float_info.max
 
 
 class _ObservationFields(NamedTuple):
@@ -77,16 +78,18 @@ class ObjectObservation(_ObservationFields):
     def __new__(cls, category, centroid_px, bbox, depth_m, gt_instance=None,
                 flow_px=None, attributes=None):
         # One test accepts a well-formed observation; _rejection says why
-        # any other fails.  The comparisons hold only for finite numbers.
+        # any other fails.  The comparisons hold only for numbers within
+        # float range: an integer beyond it is compared exactly.  The area
+        # is the one ``box_arrays`` computes, in floats.
         try:
             cx, cy = centroid_px
             x0, y0, x1, y1 = bbox
             fx, fy = (0.0, 0.0) if flow_px is None else flow_px
             if attributes:
                 "".join(attributes.values())  # TypeError unless all are strings
-            valid = (-_INF < x0 <= cx <= x1 < _INF and -_INF < y0 <= cy <= y1 < _INF
-                     and (x1 - x0) * (y1 - y0) < _INF
-                     and 0.0 < depth_m < _INF and -_INF < fx < _INF and -_INF < fy < _INF
+            valid = (-_MAX <= x0 <= cx <= x1 <= _MAX and -_MAX <= y0 <= cy <= y1 <= _MAX
+                     and (float(x1) - float(x0)) * (float(y1) - float(y0)) <= _MAX
+                     and 0.0 < depth_m <= _MAX and -_MAX <= fx <= _MAX and -_MAX <= fy <= _MAX
                      and bool not in {type(depth_m), type(cx), type(cy), type(x0), type(y0),
                                       type(x1), type(y1), type(fx), type(fy)})
         except (TypeError, ValueError, AttributeError):
@@ -113,7 +116,8 @@ def _numbers(value, n: int) -> bool:
         if len(value) != n or bool in map(type, value):
             return False
         for v in value:
-            math.isfinite(v)  # TypeError on a non-number
+            if not isinstance(v, int):  # an int may lie beyond float range
+                math.isfinite(v)  # TypeError on a non-number
     except TypeError:
         return False
     return True
@@ -140,6 +144,11 @@ def _rejection(category, centroid_px, bbox, depth_m, gt_instance, flow_px,
     for key, value in (attributes or {}).items():
         if not isinstance(value, str):
             return f"attributes[{key!r}] must be a string, got {value!r}"
+    for name, value in (("depth_m", depth_m), ("centroid_px", centroid_px), ("bbox", bbox),
+                        ("flow_px", flow_px)):
+        if any(not isinstance(v, float) and not -_MAX <= v <= _MAX
+               for v in ((value,) if name == "depth_m" else value or ())):
+            return f"{name} must be within float range, got {reprlib.repr(value)}"
     numbers = (depth_m, *centroid_px, *bbox, *(flow_px or ()))
     if not all(map(math.isfinite, numbers)):
         return f"depth, centroid, bbox and flow must be finite, got {numbers}"
@@ -335,14 +344,15 @@ def windows(seq: Sequence, n: int | None = None) -> list[SceneWindow]:
 # ---------------------------------------------------------------------------
 
 def _obs_from_dict(d: dict) -> ObjectObservation:
-    # JSON arrays become tuples and an integer depth a float; any other value
-    # reaches the checks as read, so that they name a malformed field.
+    # JSON arrays become tuples and an integer depth within float range a
+    # float; any other value reaches the checks as read, so that they name a
+    # malformed field.
     centroid, bbox, depth, flow = d["centroid_px"], d["bbox"], d["depth_m"], d.get("flow_px")
     return ObjectObservation(
         d["category"],
         tuple(centroid) if type(centroid) is list else centroid,
         tuple(bbox) if type(bbox) is list else bbox,
-        float(depth) if type(depth) is int else depth,
+        float(depth) if type(depth) is int and -_MAX <= depth <= _MAX else depth,
         d.get("gt_instance"),
         tuple(flow) if type(flow) is list else flow,
         d.get("attributes"),

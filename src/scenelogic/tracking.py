@@ -2,14 +2,16 @@
 
 Edge weights blend two box overlaps: the raw IoU and the IoU after carrying
 the earlier box along its optical flow.  Short occlusions are bridged with
-hypothetical observations extrapolated at constant velocity.  Inferred
-tracking runs over a window's whole sequence; each window gets the
-sequence's tracks cut to its frames.
+hypothetical observations extrapolated at constant velocity.  Either mode
+links or groups a whole sequence once (``link_sequence``); a window gets
+those tracks cut to its frames, with attributes voted over the cut
+(``cut_track``), and a labelling fault fails only the windows that hold it.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
@@ -211,27 +213,40 @@ def _assign_ids(tracks: list[Trajectory]) -> list[Trajectory]:
     return sorted(tracks, key=lambda t: t.instance_id)
 
 
-def _link_oracle(w: SceneWindow) -> list[Trajectory]:
-    groups: dict[str, dict[int, ObjectObservation]] = {}
-    categories: dict[str, str] = {}
-    for pos, frame in enumerate(w.frames):
+def _group_oracle(frames) -> tuple[list[Trajectory], list[tuple]]:
+    """The observations of ``frames`` grouped by ``gt_instance``, one track
+    per run of frames in which a label keeps its category, sorted by id; and
+    the labelling faults in frame and object order, as ``(position, since,
+    error, message)``: an object without a label, or a label whose category
+    changes since its previous observation."""
+    tracks, current, faults = [], {}, []
+    for pos, frame in enumerate(frames):
         for obs in frame.objects:
-            if not obs.gt_instance:
-                raise MissingGroundTruthIds(
-                    f"frame {frame.frame_index} has an object without gt_instance"
-                )
-            groups.setdefault(obs.gt_instance, {})[pos] = obs
-            prev = categories.setdefault(obs.gt_instance, obs.category)
-            if prev != obs.category:
-                raise CategoryMismatch(
-                    f"{obs.gt_instance}: {prev} vs {obs.category} across frames"
-                )
-    tracks = [
-        Trajectory(gid, categories[gid], obs_map, _consolidate_attributes(obs_map))
-        for gid, obs_map in groups.items()
-    ]
+            gid = obs.gt_instance
+            if not gid:
+                faults.append((pos, pos, MissingGroundTruthIds,
+                               f"frame {frame.frame_index} has an object without gt_instance"))
+                continue
+            t = current.get(gid)
+            if t is None or t.category != obs.category:
+                if t is not None:
+                    faults.append((pos, next(reversed(t.observations)), CategoryMismatch,
+                                   f"{gid}: {t.category} vs {obs.category} across frames"))
+                t = current[gid] = Trajectory(gid, obs.category, {})
+                tracks.append(t)
+            t.observations[pos] = obs
+    for t in tracks:
+        t.attributes = _consolidate_attributes(t.observations)
     tracks.sort(key=lambda t: t.instance_id)
-    return tracks
+    return tracks, faults
+
+
+def check_labels(faults, w: SceneWindow) -> None:
+    """Raise the first labelling fault in ``w``'s frames: the error that
+    grouping those frames alone meets first."""
+    for pos, since, error, message in faults:
+        if w.start <= since and pos < w.start + w.n:
+            raise error(message)
 
 
 class _LiveTrack:
@@ -319,53 +334,34 @@ def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
         rows = ([j for _, j, _ in result.assignments] + [None] * len(survivors)
                 + list(result.unmatched_right))
 
-    return _assign_ids([Trajectory("", t.category, t.observations) for t in born])
+    return _assign_ids([Trajectory("", t.category, t.observations,
+                                    _consolidate_attributes(t.observations)) for t in born])
 
 
-def _sequence_tracks(seq: Sequence, cfg: TrackerConfig) -> list[Trajectory]:
-    """The inferred tracks of the whole sequence, linked once per ``cfg`` and
-    cached on the sequence."""
+def link_sequence(seq: Sequence, mode: str = "inferred",
+                  cfg: TrackerConfig = TrackerConfig()) -> tuple[list[Trajectory], list]:
+    """The sequence's tracks, keyed by frame position, with attributes voted
+    over all of their observations, and its labelling faults: built once per
+    mode and ``cfg`` and cached on the sequence."""
+    if mode not in ("oracle", "inferred"):
+        raise ValueError(f"unknown tracking mode {mode!r}")
     cache = seq.__dict__.setdefault("_tracks", {})
-    tracks = cache.get(cfg)
-    if tracks is None:
-        tracks = cache[cfg] = _link_inferred(seq.frames, cfg)
-    return tracks
+    key = mode if mode == "oracle" else cfg
+    linked = cache.get(key)
+    if linked is None:
+        linked = cache[key] = (_group_oracle(seq.frames) if mode == "oracle"
+                               else (_link_inferred(seq.frames, cfg), []))
+    return linked
 
 
-def _cut_observations(t: Trajectory, start: int, stop: int) -> dict:
-    """``t``'s observations in frames ``start..stop-1``, keyed from 0."""
-    return {pos - start: obs for pos, obs in t.observations.items() if start <= pos < stop}
-
-
-def _cut(w: SceneWindow, cfg: TrackerConfig) -> list[Trajectory]:
-    """The sequence tracks cut to the window's frames, with positions
-    rebased to the window and attributes voted over the window's own
-    observations.  The cut is recorded on the window for ``cut_source``."""
-    start, stop = w.start, w.start + w.n
-    seq_tracks = _sequence_tracks(w.sequence, cfg)
-    tracks, rows = [], []
-    for row, t in enumerate(seq_tracks):
-        observations = _cut_observations(t, start, stop)
-        if observations:
-            tracks.append(Trajectory(t.instance_id, t.category, observations,
-                                     _consolidate_attributes(observations)))
-            rows.append(row)
-    w.__dict__.setdefault("_cuts", {})[cfg] = (tracks, seq_tracks, rows)
-    return tracks
-
-
-def cut_source(w: SceneWindow, tracks: list[Trajectory]):
-    """``(sequence tracks, rows)`` when ``tracks`` is a list ``link_window``
-    cut for ``w`` in inferred mode and each of its tracks still holds the
-    observations it was cut with; ``rows[i]`` is track i's index among the
-    sequence tracks.  None for any other list."""
-    start, stop = w.start, w.start + w.n
-    for cut, seq_tracks, rows in w.__dict__.get("_cuts", {}).values():
-        if cut is tracks and len(tracks) == len(rows) and all(
-                t.observations == _cut_observations(seq_tracks[row], start, stop)
-                for t, row in zip(tracks, rows)):
-            return seq_tracks, rows
-    return None
+def cut_track(t: Trajectory, keys: list[int], lo: int, hi: int, start: int) -> Trajectory:
+    """``t`` cut to its observations at ``keys[lo:hi]`` of its sorted
+    positions, rebased to ``start``, with attributes voted over the cut: a
+    cut of all of them keeps ``t``'s."""
+    observations = {p - start: t.observations[p] for p in keys[lo:hi]}
+    attributes = (dict(t.attributes) if hi - lo == len(keys)
+                  else _consolidate_attributes(observations))
+    return Trajectory(t.instance_id, t.category, observations, attributes)
 
 
 def link_window(w: SceneWindow, mode: str = "inferred",
@@ -374,12 +370,16 @@ def link_window(w: SceneWindow, mode: str = "inferred",
 
     ``oracle`` trusts gt_instance labels; ``inferred`` chains frame-pair
     matchings, bridging up to ``cfg.max_gap`` occluded frames per track.
-    Inferred tracking runs once over the window's whole sequence and gives
-    ids once, so an object keeps its id from window to window; the window
-    gets those tracks cut to its frames.
+    Either runs once over the window's whole sequence and gives ids once,
+    so an object keeps its id from window to window; the window gets those
+    tracks cut to its frames.
     """
-    if mode == "oracle":
-        return _link_oracle(w)
-    if mode == "inferred":
-        return _cut(w, cfg)
-    raise ValueError(f"unknown tracking mode {mode!r}")
+    tracks, faults = link_sequence(w.sequence, mode, cfg)
+    check_labels(faults, w)
+    cut = []
+    for t in tracks:
+        keys = sorted(t.observations)
+        lo, hi = bisect_left(keys, w.start), bisect_left(keys, w.start + w.n)
+        if lo < hi:
+            cut.append(cut_track(t, keys, lo, hi, w.start))
+    return cut

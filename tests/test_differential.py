@@ -296,32 +296,51 @@ def assert_same_trends(got, want):
         assert a.dtype.kind == b.dtype.kind and np.array_equal(a, b)
 
 
+def sequence_table(seq, seq_tracks):
+    """``facts._pair_table`` over the sequence's tracks, from each
+    observation's point in ``Sequence.bev``."""
+    points = [(i, p, seq.bev[p][id(o)]) for i, t in enumerate(seq_tracks)
+              for p, o in sorted(t.observations.items())]
+    rows = np.array([i for i, _, _ in points], dtype=int)
+    cols = np.array([p for _, p, _ in points], dtype=int)
+    xz = np.array([pt for _, _, pt in points], dtype=float).reshape(-1, 2).T
+    return facts._pair_table(rows, cols, xz, len(seq_tracks), len(seq.frames))
+
+
+def window_trends(table, seq_tracks, start, n):
+    """The trends ``facts._trends`` reads off ``table`` for frames
+    ``start..start+n-1``, renamed to the window's tracks: the sequence
+    tracks seen there, in order."""
+    _, ia, ib, *rest = facts._trends(table, np.array([start]), n)
+    rows = [i for i, t in enumerate(seq_tracks)
+            if any(start <= p < start + n for p in t.observations)]
+    return rows_to_window((ia.tolist(), ib.tolist(), *rest), rows)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_pair_table_equals_per_window_trends_on_generated_scenes(kind, rules):
     sc = generate_scenario(ScenarioSpec(kind, seed=21, n_frames=16, object_count=5))
     for w in windows(sc.sequence, 10):
         tracks = link_window(w, "inferred")
-        seq_tracks, rows = tracking.cut_source(w, tracks)
-        table = facts._sequence_table(w.sequence, seq_tracks)
-        got = rows_to_window(facts._trends(table, w.start, w.start + w.n), rows)
+        seq_tracks, _ = tracking.link_sequence(w.sequence, "inferred")
+        got = window_trends(sequence_table(w.sequence, seq_tracks), seq_tracks, w.start, w.n)
         own, _ = oracles.track_points_per_observation(w, tracks)
         assert_same_trends(got, oracles.distance_trends_per_window(own, w.n))
-        # A copy of the list is not the cut: it gets a table of its own.
-        copy = list(tracks)
-        assert tracking.cut_source(w, copy) is None
-        assert compiled(w, tracks, rules) == compiled(w, copy, rules)
-        # Nor is the cut once a track in it is edited.
+        # A copy of the list compiles as the list does.
+        assert compiled(w, tracks, rules) == compiled(w, list(tracks), rules)
+        # A cut edited to have a gap compiles as its observations say.
         edited = next(t for t in tracks if len(t.observations) > 2)
         del edited.observations[max(edited.observations)]
-        assert tracking.cut_source(w, tracks) is None
-        assert compiled(w, tracks, rules) == compiled(w, list(tracks), rules)
+        assert distance_part(compile_window(w, tracks, CompilerConfig(), rules)) == \
+            ref_distance_facts(w, tracks, CompilerConfig())
 
 
 def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch, rules):
     """Random sequence tracks with gaps, cut to windows of random length at
     every start: the trends read from the sequence's table equal those of
     the window's own points, and the distance facts and provenance equal
-    the per-pair loop's."""
+    the per-pair loop's, both compiled per window and in one pass over the
+    sequence."""
     rng = np.random.default_rng(5)
     cfg = CompilerConfig(trend_frac=0.5, eps_move=0.05)
     n = 14
@@ -342,18 +361,19 @@ def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch, rules):
                                    for i, objects in enumerate(per_frame)))
         monkeypatch.setattr(tracking, "_link_inferred", lambda frames, cfg: seq_tracks)
         m = int(rng.integers(1, n + 1))
-        for start in range(n - m + 1):
-            w = SceneWindow(seq, start, (Transform2.identity(),) * (m - 1))
+        wins = [SceneWindow(seq, start, (Transform2.identity(),) * (m - 1))
+                for start in range(n - m + 1)]
+        table = sequence_table(seq, seq_tracks)
+        for w, one_pass in zip(wins, facts.compile_windows(seq_tracks, wins, cfg, rules)):
             tracks = link_window(w, "inferred")
-            assert track_rows(tracks) == track_rows(oracles.cut_tracks(seq_tracks, start, m))
-            _, rows = tracking.cut_source(w, tracks)
-            table = facts._sequence_table(seq, seq_tracks)
+            assert track_rows(tracks) == track_rows(oracles.cut_tracks(seq_tracks, w.start, m))
             own, _ = oracles.track_points_per_observation(w, tracks)
-            assert_same_trends(rows_to_window(facts._trends(table, start, start + m), rows),
+            assert_same_trends(window_trends(table, seq_tracks, w.start, m),
                                oracles.distance_trends_per_window(own, m))
             got = distance_part(compile_window(w, tracks, cfg, rules))
             assert got == ref_distance_facts(w, tracks, cfg)
-            assert got == distance_part(compile_window(w, list(tracks), cfg, rules))
+            assert got == distance_part(one_pass)
+            assert track_rows(one_pass.tracks) == track_rows(tracks)
             emitted += len(got[0])
     assert emitted > 0
 
@@ -626,14 +646,16 @@ def track_rows(tracks):
 
 
 def compile_points(w, tracks):
-    """Every observation's own-frame and window-frame point from the
-    helpers ``compile_window`` reads them through, in the shape of
+    """Every observation's own-frame and window-frame point as
+    ``compile_window`` reads them, from ``Sequence.bev`` and
+    ``facts._cumulative``, in the shape of
     ``oracles.track_points_per_observation``."""
-    frames = facts._window_frames(w)
-    own = [{pos: facts._own_point(frames[pos], obs, w.intrinsics)
+    bev = w.sequence.bev[w.start:w.start + w.n]
+    own = [{pos: bev[pos].get(id(obs)) or scene.bev_of(obs, w.intrinsics)
             for pos, obs in t.observations.items()} for t in tracks]
-    return own, [{pos: frames[pos][1].transform(p) for pos, p in points.items()}
-                 for points in own]
+    c, s, tx, tz = facts._cumulative([w]).T.tolist()
+    return own, [{p: (c[p] * x - s[p] * z + tx[p], s[p] * x + c[p] * z + tz[p])
+                  for p, (x, z) in points.items()} for points in own]
 
 
 def compiled(w, tracks, rules):
@@ -909,16 +931,23 @@ def test_track_facts_equal_dense_kinematics_on_random_gaps(rules, inside):
     per-pair loop's."""
     rng = np.random.default_rng(13 if inside else 14)
     cfg = CompilerConfig(eps_move=0.5, eps_speed=0.5)
+    # Thresholds at the least positive float: every nonzero displacement
+    # and speed change becomes evidence.
+    tiny = CompilerConfig(eps_move=5e-324, eps_speed=5e-324)
     n = 12
     spans, gaps, emitted = set(), set(), set()
     for _ in range(150):
         w, tracks = random_gap_tracks(rng, n, inside)
-        frames = facts._window_frames(w)
+        evidence = compile_window(w, tracks, tiny, rules).provenance
         for t, kin in zip(tracks, oracles.track_kinematics_per_observation(w, tracks)):
             keys = sorted(t.observations)
             spans.add(min(keys[-1] - keys[0] + 1, 4))
             gaps.update(b - a - 1 for a, b in zip(keys, keys[1:]) if b - a > 1)
-            got = facts._motion(t, keys, frames, w.intrinsics)
+            name = (Const(t.instance_id),)
+            speed = (evidence.get(Literal("SpeedUp", name))
+                     or evidence.get(Literal("SpeedDown", name), {"velocity_delta": 0.0}))
+            got = (evidence.get(Literal("Moves", name), {"displacement_m": 0.0})["displacement_m"],
+                   speed["velocity_delta"])
             want = (kin.displacement_total, kin.velocity[-1] - kin.velocity[0])
             assert repr(got) == repr(want)
         wf = compile_window(w, tracks, cfg, rules)
@@ -960,13 +989,19 @@ def test_grouped_means_equal_per_track_means():
     cases += [rng.integers(1, 41, int(rng.integers(1, 70))).tolist() for _ in range(100)]
     for lengths in cases:
         tracks = [random_mean_track(rng, length) for length in lengths]
-        keys = [sorted(t.observations) for t in tracks]
-        want = []
-        for t, keys_t in zip(tracks, keys):
-            observed = [t.observations[p] for p in keys_t]
-            want.append((float(np.mean([o.centroid_px[0] for o in observed])),
-                         float(np.mean([o.depth_m for o in observed]))))
-        assert repr(facts._means(tracks, keys)) == repr(want)
+        want, observed = [], []
+        for t in tracks:
+            own = [o for _, o in t.frames_sorted()]
+            observed += own
+            want.append((float(np.mean([o.centroid_px[0] for o in own])),
+                         float(np.mean([o.depth_m for o in own]))))
+        values = np.array([[o.centroid_px[0] for o in observed], [o.depth_m for o in observed]],
+                          dtype=float)
+        first = np.cumsum([0, *lengths[:-1]])
+        # Entries in shuffled order, as windows list their tracks.
+        order = rng.permutation(len(tracks))
+        got = facts._means(values, first[order], np.array(lengths)[order]).T.tolist()
+        assert repr([tuple(got[i]) for i in np.argsort(order)]) == repr(want)
 
 
 # ---------------------------------------------------------------------------

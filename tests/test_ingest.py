@@ -4,6 +4,7 @@ length, and what importing the package loads."""
 import json
 import math
 import os
+import reprlib
 import subprocess
 import sys
 from importlib import resources
@@ -131,6 +132,15 @@ def _an_agent(doc):
      "bbox must be 4 numbers, got (0, 0, True, 9)"),
     (lambda doc: _an_object(doc).update(bbox=[-1e300, -1e300, 1e300, 1e300]),
      "bbox area must be finite, got (-1e+300, -1e+300, 1e+300, 1e+300)"),
+    (lambda doc: _an_object(doc).update(bbox=[-10**400, -10**400, 10**400, 10**400]),
+     "bbox must be within float range, got "
+     + reprlib.repr((-10**400, -10**400, 10**400, 10**400))),
+    (lambda doc: _an_object(doc).update(centroid_px=[0, 5], bbox=[-10**308, 5, 10**308, 5]),
+     f"bbox area must be finite, got {(-10**308, 5, 10**308, 5)!r}"),
+    (lambda doc: _an_object(doc).update(centroid_px=[10**400, 5]),
+     f"centroid_px must be within float range, got {reprlib.repr((10**400, 5))}"),
+    (lambda doc: _an_object(doc).update(depth_m=10**400),
+     f"depth_m must be within float range, got {reprlib.repr(10**400)}"),
     (lambda doc: doc["intrinsics"].update(fps=True), "intrinsics fps must be a number, got True"),
     (lambda doc: doc["intrinsics"].update(fx="500"), "intrinsics fx must be a number, got '500'"),
     (lambda doc: doc["intrinsics"].pop("cy"), "missing field 'cy'"),
@@ -154,7 +164,9 @@ def _an_agent(doc):
      "frame 2 has gt_instance 'pedestrian01' twice"),
 ], ids=["index-fraction", "index-bool", "depth-bool", "depth-string", "flow-three",
         "category-int", "gt-int", "attributes-list", "missing-category", "centroid-three",
-        "centroid-int", "bbox-bool", "bbox-area-overflow", "fps-bool", "fx-string", "missing-cy",
+        "centroid-int", "bbox-bool", "bbox-area-overflow", "bbox-huge-int",
+        "bbox-huge-int-flat", "centroid-huge-int", "depth-huge-int", "fps-bool", "fx-string",
+        "missing-cy",
         "attribute-list", "attribute-int", "attribute-null", "object-int",
         "frames-mapping", "frame-int", "intrinsics-int", "objects-int",
         "index-gap", "fx-zero", "fps-zero", "gt-twice"])
