@@ -6,9 +6,10 @@ call and each window reads its values off by index: the cut and presence
 by bisection over each track's sorted positions, mean centroid x and depth
 per observation count, motion for every (track, window) at once, the pair
 table of distance trends, and per-pair containment hits counted from prefix
-sums.  Per window it cuts the tracks, votes their attributes and emits the
-facts: the tracks' categories and ``COMPUTED``'s predicates alone.  Motion
-maps each frame's BEV point (``Sequence.bev``) by the window's cumulative
+sums.  Per window it cuts the tracks, votes their attributes over the runs
+of equal attributes each cut spans (a track's runs split at its first
+cut), and emits the facts: the tracks' categories and ``COMPUTED``'s
+predicates alone.  Motion maps each frame's BEV point (``Sequence.bev``) by the window's cumulative
 transform with ``math``'s cosine and sine and IEEE elementwise arithmetic,
 so every value equals the scalar computation's."""
 
@@ -26,7 +27,7 @@ from .fol import Const, Literal
 from .inference import FactSet
 from .logicpad import FUNC_REL_SUFFIX, RuleSet, is_constant_name
 from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, bev_of
-from .tracking import Trajectory, cut_track
+from .tracking import Trajectory, attribute_runs, cut_track
 
 # Every predicate the compiler computes, with its arity.  Each track's
 # category is a fact too, of an arity-1 predicate the rule file declares.
@@ -301,6 +302,14 @@ def compile_windows(tracks: list[Trajectory], wins: list[SceneWindow], cfg: Comp
                 if hi > lo and (frac := (hits[hi] - hits[lo]) / (hi - lo)) > 0.5:
                     supports[j].append((a, s, frac))
 
+    # Track r's attribute runs, split at its first cut.
+    runs: dict[int, tuple] = {}
+
+    def runs_of(r: int) -> tuple:
+        if r not in runs:
+            runs[r] = attribute_runs([tracks[r].observations[p] for p in keys[r]])
+        return runs[r]
+
     # A track's category fact is interned as it is; every other fact is
     # emitted, and must be of a predicate of the table, with its arity.
     def intern(pred: str, *args: str) -> Literal:
@@ -322,7 +331,8 @@ def compile_windows(tracks: list[Trajectory], wins: list[SceneWindow], cfg: Comp
                 provenance[lit] = evidence
 
         cut = {r: tracks[r] if hi - lo == len(keys[r]) and not start
-               else cut_track(tracks[r], keys[r], lo, hi, start) for r, lo, hi, *_ in entries[j]}
+               else cut_track(tracks[r], keys[r], runs_of(r), lo, hi, start)
+               for r, lo, hi, *_ in entries[j]}
         for t in cut.values():
             if t.category not in declared:
                 raise UndeclaredCategory(

@@ -11,11 +11,13 @@ The annotation file is a JSON document per sequence:
 
 Every coordinate is a number within float range (true and false are not
 numbers), the bbox contains the centroid and has an area within float
-range, and the depth is positive.  A missing field, or one of the wrong
-type, fails at ingest with its name, and an entry that is not the object
-or array its place needs with its position (``frames[1] must be an
-object, got 7``).  Frame indices are consecutive, and a ``gt_instance``
-labels at most one object of a frame.  Pixels and meters only.
+range, and the depth is positive.  An observation keeps integers as the
+floats they round to, so it computes as the same numbers written as
+floats.  A missing field, or one of the wrong type, fails at ingest with
+its name, and an entry that is not the object or array its place needs
+with its position (``frames[1] must be an object, got 7``).  Frame indices
+are consecutive, and a ``gt_instance`` labels at most one object of a
+frame.  Pixels and meters only.
 
 A window is frames ``start..start+n-1`` of one sequence plus the chain of
 frame-pair transforms that pins every frame to the shared temporary origin.
@@ -87,11 +89,12 @@ class ObjectObservation(_ObservationFields):
             fx, fy = (0.0, 0.0) if flow_px is None else flow_px
             if attributes:
                 "".join(attributes.values())  # TypeError unless all are strings
+            types = {type(depth_m), type(cx), type(cy), type(x0), type(y0), type(x1),
+                     type(y1), type(fx), type(fy)}
             valid = (-_MAX <= x0 <= cx <= x1 <= _MAX and -_MAX <= y0 <= cy <= y1 <= _MAX
                      and (float(x1) - float(x0)) * (float(y1) - float(y0)) <= _MAX
                      and 0.0 < depth_m <= _MAX and -_MAX <= fx <= _MAX and -_MAX <= fy <= _MAX
-                     and bool not in {type(depth_m), type(cx), type(cy), type(x0), type(y0),
-                                      type(x1), type(y1), type(fx), type(fy)})
+                     and bool not in types)
         except (TypeError, ValueError, AttributeError):
             valid = False
         if not (valid and isinstance(category, str)
@@ -99,6 +102,13 @@ class ObjectObservation(_ObservationFields):
                 and (attributes is None or isinstance(attributes, dict))):
             raise ValueError(_rejection(category, centroid_px, bbox, depth_m,
                                         gt_instance, flow_px, attributes))
+        if int in types:
+            # Integers, all within float range here, are kept as floats, so
+            # that the observation computes as the same numbers written as
+            # floats do: an exact integer sum could leave float range.
+            centroid_px = (float(cx), float(cy))
+            bbox = (float(x0), float(y0), float(x1), float(y1))
+            depth_m, flow_px = float(depth_m), flow_px and (float(fx), float(fy))
         return tuple.__new__(cls, (category, centroid_px, bbox, depth_m, gt_instance,
                                    flow_px, attributes))
 
@@ -173,18 +183,24 @@ class BoxArrays:
     # (5, 2, n): x0, y0, x1, y1 and area of each bbox (row 0) and of the
     # bbox carried along its flow (row 1)
     boxes: np.ndarray
-    categories: np.ndarray  # (n,) category names
+    # (n,) category names, or integer codes from one code table
+    categories: np.ndarray
 
 
-def box_arrays(objects) -> BoxArrays:
+def box_arrays(objects, codes: dict | None = None) -> BoxArrays:
     """The boxes of ``objects``.  An object without ``flow_px`` is carried by
-    zero flow, so its carried box is its bbox."""
+    zero flow, so its carried box is its bbox.  Categories are names, or,
+    given ``codes``, each name's code in it, a name not yet there coded by
+    the count of names before it.  Two arrays' categories compare only when
+    both hold names or both hold codes of one table."""
     bbox = np.array([o.bbox for o in objects], dtype=float).reshape(-1, 4).T
     dx, dy = np.array([o.flow_px or (0.0, 0.0) for o in objects], dtype=float).reshape(-1, 2).T
     boxes = np.stack([bbox, bbox + np.array([dx, dy, dx, dy])], axis=1)
     x0, y0, x1, y1 = boxes
-    return BoxArrays(np.concatenate([boxes, ((x1 - x0) * (y1 - y0))[None]]),
-                     np.array([o.category for o in objects], dtype=str))
+    categories = (np.array([o.category for o in objects], dtype=str) if codes is None
+                  else np.array([codes.setdefault(o.category, len(codes)) for o in objects],
+                                dtype=int))
+    return BoxArrays(np.concatenate([boxes, ((x1 - x0) * (y1 - y0))[None]]), categories)
 
 
 @dataclass(frozen=True)
@@ -346,7 +362,8 @@ def windows(seq: Sequence, n: int | None = None) -> list[SceneWindow]:
 def _obs_from_dict(d: dict) -> ObjectObservation:
     # JSON arrays become tuples and an integer depth within float range a
     # float; any other value reaches the checks as read, so that they name a
-    # malformed field.
+    # malformed field.  The constructor keeps an accepted observation's
+    # integer coordinates as floats.
     centroid, bbox, depth, flow = d["centroid_px"], d["bbox"], d["depth_m"], d.get("flow_px")
     return ObjectObservation(
         d["category"],

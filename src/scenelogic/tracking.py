@@ -6,15 +6,26 @@ hypothetical observations extrapolated at constant velocity.  Either mode
 links or groups a whole sequence once (``link_sequence``); a window gets
 those tracks cut to its frames, with attributes voted over the cut
 (``cut_track``), and a labelling fault fails only the windows that hold it.
+
+Once per sequence, inferred linking builds one box table of all of its
+observations (bbox, flow-carried bbox, area and an integer category code, so
+a frame is a column slice) and weighs every consecutive frame pair with the
+one IoU kernel, frames padded to the widest and stacked in batches of at
+most ``PAIR_BATCH_ENTRIES`` weights.  Per frame pair it only gathers the
+live tracks' rows, weighs ghost rows through the same kernel, solves the
+assignment and records the matches.  Each track's observations are split
+once into runs of equal attribute dicts, so a vote over a cut counts the
+runs the cut spans.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
+from itertools import accumulate
 from numbers import Real
 
 import numpy as np
@@ -60,10 +71,10 @@ class TrackerConfig:
 
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection over union of every box in ``a`` (5, ..., n) with every
-    box in ``b`` (5, m), as a (..., n, m) array.  Axis 0 of both holds x0,
-    y0, x1, y1 and the box area."""
+    box in ``b`` (5, ..., m), as a (..., n, m) array, the leading axes
+    broadcast.  Axis 0 of both holds x0, y0, x1, y1 and the box area."""
     ax0, ay0, ax1, ay1, a_area = a[..., None]
-    bx0, by0, bx1, by1, b_area = b
+    bx0, by0, bx1, by1, b_area = b[..., None, :]
     iw = np.maximum(np.minimum(ax1, bx1) - np.maximum(ax0, bx0), 0.0)
     ih = np.maximum(np.minimum(ay1, by1) - np.maximum(ay0, by0), 0.0)
     inter = iw * ih
@@ -73,10 +84,43 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _weights(left: BoxArrays, right: BoxArrays, alpha: float) -> np.ndarray:
     """Blend of flow-carried and raw IoU for every left-right pair, zero
-    across categories."""
+    across categories: (n, m) for boxes of n and m observations, and
+    (b, n, m) for b stacked pairs of frames.  Each entry is elementwise
+    arithmetic on its two boxes alone, so it does not depend on the shape
+    of the call."""
     raw, flow = _iou(left.boxes, right.boxes[:, 0])
     w = alpha * flow + (1.0 - alpha) * raw
-    return np.where(left.categories[:, None] == right.categories, w, 0.0)
+    return np.where(left.categories[..., None] == right.categories[..., None, :], w, 0.0)
+
+
+# The most weights one batched ``_weights`` call computes.  Frame pairs are
+# padded to the widest frame of their sequence, w objects, and weighed
+# PAIR_BATCH_ENTRIES // w² pairs a call, or one pair alone where w² exceeds
+# it: a sequence of 8-object frames takes one call for up to 64 pairs, and
+# a pair of 66-object frames is weighed alone.  The bound keeps the
+# kernel's temporaries, a few float arrays of twice this many entries,
+# small however wide and long the sequence is.
+PAIR_BATCH_ENTRIES = 4096
+
+
+def _pair_weights(table: BoxArrays, offsets: list[int], alpha: float) -> list[np.ndarray]:
+    """The weights of each consecutive frame pair, frame f being columns
+    ``offsets[f]:offsets[f + 1]`` of ``table``: for pair f, an (n_f,
+    n_{f+1}) view equal to ``_weights`` of the two frames' boxes."""
+    widths = [b - a for a, b in zip(offsets, offsets[1:])]
+    width = max(widths, default=0)
+    # Frame f's column c, padded with the table's last column: padded
+    # entries are computed and never read.
+    cols = np.minimum(np.add.outer(offsets[:-1], np.arange(width)), len(table.categories) - 1)
+    boxes, codes = table.boxes[..., cols], table.categories[cols]
+    batch = PAIR_BATCH_ENTRIES // max(width * width, 1) or 1
+    out = []
+    for b in range(0, len(widths) - 1, batch):
+        e = min(b + batch, len(widths) - 1)
+        w = _weights(BoxArrays(boxes[..., b:e, :], codes[b:e]),
+                     BoxArrays(boxes[..., b + 1:e + 1, :], codes[b + 1:e + 1]), alpha)
+        out += [w[k, :widths[f], :widths[f + 1]] for k, f in enumerate(range(b, e))]
+    return out
 
 
 def _shift(bbox, d):
@@ -179,15 +223,35 @@ def presence(t: Trajectory, n: int) -> PresenceFlags:
     return PresenceFlags(first > 0, last < n - 1, first, last)
 
 
-def _consolidate_attributes(observations) -> dict:
-    """Each attribute's most frequent value, the one seen first winning a
-    tie (``max`` keeps the first of equal keys, and dicts keep insertion
-    order)."""
+def attribute_runs(observations) -> tuple[list[int], list[tuple]]:
+    """The runs of equal attributes along ``observations``: each run's end
+    (one past its last index) and its attribute items in key order.  No
+    attributes and ``{}`` are one run of no items."""
+    ends, runs = [], []
+    for i, obs in enumerate(observations, 1):
+        items = tuple(obs.attributes.items()) if obs.attributes else ()
+        if runs and items == runs[-1]:
+            ends[-1] = i
+        else:
+            ends.append(i)
+            runs.append(items)
+    return ends, runs
+
+
+def vote_attributes(runs: tuple[list[int], list[tuple]], lo: int, hi: int) -> dict:
+    """Each attribute's most frequent value over observations ``lo:hi`` of
+    ``attribute_runs``, the one seen first winning a tie (``max`` keeps the
+    first of equal keys, and dicts keep insertion order); keys in the order
+    first seen.  A run counts once per observation of it in the range."""
+    ends, items = runs
     votes: dict[str, dict] = {}
-    for _, obs in sorted(observations.items()):
-        for key, value in (obs.attributes or {}).items():
+    r = bisect_right(ends, lo)
+    while lo < hi:
+        end = min(ends[r], hi)
+        for key, value in items[r]:
             counts = votes.setdefault(key, {})
-            counts[value] = counts.get(value, 0) + 1
+            counts[value] = counts.get(value, 0) + end - lo
+        lo, r = end, r + 1
     return {key: max(counts, key=counts.get) for key, counts in votes.items()}
 
 
@@ -215,7 +279,8 @@ def _assign_ids(tracks: list[Trajectory]) -> list[Trajectory]:
 
 def _group_oracle(frames) -> tuple[list[Trajectory], list[tuple]]:
     """The observations of ``frames`` grouped by ``gt_instance``, one track
-    per run of frames in which a label keeps its category, sorted by id; and
+    per run of frames in which a label keeps its category, sorted by id,
+    with no attributes; and
     the labelling faults in frame and object order, as ``(position, since,
     error, message)``: an object without a label, or a label whose category
     changes since its previous observation."""
@@ -235,8 +300,6 @@ def _group_oracle(frames) -> tuple[list[Trajectory], list[tuple]]:
                 t = current[gid] = Trajectory(gid, obs.category, {})
                 tracks.append(t)
             t.observations[pos] = obs
-    for t in tracks:
-        t.attributes = _consolidate_attributes(t.observations)
     tracks.sort(key=lambda t: t.instance_id)
     return tracks, faults
 
@@ -287,19 +350,20 @@ class _LiveTrack:
 
 
 def _match_live(live: list[_LiveTrack], rows: list[int | None], real: np.ndarray,
-                boxes: BoxArrays, cfg: TrackerConfig) -> MatchResult:
-    """Match the live tracks to the frame whose objects' boxes are ``boxes``.
-    ``rows[i]`` is live track i's row in ``real``, the previous frame's
-    weights, or None for a ghost, whose row is computed here.  Every entry
-    is ``_weights``'s elementwise kernel, so the matrix equals the one built
-    from the live tracks' boxes."""
+                table: BoxArrays, columns: slice, codes: dict, cfg: TrackerConfig) -> MatchResult:
+    """Match the live tracks to the frame whose objects are ``columns`` of
+    ``table``.  ``rows[i]`` is live track i's row in ``real``, the frame
+    pair's weights, or None for a ghost, whose row is computed here.  Every
+    entry is ``_weights``'s elementwise kernel, so the matrix equals the one
+    built from the live tracks' boxes."""
     ghosts = [i for i, r in enumerate(rows) if r is None]
     if ghosts:
         weights = np.empty((len(rows), real.shape[1]))
         observed = [i for i, r in enumerate(rows) if r is not None]
         weights[observed] = real[[rows[i] for i in observed]]
-        weights[ghosts] = _weights(box_arrays([live[i].repr_obs for i in ghosts]),
-                                   boxes, cfg.alpha)
+        weights[ghosts] = _weights(box_arrays([live[i].repr_obs for i in ghosts], codes),
+                                   BoxArrays(table.boxes[..., columns],
+                                             table.categories[columns]), cfg.alpha)
     else:
         weights = real[rows]
     return match_frames(weights, cfg.w_min)
@@ -308,18 +372,20 @@ def _match_live(live: list[_LiveTrack], rows: list[int | None], real: np.ndarray
 def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
     """Track over ``frames``, with observations keyed by position in them
     and no attributes."""
+    codes: dict[str, int] = {}
+    table = box_arrays([obs for frame in frames for obs in frame.objects], codes)
+    offsets = list(accumulate((len(frame.objects) for frame in frames), initial=0))
+    pair_weights = _pair_weights(table, offsets, cfg.alpha)
     live = [_LiveTrack(0, obs) for obs in frames[0].objects]
     # Each live track's row in the previous frame's objects; None for a ghost.
     rows: list[int | None] = list(range(len(live)))
     # Every track in birth order: by frame, then by index within the frame.
     born = list(live)
-    boxes = box_arrays(frames[0].objects)
 
     for pos in range(1, len(frames)):
         objects = frames[pos].objects
-        prev_boxes, boxes = boxes, box_arrays(objects)
-        real = _weights(prev_boxes, boxes, cfg.alpha)
-        result = _match_live(live, rows, real, boxes, cfg)
+        result = _match_live(live, rows, pair_weights[pos - 1], table,
+                             slice(offsets[pos], offsets[pos + 1]), codes, cfg)
         for i, j, _ in result.assignments:
             live[i].record(pos, objects[j])
         survivors = []
@@ -334,8 +400,26 @@ def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
         rows = ([j for _, j, _ in result.assignments] + [None] * len(survivors)
                 + list(result.unmatched_right))
 
-    return _assign_ids([Trajectory("", t.category, t.observations,
-                                    _consolidate_attributes(t.observations)) for t in born])
+    return _assign_ids([Trajectory("", t.category, t.observations) for t in born])
+
+
+def _linked(seq: Sequence, mode: str, cfg: TrackerConfig) -> tuple:
+    """``link_sequence``'s tracks and faults, with each track's sorted
+    positions and ``attribute_runs`` along them."""
+    if mode not in ("oracle", "inferred"):
+        raise ValueError(f"unknown tracking mode {mode!r}")
+    cache = seq.__dict__.setdefault("_tracks", {})
+    key = mode if mode == "oracle" else cfg
+    linked = cache.get(key)
+    if linked is None:
+        tracks, faults = (_group_oracle(seq.frames) if mode == "oracle"
+                          else (_link_inferred(seq.frames, cfg), []))
+        keys = [sorted(t.observations) for t in tracks]
+        runs = [attribute_runs([t.observations[p] for p in ks]) for t, ks in zip(tracks, keys)]
+        for t, ks, r in zip(tracks, keys, runs):
+            t.attributes = vote_attributes(r, 0, len(ks))
+        linked = cache[key] = (tracks, faults, keys, runs)
+    return linked
 
 
 def link_sequence(seq: Sequence, mode: str = "inferred",
@@ -343,24 +427,17 @@ def link_sequence(seq: Sequence, mode: str = "inferred",
     """The sequence's tracks, keyed by frame position, with attributes voted
     over all of their observations, and its labelling faults: built once per
     mode and ``cfg`` and cached on the sequence."""
-    if mode not in ("oracle", "inferred"):
-        raise ValueError(f"unknown tracking mode {mode!r}")
-    cache = seq.__dict__.setdefault("_tracks", {})
-    key = mode if mode == "oracle" else cfg
-    linked = cache.get(key)
-    if linked is None:
-        linked = cache[key] = (_group_oracle(seq.frames) if mode == "oracle"
-                               else (_link_inferred(seq.frames, cfg), []))
-    return linked
+    return _linked(seq, mode, cfg)[:2]
 
 
-def cut_track(t: Trajectory, keys: list[int], lo: int, hi: int, start: int) -> Trajectory:
+def cut_track(t: Trajectory, keys: list[int], runs: tuple, lo: int, hi: int,
+              start: int) -> Trajectory:
     """``t`` cut to its observations at ``keys[lo:hi]`` of its sorted
-    positions, rebased to ``start``, with attributes voted over the cut: a
-    cut of all of them keeps ``t``'s."""
+    positions, rebased to ``start``, with attributes voted over the cut from
+    ``runs``, its ``attribute_runs`` along ``keys``: a cut of all of them
+    keeps ``t``'s."""
     observations = {p - start: t.observations[p] for p in keys[lo:hi]}
-    attributes = (dict(t.attributes) if hi - lo == len(keys)
-                  else _consolidate_attributes(observations))
+    attributes = dict(t.attributes) if hi - lo == len(keys) else vote_attributes(runs, lo, hi)
     return Trajectory(t.instance_id, t.category, observations, attributes)
 
 
@@ -374,12 +451,11 @@ def link_window(w: SceneWindow, mode: str = "inferred",
     so an object keeps its id from window to window; the window gets those
     tracks cut to its frames.
     """
-    tracks, faults = link_sequence(w.sequence, mode, cfg)
+    tracks, faults, keys, runs = _linked(w.sequence, mode, cfg)
     check_labels(faults, w)
     cut = []
-    for t in tracks:
-        keys = sorted(t.observations)
-        lo, hi = bisect_left(keys, w.start), bisect_left(keys, w.start + w.n)
+    for t, ks, r in zip(tracks, keys, runs):
+        lo, hi = bisect_left(ks, w.start), bisect_left(ks, w.start + w.n)
         if lo < hi:
-            cut.append(cut_track(t, keys, lo, hi, w.start))
+            cut.append(cut_track(t, ks, r, lo, hi, w.start))
     return cut

@@ -18,8 +18,10 @@ the compiled engine in ``scenelogic.inference`` is checked against.
   for one window's frames from scratch (every weight matrix built from the
   live tracks' boxes, every point back-projected and mapped on its own)
   instead of read from the per-frame caches.  ``cut_tracks`` cuts tracks
-  to a run of frames; run over a whole sequence and cut, the per-window
-  tracker is the reference for the once-per-sequence tracker.
+  to a run of frames, with attributes by ``vote_per_observation``, the
+  reference for the vote over runs of equal attributes; run over a whole
+  sequence and cut, the per-window tracker is the reference for the
+  once-per-sequence tracker.
 - ``track_kinematics_per_observation`` and ``track_facts_per_observation``:
   each track's kinematics and unary facts from every observation's window
   point, the interior gaps filled densely and the means taken one
@@ -75,7 +77,6 @@ from scenelogic.tracking import (
     TrackerConfig,
     Trajectory,
     _assign_ids,
-    _consolidate_attributes,
     _LiveTrack,
     _weights,
     match_frames,
@@ -509,7 +510,7 @@ def link_inferred_per_window(w: SceneWindow, cfg: TrackerConfig = TrackerConfig(
 
     tracks = [
         Trajectory("", t.category, t.observations,
-                   _consolidate_attributes(t.observations))
+                   vote_per_observation(t.observations))
         for t in done
     ]
     return _assign_ids(tracks)
@@ -591,6 +592,18 @@ def track_facts_per_observation(w: SceneWindow, tracks: list[Trajectory],
     return out
 
 
+def vote_per_observation(observations: dict) -> dict:
+    """Each attribute's most frequent value over ``observations`` (keyed by
+    position), one vote per observation in position order, the one seen
+    first winning a tie; keys in the order first seen."""
+    votes: dict[str, dict] = {}
+    for _, obs in sorted(observations.items()):
+        for key, value in (obs.attributes or {}).items():
+            counts = votes.setdefault(key, {})
+            counts[value] = counts.get(value, 0) + 1
+    return {key: max(counts, key=counts.get) for key, counts in votes.items()}
+
+
 def cut_tracks(tracks: list[Trajectory], start: int, n: int) -> list[Trajectory]:
     """``tracks`` restricted to positions ``start..start+n-1`` and rebased
     to 0, attributes voted over the observations kept; tracks with none
@@ -601,7 +614,7 @@ def cut_tracks(tracks: list[Trajectory], start: int, n: int) -> list[Trajectory]
                         if start <= pos < start + n}
         if observations:
             out.append(Trajectory(t.instance_id, t.category, observations,
-                                  _consolidate_attributes(observations)))
+                                  vote_per_observation(observations)))
     return sorted(out, key=lambda t: t.instance_id)
 
 

@@ -782,28 +782,29 @@ def test_each_frame_pair_is_weighed_once_and_each_assignment_solved_once(monkeyp
     built, weighed, solves = [], [], []
     solve = tracking._load_solver()
     monkeypatch.setattr(tracking, "box_arrays",
-                        lambda objects: built.append((objects, box_arrays(objects)))
-                        or built[-1][1])
+                        lambda objects, codes=None: built.append(list(objects))
+                        or box_arrays(objects, codes))
     monkeypatch.setattr(tracking, "_weights",
-                        lambda left, right, alpha: weighed.append((left, right))
+                        lambda left, right, alpha: weighed.append(left.boxes.ndim)
                         or _weights(left, right, alpha))
     monkeypatch.setattr(tracking, "_solve",
                         lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     for w in windows(seq, 10):
         link_window(w, "inferred")
 
-    # A frame's boxes are the box_arrays built from its objects tuple; the
-    # ghost rows are built from lists of ghost observations.
-    position = {id(f.objects): i for i, f in enumerate(seq.frames)}
-    frame_of = {id(boxes): position[id(objects)] for objects, boxes in built
-                if id(objects) in position}
-    real = sorted((frame_of[id(left)], frame_of[id(right)])
-                  for left, right in weighed if id(left) in frame_of)
-    pairs = [(i, i + 1) for i in range(len(seq.frames) - 1)]
-    assert sorted(frame_of.values()) == list(range(len(seq.frames)))  # each built once
-    assert real == pairs
-    assert len(weighed) - len(real) == ghost_visits  # one ghost-row kernel per visit
-    assert len(solves) == len(pairs)
+    # One box table of every observation, then boxes of ghosts only, once
+    # per frame pair visited with ghosts.
+    observed = [o for f in seq.frames for o in f.objects]
+    assert built[0] == observed
+    assert len(built) - 1 == ghost_visits
+    assert not {id(o) for ghosts in built[1:] for o in ghosts} & set(map(id, observed))
+    # The frame pairs are weighed in one stacked batch, as they fit in its
+    # budget, and ghost rows by one kernel call per visit.
+    width = max(len(f.objects) for f in seq.frames)
+    assert (len(seq.frames) - 1) * width ** 2 <= tracking.PAIR_BATCH_ENTRIES
+    assert weighed.count(4) == 1
+    assert weighed.count(3) == ghost_visits
+    assert len(solves) == len(seq.frames) - 1
 
 
 @pytest.mark.parametrize("mode", ["oracle", "inferred"])

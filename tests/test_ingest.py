@@ -191,6 +191,27 @@ def test_a_window_the_sequence_cannot_hold_fails_at_its_stage(tmp_path, capsys):
     assert capsys.readouterr().err == "question: window 99 not available\n"
 
 
+@pytest.mark.parametrize("mode", ["oracle", "inferred"])
+def test_integer_coordinates_compute_as_their_float_twin(tmp_path, capsys, mode):
+    """A zero-width bbox of integers at 10**308 compiles as the same bbox
+    written as floats: the exact integer sum of its x coordinates would
+    leave float range, their float sum is infinite."""
+    path = tmp_path / "annotation.json"
+    save_annotation(generate_scenario(ScenarioSpec("crossing", 0)).sequence, path)
+    doc = json.loads(path.read_text())
+    o = next(o for o in doc["frames"][8]["objects"] if o.get("gt_instance") == "pedestrian01")
+    dumps = []
+    for x in (10**308, 1e308):
+        o["centroid_px"][0] = o["bbox"][0] = o["bbox"][2] = x
+        path.write_text(json.dumps(doc))
+        for flags in (["--dump-facts"], ["--dump-facts", "--window", "5"], ["--dump-tracks"]):
+            assert cli_main(["ingest", str(path), "--track-mode", mode, *flags]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            dumps.append(out)
+    assert dumps[:3] == dumps[3:]
+
+
 def test_an_annotation_that_is_not_an_object_says_so(tmp_path, capsys):
     path = tmp_path / "annotation.json"
     path.write_text(json.dumps([{"intrinsics": {}}]))
