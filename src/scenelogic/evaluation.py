@@ -8,7 +8,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .facts import CompilerConfig, check_catalog, compile_window, compile_windows
+from .facts import CompilerConfig, check_catalog, compile_windows
 from .inference import answer_query, saturate
 from .logicpad import RuleSet, default_ruleset
 from .questions import parse_question
@@ -20,7 +20,7 @@ from .ragcontext import (
     template_table,
 )
 from .scene import SceneWindow, Sequence, load_annotation, windows
-from .tracking import TrackerConfig, check_labels, link_sequence, link_window
+from .tracking import TrackerConfig, check_labels, link_sequence
 
 
 class LengthMismatch(ValueError):
@@ -162,12 +162,10 @@ def stage(name: str):
 def process_window(w: SceneWindow, rules: RuleSet, track_mode: str = "oracle",
                    cfg: CompilerConfig = CompilerConfig(),
                    tracker_cfg: TrackerConfig = TrackerConfig()):
-    """Track, compile and saturate one window.  Returns (WindowFacts,
-    FactSet); a failure is a StageError tagged track, compile or infer."""
-    with stage("track"):
-        tracks = link_window(w, track_mode, tracker_cfg)
-    with stage("compile"):
-        wf = compile_window(w, tracks, cfg, rules)
+    """Track, compile and saturate one window, by ``compile_sequence``.
+    Returns (WindowFacts, FactSet); a failure is a StageError tagged track,
+    compile or infer."""
+    wf = next(compile_sequence([w], rules, track_mode, cfg, tracker_cfg))
     with stage("infer"):
         return wf, saturate(wf.facts, rules)
 
@@ -176,14 +174,15 @@ def compile_sequence(wins: list[SceneWindow], rules: RuleSet, track_mode: str = 
                      cfg: CompilerConfig = CompilerConfig(),
                      tracker_cfg: TrackerConfig = TrackerConfig()):
     """Each of a sequence's windows' WindowFacts, in order, from its tracks
-    linked once and one ``compile_windows`` call.  A window fails, when it
-    is reached, as ``process_window`` fails on it."""
+    linked once and one ``compile_windows`` call: the one route from a
+    window to its facts.  A window fails alone, when it is reached: tagged
+    track for a labelling fault in its frames, compile for its facts."""
     with stage("track"):
-        tracks, faults = link_sequence(wins[0].sequence, track_mode, tracker_cfg)
-    compiled = compile_windows(tracks, wins, cfg, rules)
+        linked = link_sequence(wins[0].sequence, track_mode, tracker_cfg)
+    compiled = compile_windows(linked, wins, cfg, rules)
     for w in wins:
         with stage("track"):
-            check_labels(faults, w)
+            check_labels(linked[1], w)
         with stage("compile"):
             wf = next(compiled)
         yield wf

@@ -7,8 +7,8 @@ by bisection over each track's sorted positions, mean centroid x and depth
 per observation count, motion for every (track, window) at once, the pair
 table of distance trends, and per-pair containment hits counted from prefix
 sums.  Per window it cuts the tracks, votes their attributes over the runs
-of equal attributes each cut spans (a track's runs split at its first
-cut), and emits the facts: the tracks' categories and ``COMPUTED``'s
+of equal attributes each cut spans (the runs ``index_tracks`` recorded with
+the tracks), and emits the facts: the tracks' categories and ``COMPUTED``'s
 predicates alone.  Motion maps each frame's BEV point (``Sequence.bev``) by the window's cumulative
 transform with ``math``'s cosine and sine and IEEE elementwise arithmetic,
 so every value equals the scalar computation's."""
@@ -27,7 +27,7 @@ from .fol import Const, Literal
 from .inference import FactSet
 from .logicpad import FUNC_REL_SUFFIX, RuleSet, is_constant_name
 from .scene import STATIC_CATEGORIES, SURFACE_CATEGORIES, SceneWindow, bev_of
-from .tracking import Trajectory, attribute_runs, cut_track
+from .tracking import Trajectory, cut_track, index_tracks
 
 # Every predicate the compiler computes, with its arity.  Each track's
 # category is a fact too, of an arity-1 predicate the rule file declares.
@@ -218,28 +218,29 @@ def _contains(bbox, pt) -> bool:
     return bbox[0] <= pt[0] <= bbox[2] and bbox[1] <= pt[1] <= bbox[3]
 
 
-def compile_windows(tracks: list[Trajectory], wins: list[SceneWindow], cfg: CompilerConfig,
+def compile_windows(linked: tuple, wins: list[SceneWindow], cfg: CompilerConfig,
                     rules: RuleSet, base: int = 0):
-    """Each window's ``WindowFacts``, in order, for ``tracks`` keyed by frame
+    """Each window's ``WindowFacts``, in order, from ``linked``, tracks as
+    ``index_tracks`` records them (its faults are not read), keyed by frame
     position, position p being frame ``base + p`` of the windows' sequence
     (windows of one sequence and length).  Categories must be atomic
     predicates of ``rules``, attribute values become constants through its
     vocabulary, and a window fails on its own tracks when it is reached.
-    A window's tracks are ``tracks``' own objects where it holds all of a
+    A window's tracks are the tracks' own objects where it holds all of a
     track from position 0, as ``compile_window`` gives back the tracks it
     is given, and copies cut to its frames elsewhere (``cut_track``).
-    Literals are interned on the sequence, so windows that state the same
+    Literals are interned once per call, so windows that state the same
     fact hold one object."""
+    tracks, _, keys, runs = linked
     seq, n = wins[0].sequence, wins[0].n
     k = seq.intrinsics
     width = cfg.image_width if cfg.image_width is not None else 2.0 * k.cx
     declared = {d.name for d in rules.atomic_predicates()}
-    literals = seq.__dict__.setdefault("_literals", {})
+    literals: dict = {}
 
     # Observation i, in track-then-position order: its track, position, own
     # BEV point (from Sequence.bev, or back-projected for an observation
     # that is not one of its frame's objects), centroid x and depth.
-    keys = [sorted(t.observations) for t in tracks]
     observed = [t.observations[p] for t, ks in zip(tracks, keys) for p in ks]
     pos = np.fromiter(chain.from_iterable(keys), int, len(observed))
     row = np.repeat(np.arange(len(tracks)), list(map(len, keys)))
@@ -258,9 +259,9 @@ def compile_windows(tracks: list[Trajectory], wins: list[SceneWindow], cfg: Comp
     spans = [(j, r, lo, hi - lo, offsets[r] + lo) for j, start in enumerate(starts)
              for r, ks in enumerate(keys)
              if (lo := bisect_left(ks, start)) < (hi := bisect_left(ks, start + n))]
-    runs, _, _, count, g = np.array(spans, dtype=int).reshape(-1, 5).T
+    win, _, _, count, g = np.array(spans, dtype=int).reshape(-1, 5).T
     moving = (count >= 2).nonzero()[0]
-    at, g0, g1 = runs[moving], g[moving], (g + count - 1)[moving]
+    at, g0, g1 = win[moving], g[moving], (g + count - 1)[moving]
     ends = np.array([g0, g0 + 1, g1 - 1, g1])
     rel = pos[ends] - np.array(starts)[at]
     motion = np.zeros((2, len(spans)))
@@ -295,20 +296,12 @@ def compile_windows(tracks: list[Trajectory], wins: list[SceneWindow], cfg: Comp
         feet = {p: _bottom_mid(o.bbox) for p, o in t.observations.items()}
         for s in surfaces:
             box = tracks[s].observations
-            common = sorted(feet.keys() & box.keys())
+            common = [p for p in keys[a] if p in box]
             hits = list(accumulate([_contains(box[p].bbox, feet[p]) for p in common], initial=0))
             for j, start in enumerate(starts):
                 lo, hi = bisect_left(common, start), bisect_left(common, start + n)
                 if hi > lo and (frac := (hits[hi] - hits[lo]) / (hi - lo)) > 0.5:
                     supports[j].append((a, s, frac))
-
-    # Track r's attribute runs, split at its first cut.
-    runs: dict[int, tuple] = {}
-
-    def runs_of(r: int) -> tuple:
-        if r not in runs:
-            runs[r] = attribute_runs([tracks[r].observations[p] for p in keys[r]])
-        return runs[r]
 
     # A track's category fact is interned as it is; every other fact is
     # emitted, and must be of a predicate of the table, with its arity.
@@ -331,7 +324,7 @@ def compile_windows(tracks: list[Trajectory], wins: list[SceneWindow], cfg: Comp
                 provenance[lit] = evidence
 
         cut = {r: tracks[r] if hi - lo == len(keys[r]) and not start
-               else cut_track(tracks[r], keys[r], runs_of(r), lo, hi, start)
+               else cut_track(tracks[r], keys[r], runs[r], lo, hi, start)
                for r, lo, hi, *_ in entries[j]}
         for t in cut.values():
             if t.category not in declared:
@@ -393,4 +386,4 @@ def compile_window(w: SceneWindow, tracks: list[Trajectory], cfg: CompilerConfig
                    rules: RuleSet) -> WindowFacts:
     """``compile_windows`` on one window of its own tracks, keyed by window
     position."""
-    return next(compile_windows(tracks, [w], cfg, rules, base=w.start))
+    return next(compile_windows(index_tracks(tracks, []), [w], cfg, rules, base=w.start))

@@ -14,8 +14,9 @@ one IoU kernel, frames padded to the widest and stacked in batches of at
 most ``PAIR_BATCH_ENTRIES`` weights.  Per frame pair it only gathers the
 live tracks' rows, weighs ghost rows through the same kernel, solves the
 assignment and records the matches.  Each track's observations are split
-once into runs of equal attribute dicts, so a vote over a cut counts the
-runs the cut spans.
+once into runs of equal attribute dicts, kept with the tracks
+(``index_tracks``) for ``link_window`` and ``compile_windows``, so a vote
+over a cut counts the runs the cut spans.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ def match_frames(weights: np.ndarray, w_min: float) -> MatchResult:
 
 @dataclass
 class Trajectory:
-    """One instance's observations within a window, keyed by window-relative
-    frame position.  Occlusion gaps appear as missing keys."""
+    """One instance's observations, keyed by frame position: in its window
+    (``link_window``) or in its whole sequence (``link_sequence``).
+    Occlusion gaps appear as missing keys."""
 
     instance_id: str
     category: str
@@ -403,31 +405,31 @@ def _link_inferred(frames, cfg: TrackerConfig) -> list[Trajectory]:
     return _assign_ids([Trajectory("", t.category, t.observations) for t in born])
 
 
-def _linked(seq: Sequence, mode: str, cfg: TrackerConfig) -> tuple:
-    """``link_sequence``'s tracks and faults, with each track's sorted
-    positions and ``attribute_runs`` along them."""
+def index_tracks(tracks: list[Trajectory], faults: list) -> tuple:
+    """The record ``compile_windows`` reads: ``tracks``, ``faults``, each
+    track's sorted positions, and its ``attribute_runs`` along them."""
+    keys = [sorted(t.observations) for t in tracks]
+    return tracks, faults, keys, [attribute_runs([t.observations[p] for p in ks])
+                                  for t, ks in zip(tracks, keys)]
+
+
+def link_sequence(seq: Sequence, mode: str = "inferred",
+                  cfg: TrackerConfig = TrackerConfig()) -> tuple:
+    """The sequence's tracks, keyed by frame position, with attributes voted
+    over all of their observations, and its labelling faults, as
+    ``index_tracks`` records them: built once per mode and ``cfg`` and
+    cached on the sequence."""
     if mode not in ("oracle", "inferred"):
         raise ValueError(f"unknown tracking mode {mode!r}")
     cache = seq.__dict__.setdefault("_tracks", {})
     key = mode if mode == "oracle" else cfg
-    linked = cache.get(key)
-    if linked is None:
-        tracks, faults = (_group_oracle(seq.frames) if mode == "oracle"
-                          else (_link_inferred(seq.frames, cfg), []))
-        keys = [sorted(t.observations) for t in tracks]
-        runs = [attribute_runs([t.observations[p] for p in ks]) for t, ks in zip(tracks, keys)]
+    if key not in cache:
+        grouped = (_group_oracle(seq.frames) if mode == "oracle"
+                   else (_link_inferred(seq.frames, cfg), []))
+        tracks, _, keys, runs = cache[key] = index_tracks(*grouped)
         for t, ks, r in zip(tracks, keys, runs):
             t.attributes = vote_attributes(r, 0, len(ks))
-        linked = cache[key] = (tracks, faults, keys, runs)
-    return linked
-
-
-def link_sequence(seq: Sequence, mode: str = "inferred",
-                  cfg: TrackerConfig = TrackerConfig()) -> tuple[list[Trajectory], list]:
-    """The sequence's tracks, keyed by frame position, with attributes voted
-    over all of their observations, and its labelling faults: built once per
-    mode and ``cfg`` and cached on the sequence."""
-    return _linked(seq, mode, cfg)[:2]
+    return cache[key]
 
 
 def cut_track(t: Trajectory, keys: list[int], runs: tuple, lo: int, hi: int,
@@ -451,7 +453,7 @@ def link_window(w: SceneWindow, mode: str = "inferred",
     so an object keeps its id from window to window; the window gets those
     tracks cut to its frames.
     """
-    tracks, faults, keys, runs = _linked(w.sequence, mode, cfg)
+    tracks, faults, keys, runs = link_sequence(w.sequence, mode, cfg)
     check_labels(faults, w)
     cut = []
     for t, ks, r in zip(tracks, keys, runs):

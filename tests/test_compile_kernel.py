@@ -81,14 +81,15 @@ def test_one_pass_over_edited_tracks_equals_their_cuts(rules, track_mode, kind):
     """Sequence tracks with an observation removed mid-track, compiled in
     one pass, equal each window's cut of them compiled alone."""
     seq = generate_scenario(ScenarioSpec(kind, 3, n_frames=20)).sequence
-    linked, _ = tracking.link_sequence(seq, track_mode)
+    linked = tracking.link_sequence(seq, track_mode)[0]
     edited = [Trajectory(t.instance_id, t.category, dict(t.observations), dict(t.attributes))
               for t in linked]
     for t in edited:
         if len(t.observations) > 4 and t.category not in STATIC_CATEGORIES:
             del t.observations[sorted(t.observations)[len(t.observations) // 2]]
     wins = windows(seq, 5)
-    one_pass = list(facts.compile_windows(edited, wins, CompilerConfig(), rules))
+    one_pass = list(facts.compile_windows(tracking.index_tracks(edited, []), wins,
+                                           CompilerConfig(), rules))
     assert len(one_pass) == len(wins)
     for w, wf in zip(wins, one_pass):
         cut = oracles.cut_tracks(edited, w.start, w.n)
@@ -119,7 +120,7 @@ def test_a_predicate_off_the_catalog_is_not_emitted(monkeypatch, rules, pred, ar
         monkeypatch.setitem(COMPUTED, pred, arity)
     seq = generate_scenario(ScenarioSpec("crossing", 5, n_frames=14)).sequence
     with pytest.raises(ValueError, match=f"^the compiler computes no {pred}/"):
-        list(facts.compile_windows(tracking.link_sequence(seq, "oracle")[0], windows(seq),
+        list(facts.compile_windows(tracking.link_sequence(seq, "oracle"), windows(seq),
                                    CompilerConfig(), rules))
 
 

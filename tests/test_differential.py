@@ -322,7 +322,7 @@ def test_pair_table_equals_per_window_trends_on_generated_scenes(kind, rules):
     sc = generate_scenario(ScenarioSpec(kind, seed=21, n_frames=16, object_count=5))
     for w in windows(sc.sequence, 10):
         tracks = link_window(w, "inferred")
-        seq_tracks, _ = tracking.link_sequence(w.sequence, "inferred")
+        seq_tracks = tracking.link_sequence(w.sequence, "inferred")[0]
         got = window_trends(sequence_table(w.sequence, seq_tracks), seq_tracks, w.start, w.n)
         own, _ = oracles.track_points_per_observation(w, tracks)
         assert_same_trends(got, oracles.distance_trends_per_window(own, w.n))
@@ -364,7 +364,8 @@ def test_cut_tracks_read_the_sequence_table_bit_for_bit(monkeypatch, rules):
         wins = [SceneWindow(seq, start, (Transform2.identity(),) * (m - 1))
                 for start in range(n - m + 1)]
         table = sequence_table(seq, seq_tracks)
-        for w, one_pass in zip(wins, facts.compile_windows(seq_tracks, wins, cfg, rules)):
+        passes = facts.compile_windows(tracking.index_tracks(seq_tracks, []), wins, cfg, rules)
+        for w, one_pass in zip(wins, passes):
             tracks = link_window(w, "inferred")
             assert track_rows(tracks) == track_rows(oracles.cut_tracks(seq_tracks, w.start, m))
             own, _ = oracles.track_points_per_observation(w, tracks)

@@ -17,7 +17,9 @@ from scenelogic.evaluation import (
     run_scenario_dir,
 )
 from scenelogic.fol import Const, Literal
+from scenelogic.inference import answer_query
 from scenelogic.logicpad import parse_rule_file
+from scenelogic.questions import answer_to_text, parse_fol_query
 from scenelogic.scenarios import (
     KINDS,
     InvalidSpec,
@@ -266,14 +268,16 @@ def test_cli_dump_facts(tmp_path, capsys):
     assert '"evidence"' in text
 
 
-def test_entry_points_report_the_same_tracks_for_a_window(tmp_path, capsys, rules):
+@pytest.mark.parametrize("mode", ["oracle", "inferred"])
+def test_entry_points_report_the_same_tracks_for_a_window(tmp_path, capsys, rules, mode):
     """``ingest --dump-tracks``, ``query``, ``process_sequence`` and
-    ``link_window`` see one set of inferred tracks for window K."""
+    ``link_window`` see one set of tracks for window K, and ``query`` prints
+    what ``answer_query`` gives on ``process_sequence``'s window K."""
     k = 6
     sc = generate_scenario(ScenarioSpec("crossing", seed=4, n_frames=20, object_count=4))
     path = tmp_path / "annotation.json"
     save_annotation(sc.sequence, path)
-    flags = ["--track-mode", "inferred"]
+    flags = ["--track-mode", mode]
 
     def rows(tracks):
         return {t.instance_id: {str(pos): {"centroid_px": list(o.centroid_px),
@@ -291,14 +295,17 @@ def test_entry_points_report_the_same_tracks_for_a_window(tmp_path, capsys, rule
     assert dump["window_id"] == k
     dumped = {t["instance_id"]: t["frames"] for t in dump["tracks"]}
 
-    seq = load_annotation(path)
-    processed = process_sequence(seq, rules, "inferred")[k][0].tracks
-    linked = link_window(windows(load_annotation(path))[k], "inferred")
-    assert rows(processed) == rows(linked) == dumped
+    wf, sat = process_sequence(load_annotation(path), rules, mode)[k]
+    linked = link_window(windows(load_annotation(path))[k], mode)
+    assert rows(wf.tracks) == rows(linked) == dumped
 
     assert cli_main(["query", str(path), "--window-id", str(k), "--fol",
                      "--q", "Vehicle(x)", *flags]) == 0
-    answer = capsys.readouterr().out.splitlines()[0]
+    printed = capsys.readouterr().out
+    q = parse_fol_query("Vehicle(x)", rules)
+    ans = answer_query(sat, rules, q)
+    assert printed.splitlines() == [answer_to_text(ans, q), *(f"  {s}" for s in ans.trace.steps)]
+    answer = printed.splitlines()[0]
     assert answer.startswith("Yes: ")
     named = answer[len("Yes: "):].split(" satisf")[0].replace(" and ", ", ").split(", ")
     vehicles = [t["instance_id"] for t in dump["tracks"] if t["category"] == "Vehicle"]

@@ -11,6 +11,7 @@ the same order.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +151,29 @@ def test_equal_attributes_in_another_key_order_start_a_run():
     assert list(vote_attributes((ends, items), 1, 2)) == ["type", "color"]
 
 
+def test_a_sequence_pass_splits_each_track_into_runs_once(rules):
+    """One ``process_sequence`` pass of a 20-frame inferred sequence in
+    windows of 10 splits each track into attribute runs once, however the
+    function is reached: compile reads the runs the linker recorded."""
+    seq = generate_scenario(ScenarioSpec("crossing", 11, n_frames=20)).sequence
+    code, calls = attribute_runs.__code__, []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(count)
+    try:
+        per = process_sequence(seq, rules, "inferred", n=10)
+    finally:
+        sys.setprofile(None)
+    tracks = tracking.link_sequence(seq, "inferred")[0]
+    assert len(per) == 11
+    # Windows cut tracks, so a second split per cut track would show.
+    assert any(len(t.observations) > 10 for t in tracks)
+    assert len(calls) == len(tracks)
+
+
 # ---------------------------------------------------------------------------
 # Whole pipeline on noisy colours
 # ---------------------------------------------------------------------------
@@ -190,7 +214,7 @@ def test_noisy_colors_vote_as_one_vote_per_observation(rules, mode):
     for spec in _stream_specs(5):
         seq = _noisy_colors(generate_scenario(spec).sequence, rng, 0.3)
         per = process_sequence(seq, rules, mode, n=10)
-        linked, _ = tracking.link_sequence(seq, mode)
+        linked = tracking.link_sequence(seq, mode)[0]
         for t in linked:
             assert list(t.attributes.items()) == \
                 list(oracles.vote_per_observation(t.observations).items())

@@ -1,5 +1,6 @@
-"""Work a sequence's windows share: ``process_sequence`` against
-``process_window``.
+"""Work a sequence's windows share: ``process_sequence`` against each
+window linked, compiled and saturated by itself (``link_window``,
+``compile_window``, ``saturate``).
 
 Windows whose atomic facts are equal share one FactSet and one saturated
 set, and a sequence builds each literal it compiles once.  Sharing changes
@@ -11,10 +12,13 @@ from itertools import combinations
 
 import pytest
 
-from scenelogic.evaluation import process_sequence, process_window
+from scenelogic.evaluation import process_sequence
+from scenelogic.facts import CompilerConfig, compile_window
 from scenelogic.fol import Const
+from scenelogic.inference import saturate
 from scenelogic.scenarios import ScenarioSpec, generate_scenario
 from scenelogic.scene import sequence_from_dict, sequence_to_dict, windows
+from scenelogic.tracking import link_window
 
 from test_saturation_differential import STREAM_KINDS
 
@@ -34,8 +38,9 @@ def test_shared_windows_equal_their_own_processing(rules, track_mode):
         alone = windows(sequence_from_dict(sequence_to_dict(seq)))
         assert len(per) == len(alone) == 11
         for w in alone:
-            assert _outputs(*per[w.window_id]) == \
-                _outputs(*process_window(w, rules, track_mode)), (kind, w.window_id)
+            wf = compile_window(w, link_window(w, track_mode), CompilerConfig(), rules)
+            assert _outputs(*per[w.window_id]) == _outputs(wf, saturate(wf.facts, rules)), \
+                (kind, w.window_id)
 
         for (wf_a, sat_a), (wf_b, sat_b) in combinations(per.values(), 2):
             if wf_a.facts.facts == wf_b.facts.facts:
